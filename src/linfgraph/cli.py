@@ -266,6 +266,17 @@ def _cmd_render(args) -> int:
     return 0
 
 
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="linfgraph",
@@ -283,17 +294,17 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = cmd("generic-check", _cmd_generic_check, help="search cycles for an equal split")
     sp.add_argument("instance")
-    sp.add_argument("--budget", type=int, default=10**6)
+    sp.add_argument("--budget", type=_at_least(0), default=10**6)
 
     sp = cmd("realize", _cmd_realize, help="decide realizability in a given dimension")
     sp.add_argument("instance")
     sp.add_argument("--dim", type=int, required=True)
     sp.add_argument("--certificate", help="write the cover and realization here")
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=_at_least(1), default=1)
 
     sp = cmd("min-dim", _cmd_min_dim, help="smallest dimension admitting a realization")
     sp.add_argument("instance")
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=_at_least(1), default=1)
 
     sp = cmd("bounds", _cmd_bounds, help="sandwich the worst-case dimension of a graph")
     sp.add_argument("instance")

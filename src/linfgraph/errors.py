@@ -9,10 +9,6 @@ class CapExceeded(RuntimeError):
     """Instance is larger than an operation's documented size cap."""
 
 
-class NotAPotential(ValueError):
-    """A vertex labelling violates some arc-length constraint."""
-
-
 class PerturbationFailed(RuntimeError):
     """Perturbation retries exhausted; carries the last candidate tried."""
 

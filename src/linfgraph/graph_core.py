@@ -245,19 +245,28 @@ class ValidationReport:
     violations: tuple[Violation, ...]
 
 
-def shortest_path_table(g: Graph, d: DistanceFunction):
-    """All-pairs shortest distances and next-hop table, exact arithmetic."""
+def shortest_path_table(g: Graph, weights):
+    """All-pairs shortest distances and next-hop table, exact arithmetic.
+
+    `weights` is any sequence indexed by edge id, such as a DistanceFunction
+    or a list; its values may be ints or Fractions, and None marks an edge
+    as absent.  Returns (vertices, dist, nxt) with rows and columns in
+    `g.vertices` order: dist[i][j] is None when j is unreachable from i, the
+    diagonal is the int 0, and nxt[i][j] is the index of the vertex after i
+    on a shortest i-j path.
+    """
     n = g.n
-    verts = g.vertices
-    INF = None
-    dist = [[INF] * n for _ in range(n)]
+    vi = g.vertex_index
+    dist = [[None] * n for _ in range(n)]
     nxt = [[None] * n for _ in range(n)]
     for i in range(n):
-        dist[i][i] = Fraction(0)
+        dist[i][i] = 0
     for eid, (u, v) in enumerate(g.edges):
-        i, j = g.vertex_index[u], g.vertex_index[v]
-        w = d.weights[eid]
-        if dist[i][j] is INF or w < dist[i][j]:
+        w = weights[eid]
+        if w is None:
+            continue
+        i, j = vi[u], vi[v]
+        if dist[i][j] is None or w < dist[i][j]:
             dist[i][j] = dist[j][i] = w
             nxt[i][j] = j
             nxt[j][i] = i
@@ -265,18 +274,18 @@ def shortest_path_table(g: Graph, d: DistanceFunction):
         dk = dist[k]
         for i in range(n):
             dik = dist[i][k]
-            if dik is INF:
+            if dik is None:
                 continue
             di = dist[i]
             ni = nxt[i]
             for j in range(n):
-                if dk[j] is INF:
+                if dk[j] is None:
                     continue
                 alt = dik + dk[j]
-                if di[j] is INF or alt < di[j]:
+                if di[j] is None or alt < di[j]:
                     di[j] = alt
                     ni[j] = ni[k]
-    return verts, dist, nxt
+    return g.vertices, dist, nxt
 
 
 def _reconstruct_path(g: Graph, nxt, i: int, j: int) -> tuple[VertexId, ...]:

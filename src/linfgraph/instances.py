@@ -17,10 +17,10 @@ from .errors import InputError
 from .graph_core import (
     DistanceFunction,
     Graph,
+    _metric_closure,
     edge_key,
     is_generic,
     perturb_to_generic,
-    shortest_path_table,
 )
 
 
@@ -189,9 +189,6 @@ def random_distance_function(g: Graph, seed: int = 0) -> DistanceFunction:
         raise InputError("random weights need a connected graph")
     rng = random.Random(seed)
     raw = DistanceFunction(tuple(Fraction(rng.randint(1, 2**16)) for _ in range(g.m)))
-    _, dist, _ = shortest_path_table(g, raw)
-    vi = g.vertex_index
-    closed = DistanceFunction(tuple(dist[vi[u]][vi[v]] for u, v in g.edges))
-    out = perturb_to_generic(g, closed, seed=seed)
+    out = perturb_to_generic(g, _metric_closure(g, raw), seed=seed)
     assert is_generic(g, out).status in ("generic", "budget_exceeded")
     return out

@@ -26,6 +26,7 @@ from .graph_core import (
     DistanceFunction,
     Graph,
     blocks,
+    shortest_path_table,
     suppress_degree_2,
     validate_distance_function,
     vertex_key,
@@ -295,26 +296,7 @@ def pullback_distance(g: Graph, emb: MinorEmbedding, d_h: DistanceFunction) -> D
         assigned[eid] = w
 
     def closure_distances():
-        n = g.n
-        vi = g.vertex_index
-        sp = [[None] * n for _ in range(n)]
-        for i in range(n):
-            sp[i][i] = 0
-        for eid, w in assigned.items():
-            u, v = g.edges[eid]
-            i, j = vi[u], vi[v]
-            if sp[i][j] is None or w < sp[i][j]:
-                sp[i][j] = sp[j][i] = w
-        for k in range(n):
-            rk = sp[k]
-            for i in range(n):
-                ik = sp[i][k]
-                if ik is None:
-                    continue
-                ri = sp[i]
-                for j in range(n):
-                    if rk[j] is not None and (ri[j] is None or ik + rk[j] < ri[j]):
-                        ri[j] = ik + rk[j]
+        _, sp, _ = shortest_path_table(g, [assigned.get(e) for e in range(g.m)])
         return sp
 
     weakened = []

@@ -7,19 +7,20 @@ pins p(u) - p(v) = d_uv exactly on each forced arc, i.e. forced arcs point
 from the higher potential to the lower.  A set of edges is *feasible* when
 some orientation of it can be forced while a potential still exists, which
 happens exactly when no directed cycle of negative total length appears.
+
+This module checks one given orientation (`find_potential` on the forced
+arc system).  Whether some orientation of an edge set works is decided by
+`realizability.is_feasible_set`, a one-part run of the cover search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Mapping
 
-from .errors import CapExceeded, InputError, NotAPotential
+from .errors import InputError
 from .graph_core import DistanceFunction, Graph, VertexId, vertex_key
-
-FEASIBLE_SET_EDGE_CAP = 30  # 2**(|F|-1) orientations; refuse beyond this
 
 
 @dataclass(frozen=True)
@@ -60,10 +61,6 @@ class Orientation:
 
     def reverse(self) -> "Orientation":
         return Orientation.of(tuple((v, u) for u, v in self.arcs))
-
-    @cached_property
-    def edge_keys(self) -> frozenset:
-        return frozenset(frozenset(a) for a in self.arcs)
 
     def __len__(self) -> int:
         return len(self.arcs)
@@ -170,190 +167,3 @@ def find_potential(lengths: ArcLengths) -> Potential | NegativeCycle:
         total += lengths.lengths[(verts[u], verts[v])]
     assert total < 0, "extracted cycle must be strictly negative"
     return NegativeCycle(tuple(verts[i] for i in cycle), total)
-
-
-def is_feasible_orientation(
-    g: Graph, d: DistanceFunction, f: Orientation
-) -> Potential | NegativeCycle:
-    """Force f's arcs and search for a potential certifying feasibility."""
-    for u, v in f.arcs:
-        g.edge_id(u, v)  # raises InputError on unknown edges
-    forced = apply_forcing(build_bidirected(g, d), f)
-    return find_potential(forced)
-
-
-def is_feasible_set(
-    g: Graph, d: DistanceFunction, edges: Iterable[tuple[VertexId, VertexId]]
-) -> tuple[Orientation, Potential] | None:
-    """Search all orientations of an edge set for a feasible one.
-
-    The first edge's direction is fixed (reversing every arc preserves
-    feasibility), so 2**(|F|-1) candidates are tried with early pruning as
-    arcs are added.  Refuses edge sets larger than FEASIBLE_SET_EDGE_CAP.
-    """
-    es = []
-    seen = set()
-    for u, v in edges:
-        g.edge_id(u, v)
-        key = frozenset((u, v))
-        if key not in seen:
-            seen.add(key)
-            es.append(tuple(sorted((u, v), key=vertex_key)))
-    es.sort(key=lambda e: (vertex_key(e[0]), vertex_key(e[1])))
-    if len(es) > FEASIBLE_SET_EDGE_CAP:
-        raise CapExceeded(f"edge set has {len(es)} edges, cap is {FEASIBLE_SET_EDGE_CAP}")
-    if not es:
-        base = build_bidirected(g, d)
-        p = find_potential(base)
-        assert isinstance(p, Potential)
-        return Orientation.of(()), p
-    base = build_bidirected(g, d)
-
-    def rec(pos: int, chosen: list) -> tuple[Orientation, Potential] | None:
-        # prune: the partial forcing must itself admit a potential
-        partial = apply_forcing(base, Orientation.of(chosen))
-        res = find_potential(partial)
-        if isinstance(res, NegativeCycle):
-            return None
-        if pos == len(es):
-            return Orientation.of(chosen), res
-        u, v = es[pos]
-        dirs = [(u, v)] if pos == 0 else [(u, v), (v, u)]
-        for arc in dirs:
-            out = rec(pos + 1, chosen + [arc])
-            if out is not None:
-                return out
-        return None
-
-    return rec(0, [])
-
-
-def tight_edges(g: Graph, d: DistanceFunction, p: Potential) -> set:
-    """Edges whose endpoints' potential gap equals the edge weight exactly."""
-    missing = [v for v in g.vertices if v not in p.values]
-    if missing:
-        raise NotAPotential(f"potential has no value for {missing[0]!r}")
-    out = set()
-    for eid, (u, v) in enumerate(g.edges):
-        gap = p.values[u] - p.values[v]
-        w = d.weights[eid]
-        if gap > w or -gap > w:
-            raise NotAPotential(
-                f"labels violate edge ({u!r}, {v!r}): |{gap}| > {w}"
-            )
-        if gap == w or -gap == w:
-            out.add((u, v))
-    return out
-
-
-def _oriented_tight_arcs(
-    g: Graph, d: DistanceFunction, values: dict, prefer: dict | None = None
-) -> list:
-    # prefer maps edge key -> arc, used to keep input arcs' directions when a
-    # zero-weight edge is tight both ways
-    arcs = []
-    for eid, (u, v) in enumerate(g.edges):
-        gap = values[u] - values[v]
-        w = d.weights[eid]
-        if gap != w and -gap != w:
-            continue
-        if prefer and frozenset((u, v)) in prefer:
-            arcs.append(prefer[frozenset((u, v))])
-        elif gap == w:
-            arcs.append((u, v))
-        else:
-            arcs.append((v, u))
-    return arcs
-
-
-def extend_to_maximal(g: Graph, d: DistanceFunction, f: Orientation) -> Orientation:
-    """Grow a feasible orientation until its edge set cannot be enlarged.
-
-    Starting from a certifying potential, the tight subgraph is expanded by
-    shifting whole components: the component holding the lowest-id vertex not
-    yet spanned is raised by the largest shift that keeps the labels a
-    potential, which makes at least one crossing edge tight.  Once every
-    component of g is spanned, remaining edges are absorbed greedily in
-    canonical order whenever forcing them keeps a potential.  For generic
-    weights any spanning feasible set is already maximal (supersets contain a
-    cycle split), so the greedy pass is a no-op there.
-    """
-    res = is_feasible_orientation(g, d, f)
-    if isinstance(res, NegativeCycle):
-        raise InputError("orientation is not feasible; cannot extend")
-    values = dict(res.values)
-    prefer = {frozenset(a): a for a in f.arcs}
-
-    def tight_components() -> list[set]:
-        arcs = _oriented_tight_arcs(g, d, values, prefer)
-        comp_of: dict = {}
-        comps: list[set] = []
-        for v in g.vertices:
-            if v in comp_of:
-                continue
-            comp = {v}
-            stack = [v]
-            while stack:
-                x = stack.pop()
-                for a, b in arcs:
-                    y = None
-                    if a == x:
-                        y = b
-                    elif b == x:
-                        y = a
-                    if y is not None and y not in comp:
-                        comp.add(y)
-                        stack.append(y)
-            for x in comp:
-                comp_of[x] = len(comps)
-            comps.append(comp)
-        return comps
-
-    g_comp: dict = {}
-    for comp in g.components():
-        for v in comp:
-            g_comp[v] = comp
-
-    while True:
-        comps = tight_components()
-        target = None
-        for v in sorted(g.vertices, key=vertex_key):
-            mine = next(c for c in comps if v in c)
-            if mine != g_comp[v] and len(mine) < len(g_comp[v]):
-                target = mine
-                break
-        if target is None:
-            break
-        # largest shift of `target` that keeps every arc constraint satisfied:
-        # arcs entering the shifted set bound it from above
-        delta = None
-        for eid, (u, v) in enumerate(g.edges):
-            w = d.weights[eid]
-            for a, b in ((u, v), (v, u)):
-                if b in target and a not in target:
-                    slack = w - (values[b] - values[a])
-                    if delta is None or slack < delta:
-                        delta = slack
-        assert delta is not None and delta > 0, "shifted set must gain a tight edge"
-        for v in target:
-            values[v] += delta
-
-    arcs = _oriented_tight_arcs(g, d, values, prefer)
-    forced_keys = {frozenset(a) for a in arcs}
-    base = build_bidirected(g, d)
-    for u, v in g.edges:
-        if frozenset((u, v)) in forced_keys:
-            continue
-        for arc in ((u, v), (v, u)):
-            trial = Orientation.of(arcs + [arc])
-            res = find_potential(apply_forcing(base, trial))
-            if isinstance(res, Potential):
-                arcs.append(arc)
-                forced_keys.add(frozenset(arc))
-                values = dict(res.values)
-                break
-
-    orientation = Orientation.of(arcs)
-    final = find_potential(apply_forcing(base, orientation))
-    assert isinstance(final, Potential)
-    return orientation

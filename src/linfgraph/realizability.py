@@ -3,15 +3,20 @@
 A weighted graph embeds in dimension k exactly when its edge set is the
 union of k feasible sets; each feasible set contributes one coordinate via
 the certifying potential.  `decide_realizable` runs a complete backtracking
-search over per-edge (part, direction) assignments with three sound
-reductions: parts are first used in increasing order, the first edge of each
-part has a fixed direction (global reversal symmetry), and a precomputed
-table of arc pairs whose joint forcing closes a negative walk rejects
-assignments before the full check runs.  Feasibility of every attempted part
-is established by exact label-correcting relaxation over integers obtained
-by clearing denominators, and results are memoized per arc set.  Covers are
+search over per-edge (part, direction) assignments, branching on edges in
+order of decreasing weight, with four sound reductions: parts are first used
+in increasing order, the first edge of each part has a fixed direction
+(global reversal symmetry), a precomputed table of arc pairs whose joint
+forcing closes a negative walk rejects assignments before the full check
+runs, and once all k parts are open every remaining edge must still fit some
+part without such a conflict.  Feasibility of every attempted part is
+established by exact label-correcting relaxation over integers obtained by
+clearing denominators, and results are memoized per arc set.  Covers are
 rebuilt and re-verified with exact rational potentials before being
 returned, so a positive answer is always certified.
+
+Feasibility of a single edge set is the same question with k = 1 over that
+set's edges: `is_feasible_set` runs this engine, not a separate one.
 """
 
 from __future__ import annotations
@@ -26,12 +31,11 @@ from .graph_core import (
     DistanceFunction,
     Graph,
     VertexId,
-    validate_distance_function,
     is_generic,
+    shortest_path_table,
+    validate_distance_function,
 )
 from .potentials import (
-    ArcLengths,
-    NegativeCycle,
     Orientation,
     Potential,
     apply_forcing,
@@ -113,12 +117,15 @@ class FinfBounds:
 
 
 class _Ctx:
-    """Scaled integer view of one (g, d, k) search problem."""
+    """Scaled integer view of one (g, d, k) search problem.  `order` lists
+    the edge ids to cover in branching order; by default every edge, by
+    decreasing weight."""
 
-    def __init__(self, g: Graph, d: DistanceFunction, k: int, edge_order, conflict_pruning, lookahead):
+    def __init__(self, g: Graph, d: DistanceFunction, k: int, order=None):
+        if len(d.weights) != g.m:
+            raise InputError("weight count does not match the graph")
         self.g = g
         self.k = k
-        self.lookahead = lookahead
         n, m = g.n, g.m
         self.n = n
         self.m = m
@@ -130,7 +137,7 @@ class _Ctx:
         for eid, (u, v) in enumerate(g.edges):
             self.tail[2 * eid], self.head[2 * eid] = vi[u], vi[v]
             self.tail[2 * eid + 1], self.head[2 * eid + 1] = vi[v], vi[u]
-        self.sp = self._apsp()
+        _, self.sp, _ = shortest_path_table(g, self.w)
         for eid in range(m):
             if self.sp[self.tail[2 * eid]][self.head[2 * eid]] != self.w[eid]:
                 u, v = g.edges[eid]
@@ -138,44 +145,14 @@ class _Ctx:
                     f"weights are not a valid distance function: edge ({u!r}, {v!r}) "
                     "is longer than a path between its endpoints"
                 )
-        self.conflict = self._conflicts() if conflict_pruning else None
-        if isinstance(edge_order, (list, tuple)):
-            self.order = list(edge_order)
-        elif edge_order == "canonical":
-            self.order = list(range(m))
-        elif edge_order == "weight":
-            self.order = sorted(range(m), key=lambda e: (-self.w[e], e))
-        else:
-            raise InputError(f"unknown edge order {edge_order!r}")
+        self.conflict = self._conflicts()
+        if order is None:
+            order = sorted(range(m), key=lambda e: (-self.w[e], e))
+        self.order = order
         self.zero = (0,) * n
         self.cache: dict = {}
         self.progress: Callable | None = None
         self.progress_every = 250_000
-
-    def _apsp(self):
-        n, INF = self.n, None
-        sp = [[None] * n for _ in range(n)]
-        for i in range(n):
-            sp[i][i] = 0
-        for eid in range(self.m):
-            i, j = self.tail[2 * eid], self.head[2 * eid]
-            w = self.w[eid]
-            if sp[i][j] is INF or w < sp[i][j]:
-                sp[i][j] = sp[j][i] = w
-        for k in range(n):
-            rk = sp[k]
-            for i in range(n):
-                ik = sp[i][k]
-                if ik is INF:
-                    continue
-                ri = sp[i]
-                for j in range(n):
-                    if rk[j] is INF:
-                        continue
-                    alt = ik + rk[j]
-                    if ri[j] is INF or alt < ri[j]:
-                        ri[j] = alt
-        return sp
 
     def _conflicts(self):
         # arcs a=(ta,ha), b=(tb,hb) in one part close the walk
@@ -246,11 +223,10 @@ def _viable_remaining(ctx: _Ctx, pos: int, parts) -> bool:
     return True
 
 
-def _dfs(ctx: _Ctx, pos: int, used: int, parts: list, counter: list):
-    """Returns the list of (label, direction) choices for positions pos..end
-    completing a cover, or None when the subtree is exhausted."""
-    if pos == len(ctx.order):
-        return []
+def _children(ctx: _Ctx, pos: int, used: int, parts: list, counter: list):
+    """Yield (label, direction, used, parts) for every child of a node at
+    position pos that survives the conflict check, the feasibility check and
+    the lookahead; each child tried counts as one node."""
     eid = ctx.order[pos]
     for label in range(min(used + 1, ctx.k)):
         fresh = label == used
@@ -260,7 +236,7 @@ def _dfs(ctx: _Ctx, pos: int, used: int, parts: list, counter: list):
             if ctx.progress and counter[0] % ctx.progress_every == 0:
                 ctx.progress(counter[0])
             mask0, dist0 = (0, ctx.zero) if fresh else parts[label]
-            if ctx.conflict is not None and (ctx.conflict[aid] & mask0):
+            if ctx.conflict[aid] & mask0:
                 continue
             added = ctx.try_add(mask0, dist0, aid)
             if added is None:
@@ -271,16 +247,20 @@ def _dfs(ctx: _Ctx, pos: int, used: int, parts: list, counter: list):
             else:
                 new_parts[label] = added
             new_used = used + 1 if fresh else used
-            if (
-                ctx.lookahead
-                and ctx.conflict is not None
-                and new_used == ctx.k
-                and not _viable_remaining(ctx, pos + 1, new_parts)
-            ):
+            if new_used == ctx.k and not _viable_remaining(ctx, pos + 1, new_parts):
                 continue
-            suffix = _dfs(ctx, pos + 1, new_used, new_parts, counter)
-            if suffix is not None:
-                return [(label, dr)] + suffix
+            yield label, dr, new_used, new_parts
+
+
+def _dfs(ctx: _Ctx, pos: int, used: int, parts: list, counter: list):
+    """Returns the list of (label, direction) choices for positions pos..end
+    completing a cover, or None when the subtree is exhausted."""
+    if pos == len(ctx.order):
+        return []
+    for label, dr, new_used, new_parts in _children(ctx, pos, used, parts, counter):
+        suffix = _dfs(ctx, pos + 1, new_used, new_parts, counter)
+        if suffix is not None:
+            return [(label, dr)] + suffix
     return None
 
 
@@ -302,10 +282,10 @@ def _replay(ctx: _Ctx, choices) -> tuple[int, list]:
 
 
 def _search_worker(payload):
-    vertices, edges, weights, k, order, conflict_pruning, lookahead, prefix = payload
+    vertices, edges, weights, k, prefix = payload
     g = Graph.build(vertices, edges)
     d = DistanceFunction(tuple(weights))
-    ctx = _Ctx(g, d, k, order, conflict_pruning, lookahead)
+    ctx = _Ctx(g, d, k)
     used, parts = _replay(ctx, prefix)
     counter = [0]
     suffix = _dfs(ctx, len(prefix), used, parts, counter)
@@ -314,7 +294,9 @@ def _search_worker(payload):
     return list(prefix) + suffix, counter[0]
 
 
-def _assignment_to_cover(g: Graph, d: DistanceFunction, k: int, order, choices) -> Cover:
+def _certified_parts(g: Graph, d: DistanceFunction, k: int, order, choices):
+    """The k orientations a search assignment describes, each paired with
+    the exact rational potential that certifies it."""
     arcs_per_label: dict[int, list] = {}
     for p, (label, dr) in enumerate(choices):
         u, v = g.edges[order[p]]
@@ -327,9 +309,33 @@ def _assignment_to_cover(g: Graph, d: DistanceFunction, k: int, order, choices) 
         assert isinstance(res, Potential), "search accepted an infeasible part"
         parts.append(orientation)
         potentials.append(res)
-    cover = Cover(tuple(parts), tuple(potentials))
+    return tuple(parts), tuple(potentials)
+
+
+def _assignment_to_cover(g: Graph, d: DistanceFunction, k: int, order, choices) -> Cover:
+    cover = Cover(*_certified_parts(g, d, k, order, choices))
     assert cover.check(g, d), "assembled cover failed re-verification"
     return cover
+
+
+def is_feasible_set(
+    g: Graph, d: DistanceFunction, edges: Iterable[tuple[VertexId, VertexId]]
+) -> tuple[Orientation, Potential] | None:
+    """Search all orientations of an edge set for a feasible one.
+
+    This is the cover search with k = 1, branching on the set's edges in
+    canonical edge-id order: the first edge's direction is fixed (reversing
+    every arc preserves feasibility), and the first feasible orientation in
+    that order is returned with its exact rational potential.  The weights
+    must be a valid distance function; InputError otherwise.
+    """
+    eids = sorted({g.edge_id(u, v) for u, v in edges})
+    ctx = _Ctx(g, d, 1, eids)
+    choices = _dfs(ctx, 0, 0, [], [0])
+    if choices is None:
+        return None
+    (orientation,), (potential,) = _certified_parts(g, d, 1, eids, choices)
+    return orientation, potential
 
 
 def decide_realizable(
@@ -337,9 +343,6 @@ def decide_realizable(
     d: DistanceFunction,
     k: int,
     *,
-    edge_order: str = "weight",
-    conflict_pruning: bool = True,
-    lookahead: bool = True,
     threads: int = 1,
     progress: Callable | None = None,
     progress_every: int = 250_000,
@@ -348,16 +351,14 @@ def decide_realizable(
     for threads=1.  Returns a certified Cover or an exhaustion outcome."""
     if k <= 0:
         raise InputError(f"dimension must be positive, got {k}")
-    if len(d.weights) != g.m:
-        raise InputError("weight count does not match the graph")
-    ctx = _Ctx(g, d, k, edge_order, conflict_pruning, lookahead)
+    ctx = _Ctx(g, d, k)
     ctx.progress = progress
     ctx.progress_every = progress_every
     if g.m == 0:
         return SearchOutcome(_assignment_to_cover(g, d, k, ctx.order, []), 0)
 
+    counter = [0]
     if threads <= 1:
-        counter = [0]
         choices = _dfs(ctx, 0, 0, [], counter)
         if choices is None:
             return SearchOutcome(None, counter[0])
@@ -365,32 +366,15 @@ def decide_realizable(
 
     # parallel mode: expand a prefix frontier, then farm subtrees out
     frontier: list[tuple[int, list, list]] = [(0, [], [])]  # used, parts, choices
-    depth, nodes = 0, 0
+    depth = 0
     while frontier and depth < g.m and len(frontier) < threads * 4:
-        next_frontier = []
-        eid = ctx.order[depth]
-        for used, parts, choices in frontier:
-            for label in range(min(used + 1, k)):
-                fresh = label == used
-                for dr in (0,) if fresh else (0, 1):
-                    aid = 2 * eid + dr
-                    nodes += 1
-                    mask0, dist0 = (0, ctx.zero) if fresh else parts[label]
-                    if ctx.conflict is not None and (ctx.conflict[aid] & mask0):
-                        continue
-                    added = ctx.try_add(mask0, dist0, aid)
-                    if added is None:
-                        continue
-                    new_parts = list(parts)
-                    if fresh:
-                        new_parts.append(added)
-                    else:
-                        new_parts[label] = added
-                    next_frontier.append(
-                        (used + 1 if fresh else used, new_parts, choices + [(label, dr)])
-                    )
-        frontier = next_frontier
+        frontier = [
+            (new_used, new_parts, choices + [(label, dr)])
+            for used, parts, choices in frontier
+            for label, dr, new_used, new_parts in _children(ctx, depth, used, parts, counter)
+        ]
         depth += 1
+    nodes = counter[0]
     if not frontier:
         return SearchOutcome(None, nodes)
     if depth == g.m:
@@ -400,10 +384,7 @@ def decide_realizable(
 
     import multiprocessing as mp
 
-    payloads = [
-        (g.vertices, g.edges, d.weights, k, ctx.order, conflict_pruning, lookahead, choices)
-        for _, _, choices in frontier
-    ]
+    payloads = [(g.vertices, g.edges, d.weights, k, choices) for _, _, choices in frontier]
     winner = None
     with mp.Pool(processes=threads) as pool:
         for choices, worker_nodes in pool.imap_unordered(_search_worker, payloads):
@@ -539,7 +520,6 @@ def min_dimension(
     d: DistanceFunction,
     *,
     genericity_budget: int = 10**6,
-    edge_order: str = "weight",
     threads: int = 1,
 ) -> int:
     """Least k admitting a realization.  Scans k upward, starting from the
@@ -553,7 +533,7 @@ def min_dimension(
         start = max(1, arboricity(g))
     upper = max(start, vertex_cover_number(g), 1)
     for k in range(start, upper + 1):
-        outcome = decide_realizable(g, d, k, edge_order=edge_order, threads=threads)
+        outcome = decide_realizable(g, d, k, threads=threads)
         if outcome.cover is not None:
             return k
     raise AssertionError("a star cover must exist at k = vertex cover number")

@@ -109,14 +109,42 @@ def cover_to_obj(g: Graph, cover: Cover) -> dict:
     return {"type": "cover", "k": cover.k, "parts": parts}
 
 
+def _certificate_of(obj, kind: str) -> dict:
+    if not isinstance(obj, dict) or obj.get("type") != kind:
+        raise InputError(f"certificate is not a {kind.replace('_', ' ')}")
+    return obj
+
+
+def _list_field(obj: dict, key: str, where: str) -> list:
+    value = obj.get(key)
+    if not isinstance(value, list):
+        raise InputError(f"{where}: field {key!r} must be a list")
+    return value
+
+
+def _pairs(items: list, where: str) -> list:
+    for i, item in enumerate(items):
+        if not isinstance(item, list) or len(item) != 2:
+            raise InputError(f"{where}[{i}]: expected a two-element list")
+    return items
+
+
 def cover_from_obj(obj) -> Cover:
-    if obj.get("type") != "cover":
-        raise InputError("certificate is not a cover")
+    obj = _certificate_of(obj, "cover")
     parts, potentials = [], []
-    for part in obj["parts"]:
-        arcs = [tuple(a) for a in part["arcs"]]
+    for i, part in enumerate(_list_field(obj, "parts", "cover")):
+        where = f"parts[{i}]"
+        if not isinstance(part, dict):
+            raise InputError(f"{where}: expected an object")
+        arcs = [
+            (_parse_vertex(u, where), _parse_vertex(v, where))
+            for u, v in _pairs(_list_field(part, "arcs", where), f"{where}.arcs")
+        ]
         parts.append(Orientation.of(arcs))
-        potentials.append(Potential({v: to_fraction(s) for v, s in part["potential"]}))
+        potentials.append(Potential({
+            _parse_vertex(v, where): to_fraction(q)
+            for v, q in _pairs(_list_field(part, "potential", where), f"{where}.potential")
+        }))
     return Cover(tuple(parts), tuple(potentials))
 
 
@@ -132,10 +160,16 @@ def realization_to_obj(realization: Realization) -> dict:
 
 
 def realization_from_obj(obj) -> Realization:
-    if obj.get("type") != "realization":
-        raise InputError("certificate is not a realization")
-    points = {v: tuple(to_fraction(s) for s in vec) for v, vec in obj["points"]}
-    return Realization(points, obj["k"])
+    obj = _certificate_of(obj, "realization")
+    k = obj.get("k")
+    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+        raise InputError("realization: field 'k' must be a nonnegative integer")
+    points = {}
+    for v, vec in _pairs(_list_field(obj, "points", "realization"), "points"):
+        if not isinstance(vec, list):
+            raise InputError(f"point of vertex {v!r}: expected a list of coordinates")
+        points[_parse_vertex(v, "points")] = tuple(to_fraction(q) for q in vec)
+    return Realization(points, k)
 
 
 def embedding_to_obj(emb: MinorEmbedding) -> dict:
@@ -156,11 +190,21 @@ def embedding_to_obj(emb: MinorEmbedding) -> dict:
 
 
 def embedding_from_obj(obj) -> MinorEmbedding:
-    if obj.get("type") != "minor_embedding":
-        raise InputError("certificate is not a minor embedding")
-    pattern, _ = instance_from_obj(obj["pattern"])
-    branch_sets = {pv: frozenset(bs) for pv, bs in obj["branch_sets"]}
-    real = {tuple(pe): tuple(ge) for pe, ge in obj["edge_realization"]}
+    obj = _certificate_of(obj, "minor_embedding")
+    pattern, _ = instance_from_obj(obj.get("pattern"))
+    branch_sets = {}
+    for pv, bs in _pairs(_list_field(obj, "branch_sets", "embedding"), "branch_sets"):
+        if not isinstance(bs, list):
+            raise InputError(f"branch set of {pv!r}: expected a list of vertices")
+        branch_sets[_parse_vertex(pv, "branch_sets")] = frozenset(
+            _parse_vertex(x, "branch_sets") for x in bs
+        )
+    real = {}
+    for pe, ge in _pairs(_list_field(obj, "edge_realization", "embedding"), "edge_realization"):
+        pe, ge = _pairs([pe, ge], "edge_realization")
+        real[tuple(_parse_vertex(x, "edge_realization") for x in pe)] = tuple(
+            _parse_vertex(x, "edge_realization") for x in ge
+        )
     return MinorEmbedding(pattern, branch_sets, real)
 
 
@@ -200,7 +244,7 @@ def render_dot(g: Graph, d: DistanceFunction | None = None, emb: MinorEmbedding 
     color_of = {}
     if emb is not None:
         for i, pv in enumerate(emb.pattern.vertices):
-            for x in emb.branch_sets[pv]:
+            for x in emb.branch_sets.get(pv, ()):
                 color_of[x] = _PALETTE[i % len(_PALETTE)]
     lines = ["graph {"]
     for v in g.vertices:

@@ -1,8 +1,11 @@
 """Exit codes and JSON output of the command-line interface."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linfgraph import named_graph, save_instance, w4_witness
 from linfgraph.cli import main
@@ -44,6 +47,55 @@ def test_usage_errors_exit_2(run, tmp_path):
     broken.write_text("{nope")
     code, _, err = run("validate", str(broken))
     assert code == 2 and "parse error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["realize", "--dim", "2", "--threads", "0"],
+    ["min-dim", "--threads", "-3"],
+    ["generic-check", "--budget", "-1"],
+])
+def test_out_of_range_numbers_are_usage_errors(run, w4_file, argv):
+    code, out, err = run(argv[0], w4_file, *argv[1:])
+    assert code == 2 and out == "" and "must be at least" in err
+
+
+def test_verify_rejects_malformed_certificates(run, w4_file, tmp_path):
+    cert = tmp_path / "cert.json"
+    for obj in ({"type": "cover"},
+                {"type": "cover", "parts": [{"arcs": [[1]], "potential": []}]},
+                {"type": "realization", "points": [[1, ["0"]]]},
+                {"type": "minor_embedding", "pattern": {"vertices": [], "edges": []}}):
+        cert.write_text(json.dumps(obj))
+        code, _, err = run("verify", w4_file, "--certificate", str(cert))
+        assert code == 2 and "error:" in err
+
+
+_CERT_KEYS = ["k", "parts", "arcs", "potential", "points", "pattern", "vertices",
+              "edges", "u", "v", "d", "branch_sets", "edge_realization", "realization"]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 6) | st.floats(allow_nan=False)
+    | st.sampled_from(["1/2", "3", "x", "1/0", "cover"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_CERT_KEYS), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["cover", "realization", "minor_embedding"]),
+    fields=st.dictionaries(st.sampled_from(_CERT_KEYS), _JSON, max_size=5),
+    command=st.sampled_from(["verify", "convert-l1", "render"]),
+)
+def test_random_certificates_keep_the_exit_code_contract(kind, fields, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        inst, cert = Path(tmp, "w4.json"), Path(tmp, "cert.json")
+        save_instance(*w4_witness(), inst)
+        cert.write_text(json.dumps({**fields, "type": kind}))
+        argv = {"verify": ["verify", str(inst)], "convert-l1": ["convert-l1"],
+                "render": ["render", str(inst)]}[command]
+        # an uncaught exception fails the test with its traceback
+        assert main(argv + ["--certificate", str(cert)]) in (0, 1, 2)
 
 
 def test_validate(run, w4_file, tmp_path):

@@ -5,27 +5,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linfgraph import (
-    CapExceeded,
     DistanceFunction,
     Graph,
     InputError,
     NegativeCycle,
-    NotAPotential,
     Orientation,
     Potential,
     apply_forcing,
     build_bidirected,
-    extend_to_maximal,
     find_potential,
-    is_feasible_orientation,
     is_feasible_set,
     k4ek4_witness,
     named_graph,
-    tight_edges,
     w4_witness,
 )
 
-from oracles import bellman_ford_potential, forced_arcs, orientation_feasible
+from oracles import bellman_ford_potential, orientation_feasible
+
+
+def _forced_potential(g, d, f):
+    return find_potential(apply_forcing(build_bidirected(g, d), f))
 
 
 def _triangle(w12=1, w23=1, w13=1):
@@ -128,7 +127,7 @@ def test_feasibility_matches_oracle_on_triangles():
             (u, v) if dr == 0 else (v, u)
             for (u, v), dr in zip(g.edges, dirs)
         ]
-        lib = is_feasible_orientation(g, d, Orientation.of(forced))
+        lib = _forced_potential(g, d, Orientation.of(forced))
         assert isinstance(lib, Potential) == orientation_feasible(g, d, forced)
 
 
@@ -145,8 +144,8 @@ def test_reversal_symmetry(data):
         (u, v) if dr else (v, u) for (u, v), dr in zip(g.edges[:k], dirs)
     ]
     f = Orientation.of(arcs)
-    a = is_feasible_orientation(g, d, f)
-    b = is_feasible_orientation(g, d, f.reverse())
+    a = _forced_potential(g, d, f)
+    b = _forced_potential(g, d, f.reverse())
     assert isinstance(a, Potential) == isinstance(b, Potential)
 
 
@@ -158,7 +157,7 @@ def test_stars_are_always_feasible():
         d = random_distance_function(g, seed=11)
         for v in g.vertices:
             star = Orientation.of([(u, v) for u in g.neighbors(v)])
-            assert isinstance(is_feasible_orientation(g, d, star), Potential)
+            assert isinstance(_forced_potential(g, d, star), Potential)
 
 
 def test_is_feasible_set_glued_clique_pair():
@@ -175,12 +174,14 @@ def test_is_feasible_set_empty_and_cap():
     g, d = _triangle()
     orientation, potential = is_feasible_set(g, d, [])
     assert len(orientation) == 0
+    # a 31-edge set: feasibility has no size cap
     star = named_graph("star_31")
     from linfgraph import random_distance_function
 
     ds = random_distance_function(star, seed=0)
-    with pytest.raises(CapExceeded):
-        is_feasible_set(star, ds, list(star.edges))
+    orientation, potential = is_feasible_set(star, ds, list(star.edges))
+    assert {frozenset(a) for a in orientation.arcs} == {frozenset(e) for e in star.edges}
+    assert potential.check(apply_forcing(build_bidirected(star, ds), orientation))
 
 
 def test_feasible_sets_downward_closed_on_witness():
@@ -190,51 +191,3 @@ def test_feasible_sets_downward_closed_on_witness():
         for drop in [(1, 2), (3, 4), (3, 5)]:
             sub = [e for e in [(1, 2), (3, 4), (3, 5)] if e != drop]
             assert is_feasible_set(g, d, sub) is not None
-
-
-# -- tight edges and maximal extension ---------------------------------------------
-
-def test_tight_edges_of_zero_potential():
-    g, d = _triangle(1, 2, 3)
-    assert tight_edges(g, d, Potential({1: Fraction(0), 2: Fraction(0), 3: Fraction(0)})) == set()
-
-
-def test_tight_edges_rejects_non_potential():
-    g, d = _triangle(1, 1, 1)
-    with pytest.raises(NotAPotential):
-        tight_edges(g, d, Potential({1: Fraction(0), 2: Fraction(9), 3: Fraction(0)}))
-    with pytest.raises(NotAPotential):
-        tight_edges(g, d, Potential({1: Fraction(0), 2: Fraction(0)}))
-
-
-def test_extend_to_maximal_contains_input_and_is_maximal():
-    g, d = k4ek4_witness()
-    f = Orientation.of([(2, 3)])
-    out = extend_to_maximal(g, d, f)
-    assert set(f.arcs) <= set(out.arcs)
-    assert isinstance(is_feasible_orientation(g, d, out), Potential)
-    covered = out.edge_keys
-    for u, v in g.edges:
-        if frozenset((u, v)) in covered:
-            continue
-        for arc in ((u, v), (v, u)):
-            grown = Orientation.of(list(out.arcs) + [arc])
-            assert isinstance(is_feasible_orientation(g, d, grown), NegativeCycle)
-
-
-def test_extend_to_maximal_spans_under_generic_weights():
-    from linfgraph import is_generic, random_distance_function
-
-    g = named_graph("K_5")
-    d = random_distance_function(g, seed=5)
-    assert is_generic(g, d)
-    out = extend_to_maximal(g, d, Orientation.of([]))
-    sub = Graph.build(g.vertices, [tuple(sorted(a)) for a in out.arcs])
-    assert sub.is_forest() and sub.is_connected()
-    assert sub.m == g.n - 1
-
-
-def test_extend_to_maximal_rejects_infeasible_seed():
-    g, d = _triangle(1, 1, 1)
-    with pytest.raises(InputError):
-        extend_to_maximal(g, d, Orientation.of([(1, 2), (2, 3), (3, 1)]))

@@ -15,10 +15,13 @@ from linfgraph import (
     Graph,
     InputError,
     Realization,
+    apply_forcing,
     arboricity,
+    build_bidirected,
     build_realization,
     decide_realizable,
     finf_bounds,
+    is_feasible_set,
     k4ek4_witness,
     k7_generic,
     min_dimension,
@@ -32,7 +35,14 @@ from linfgraph import (
 )
 
 from atlas import connected_graphs_upto
-from oracles import brute_arboricity, brute_min_dimension, brute_realizable, brute_vertex_cover
+from oracles import (
+    brute_arboricity,
+    brute_min_dimension,
+    brute_realizable,
+    brute_vertex_cover,
+    edge_set_feasible,
+    feasible_family,
+)
 
 
 # -- decide_realizable ---------------------------------------------------------
@@ -87,21 +97,14 @@ def test_rejects_invalid_distance_function():
 
 
 def test_edge_orders_and_pruning_agree_on_verdicts():
-    g, d = w4_witness()
-    for k in (2, 3):
-        verdicts = {
-            decide_realizable(g, d, k, edge_order=order, conflict_pruning=cp).exhausted
-            for order in ("weight", "canonical")
-            for cp in (True, False)
-        }
-        assert len(verdicts) == 1
-
-
-def test_explicit_edge_order_list():
-    g, d = w4_witness()
-    order = list(reversed(range(g.m)))
-    out = decide_realizable(g, d, 3, edge_order=order)
-    assert out.cover is not None and out.cover.check(g, d)
+    # the pruned search in weight order against the unpruned brute-force
+    # cover decision, on the two witnesses that defeat every 2-part cover
+    for g, d in (w4_witness(), k4ek4_witness()):
+        family = feasible_family(g, d)
+        for k in (2, 3):
+            out = decide_realizable(g, d, k)
+            assert out.exhausted == (not brute_realizable(g, d, k, family=family))
+            assert out.exhausted == (k == 2)
 
 
 def test_threads_agree_with_single_threaded_verdict():
@@ -150,6 +153,19 @@ def test_realizability_is_monotone_in_dimension(gd, k):
 def test_search_matches_brute_force_oracle(gd, k):
     g, d = gd
     assert (decide_realizable(g, d, k).cover is not None) == brute_realizable(g, d, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_weighted(), st.data())
+def test_is_feasible_set_matches_oracle(gd, data):
+    g, d = gd
+    eids = data.draw(st.sets(st.integers(min_value=0, max_value=g.m - 1)))
+    res = is_feasible_set(g, d, [g.edges[e] for e in eids])
+    assert (res is not None) == edge_set_feasible(g, d, eids)
+    if res is not None:
+        orientation, potential = res
+        assert {g.edge_id(u, v) for u, v in orientation.arcs} == eids
+        assert potential.check(apply_forcing(build_bidirected(g, d), orientation))
 
 
 # -- Cover and Realization checking --------------------------------------------
