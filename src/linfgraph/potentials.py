@@ -9,8 +9,11 @@ some orientation of it can be forced while a potential still exists, which
 happens exactly when no directed cycle of negative total length appears.
 
 This module checks one given orientation (`find_potential` on the forced
-arc system).  Whether some orientation of an edge set works is decided by
-`realizability.is_feasible_set`, a one-part run of the cover search.
+arc system), in Fraction arithmetic and independently of the search.
+Whether some orientation of an edge set works is decided by
+`realizability.is_feasible_set`, a one-part run of the cover search; the
+search relaxes its own integer potentials and does not call
+`find_potential`.
 """
 
 from __future__ import annotations

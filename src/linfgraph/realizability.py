@@ -9,11 +9,20 @@ in increasing order, the first edge of each part has a fixed direction
 (global reversal symmetry), a precomputed table of arc pairs whose joint
 forcing closes a negative walk rejects assignments before the full check
 runs, and once all k parts are open every remaining edge must still fit some
-part without such a conflict.  Feasibility of every attempted part is
-established by exact label-correcting relaxation over integers obtained by
-clearing denominators, and results are memoized per arc set.  Covers are
-rebuilt and re-verified with exact rational potentials before being
-returned, so a positive answer is always certified.
+part without such a conflict.
+
+Each part carries the bitmask of the arcs it blocks (the OR of the conflict
+table over its arcs), so the conflict check is one bit test and the
+lookahead is k big-integer operations against a precomputed mask of the
+remaining edges.  Feasibility of every attempted part is established over
+integers obtained by clearing denominators: adding an arc t->h relaxes
+only from h, label-correcting in FIFO order, starting from the parent part's
+potential, and rejects the part as soon as t's label would drop, since any
+negative cycle runs through the new arc.  Results are memoized per arc set.
+
+A cover's potentials are the ones the search relaxed, divided by the scale
+factor; the cover is then re-verified in exact Fraction arithmetic before
+it is returned, so a positive answer is always certified.
 
 Feasibility of a single edge set is the same question with k = 1 over that
 set's edges: `is_feasible_set` runs this engine, not a separate one.
@@ -22,6 +31,7 @@ set's edges: `is_feasible_set` runs this engine, not a separate one.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -40,7 +50,6 @@ from .potentials import (
     Potential,
     apply_forcing,
     build_bidirected,
-    find_potential,
 )
 
 ARBORICITY_VERTEX_CAP = 20
@@ -115,11 +124,19 @@ class FinfBounds:
 
 # -- internal search engine ---------------------------------------------------
 
+_UNSEEN = object()  # cache miss marker; None caches an infeasible arc set
+
 
 class _Ctx:
     """Scaled integer view of one (g, d, k) search problem.  `order` lists
     the edge ids to cover in branching order; by default every edge, by
-    decreasing weight."""
+    decreasing weight.
+
+    Arc 2e runs along edge e as stored in g.edges, arc 2e + 1 against it.
+    A part is a triple (mask, dist, blocked): the bitmask of its forced
+    arcs, its potential as integers over `scale` (the greatest solution
+    <= 0 of its difference constraints), and the OR of `conflict` over its
+    arcs, i.e. every arc that cannot join it."""
 
     def __init__(self, g: Graph, d: DistanceFunction, k: int, order=None):
         if len(d.weights) != g.m:
@@ -129,14 +146,18 @@ class _Ctx:
         n, m = g.n, g.m
         self.n = n
         self.m = m
-        scale = math.lcm(*(q.denominator for q in d.weights)) if m else 1
-        self.w = [int(q * scale) for q in d.weights]
+        self.scale = math.lcm(*(q.denominator for q in d.weights)) if m else 1
+        self.w = [int(q * self.scale) for q in d.weights]
         vi = g.vertex_index
         self.tail = [0] * (2 * m)
         self.head = [0] * (2 * m)
         for eid, (u, v) in enumerate(g.edges):
             self.tail[2 * eid], self.head[2 * eid] = vi[u], vi[v]
             self.tail[2 * eid + 1], self.head[2 * eid + 1] = vi[v], vi[u]
+        # per-vertex out-arcs (aid, head, weight) for the relaxation
+        self.out = [[] for _ in range(n)]
+        for aid in range(2 * m):
+            self.out[self.tail[aid]].append((aid, self.head[aid], self.w[aid >> 1]))
         _, self.sp, _ = shortest_path_table(g, self.w)
         for eid in range(m):
             if self.sp[self.tail[2 * eid]][self.head[2 * eid]] != self.w[eid]:
@@ -149,7 +170,11 @@ class _Ctx:
         if order is None:
             order = sorted(range(m), key=lambda e: (-self.w[e], e))
         self.order = order
-        self.zero = (0,) * n
+        # rest[pos]: arc 2e of every edge e at positions pos.. of the order
+        self.rest = [0] * (len(order) + 1)
+        for pos in range(len(order) - 1, -1, -1):
+            self.rest[pos] = self.rest[pos + 1] | (1 << 2 * order[pos])
+        self.empty = (0, (0,) * n, 0)
         self.cache: dict = {}
         self.progress: Callable | None = None
         self.progress_every = 250_000
@@ -174,53 +199,59 @@ class _Ctx:
         return masks
 
     def bf(self, mask: int, dist0, new_aid: int):
-        """Relax to a fixpoint from dist0 after forcing new_aid; None on a
-        negative cycle.  Layered rounds; stable within n rounds otherwise."""
-        w = self.w[new_aid >> 1]
-        t, h = self.tail[new_aid], self.head[new_aid]
-        if dist0[h] <= dist0[t] - w:
-            return dist0
-        n = self.n
-        tail, head, wlist = self.tail, self.head, self.w
-        dist = list(dist0)
-        for _ in range(n):
-            new = list(dist)
-            changed = False
-            for aid in range(2 * self.m):
-                l = -wlist[aid >> 1] if (mask >> aid) & 1 else wlist[aid >> 1]
-                cand = dist[tail[aid]] + l
-                if cand < new[head[aid]]:
-                    new[head[aid]] = cand
-                    changed = True
-            if not changed:
-                return tuple(dist)
-            dist = new
-        return None
+        """The greatest fixpoint <= dist0 of the constraints of `mask`, which
+        adds the forced arc new_aid = t->h to a mask dist0 is feasible for;
+        None on a negative cycle.
 
-    def try_add(self, part_mask: int, part_dist, aid: int):
-        new_mask = part_mask | (1 << aid)
-        hit = self.cache.get(new_mask, 0)
-        if hit != 0:
-            return (new_mask, hit) if hit is not None else None
-        nd = self.bf(new_mask, part_dist, aid)
-        nd = tuple(nd) if nd is not None else None
-        self.cache[new_mask] = nd
-        return (new_mask, nd) if nd is not None else None
+        FIFO label correction from h.  Every negative cycle runs through the
+        new arc, and one exists exactly when dist[t] would drop, so the
+        search stops there; otherwise dist[t] stays put and the pass ends."""
+        t, h = self.tail[new_aid], self.head[new_aid]
+        dh = dist0[t] - self.w[new_aid >> 1]
+        if dist0[h] <= dh:
+            return dist0
+        dist = list(dist0)
+        dist[h] = dh
+        out = self.out
+        queued = [False] * self.n
+        queued[h] = True
+        queue = deque((h,))
+        while queue:
+            u = queue.popleft()
+            queued[u] = False
+            du = dist[u]
+            for aid, v, w in out[u]:
+                cand = du - w if (mask >> aid) & 1 else du + w
+                if cand < dist[v]:
+                    if v == t:
+                        return None
+                    dist[v] = cand
+                    if not queued[v]:
+                        queued[v] = True
+                        queue.append(v)
+        return tuple(dist)
+
+    def try_add(self, part, aid: int):
+        """The part with arc aid forced, or None when that is infeasible;
+        relaxation results are memoized per arc set."""
+        mask0, dist0, blocked0 = part
+        new_mask = mask0 | (1 << aid)
+        dist = self.cache.get(new_mask, _UNSEEN)
+        if dist is _UNSEEN:
+            dist = self.cache[new_mask] = self.bf(new_mask, dist0, aid)
+        if dist is None:
+            return None
+        return new_mask, dist, blocked0 | self.conflict[aid]
 
 
 def _viable_remaining(ctx: _Ctx, pos: int, parts) -> bool:
-    conflict = ctx.conflict
-    for p in range(pos, len(ctx.order)):
-        eid = ctx.order[p]
-        ok = False
-        for aid in (2 * eid, 2 * eid + 1):
-            cm = conflict[aid]
-            if any(not (cm & mask) for mask, _ in parts):
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
+    """Whether every edge at positions pos.. still has an arc that some
+    part does not block, i.e. no such edge has both arcs blocked in every
+    part."""
+    everywhere = -1
+    for _, _, blocked in parts:
+        everywhere &= blocked
+    return not (everywhere & (everywhere >> 1) & ctx.rest[pos])
 
 
 def _children(ctx: _Ctx, pos: int, used: int, parts: list, counter: list):
@@ -230,15 +261,16 @@ def _children(ctx: _Ctx, pos: int, used: int, parts: list, counter: list):
     eid = ctx.order[pos]
     for label in range(min(used + 1, ctx.k)):
         fresh = label == used
+        part = ctx.empty if fresh else parts[label]
+        blocked0 = part[2]
         for dr in (0,) if fresh else (0, 1):
             aid = 2 * eid + dr
             counter[0] += 1
             if ctx.progress and counter[0] % ctx.progress_every == 0:
                 ctx.progress(counter[0])
-            mask0, dist0 = (0, ctx.zero) if fresh else parts[label]
-            if ctx.conflict[aid] & mask0:
+            if (blocked0 >> aid) & 1:
                 continue
-            added = ctx.try_add(mask0, dist0, aid)
+            added = ctx.try_add(part, aid)
             if added is None:
                 continue
             new_parts = list(parts)
@@ -265,14 +297,14 @@ def _dfs(ctx: _Ctx, pos: int, used: int, parts: list, counter: list):
 
 
 def _replay(ctx: _Ctx, choices) -> tuple[int, list]:
+    """The parts a list of (label, direction) choices builds, from the
+    first position of the order."""
     used, parts = 0, []
     for p, (label, dr) in enumerate(choices):
-        eid = ctx.order[p]
-        aid = 2 * eid + dr
         fresh = label == used
-        mask0, dist0 = (0, ctx.zero) if fresh else parts[label]
-        added = ctx.try_add(mask0, dist0, aid)
-        assert added is not None, "recorded choice must be feasible"
+        added = ctx.try_add(ctx.empty if fresh else parts[label], 2 * ctx.order[p] + dr)
+        if added is None:
+            raise RuntimeError("a recorded choice is infeasible")
         if fresh:
             parts.append(added)
             used += 1
@@ -294,27 +326,29 @@ def _search_worker(payload):
     return list(prefix) + suffix, counter[0]
 
 
-def _certified_parts(g: Graph, d: DistanceFunction, k: int, order, choices):
+def _certified_parts(ctx: _Ctx, choices):
     """The k orientations a search assignment describes, each paired with
-    the exact rational potential that certifies it."""
-    arcs_per_label: dict[int, list] = {}
-    for p, (label, dr) in enumerate(choices):
-        u, v = g.edges[order[p]]
-        arcs_per_label.setdefault(label, []).append((u, v) if dr == 0 else (v, u))
-    base = build_bidirected(g, d)
-    parts, potentials = [], []
-    for label in range(k):
-        orientation = Orientation.of(arcs_per_label.get(label, []))
-        res = find_potential(apply_forcing(base, orientation))
-        assert isinstance(res, Potential), "search accepted an infeasible part"
-        parts.append(orientation)
-        potentials.append(res)
-    return tuple(parts), tuple(potentials)
+    the potential the search relaxed for it, as exact rationals.  The
+    callers re-verify these in Fraction arithmetic."""
+    _, parts = _replay(ctx, choices)
+    parts += [ctx.empty] * (ctx.k - len(parts))
+    vs = ctx.g.vertices
+    orientations, potentials = [], []
+    for mask, dist, _ in parts:
+        orientations.append(Orientation.of(
+            (vs[ctx.tail[aid]], vs[ctx.head[aid]])
+            for aid in range(2 * ctx.m) if (mask >> aid) & 1
+        ))
+        potentials.append(Potential(
+            {v: Fraction(dist[i], ctx.scale) for i, v in enumerate(vs)}
+        ))
+    return tuple(orientations), tuple(potentials)
 
 
-def _assignment_to_cover(g: Graph, d: DistanceFunction, k: int, order, choices) -> Cover:
-    cover = Cover(*_certified_parts(g, d, k, order, choices))
-    assert cover.check(g, d), "assembled cover failed re-verification"
+def _assignment_to_cover(ctx: _Ctx, d: DistanceFunction, choices) -> Cover:
+    cover = Cover(*_certified_parts(ctx, choices))
+    if not cover.check(ctx.g, d):
+        raise RuntimeError("assembled cover failed re-verification")
     return cover
 
 
@@ -334,7 +368,9 @@ def is_feasible_set(
     choices = _dfs(ctx, 0, 0, [], [0])
     if choices is None:
         return None
-    (orientation,), (potential,) = _certified_parts(g, d, 1, eids, choices)
+    (orientation,), (potential,) = _certified_parts(ctx, choices)
+    if not potential.check(apply_forcing(build_bidirected(g, d), orientation)):
+        raise RuntimeError("feasible orientation failed re-verification")
     return orientation, potential
 
 
@@ -355,14 +391,14 @@ def decide_realizable(
     ctx.progress = progress
     ctx.progress_every = progress_every
     if g.m == 0:
-        return SearchOutcome(_assignment_to_cover(g, d, k, ctx.order, []), 0)
+        return SearchOutcome(_assignment_to_cover(ctx, d, []), 0)
 
     counter = [0]
     if threads <= 1:
         choices = _dfs(ctx, 0, 0, [], counter)
         if choices is None:
             return SearchOutcome(None, counter[0])
-        return SearchOutcome(_assignment_to_cover(g, d, k, ctx.order, choices), counter[0])
+        return SearchOutcome(_assignment_to_cover(ctx, d, choices), counter[0])
 
     # parallel mode: expand a prefix frontier, then farm subtrees out
     frontier: list[tuple[int, list, list]] = [(0, [], [])]  # used, parts, choices
@@ -378,9 +414,7 @@ def decide_realizable(
     if not frontier:
         return SearchOutcome(None, nodes)
     if depth == g.m:
-        return SearchOutcome(
-            _assignment_to_cover(g, d, k, ctx.order, frontier[0][2]), nodes
-        )
+        return SearchOutcome(_assignment_to_cover(ctx, d, frontier[0][2]), nodes)
 
     import multiprocessing as mp
 
@@ -395,7 +429,7 @@ def decide_realizable(
                 break
     if winner is None:
         return SearchOutcome(None, nodes)
-    return SearchOutcome(_assignment_to_cover(g, d, k, ctx.order, winner), nodes)
+    return SearchOutcome(_assignment_to_cover(ctx, d, winner), nodes)
 
 
 # -- realizations -------------------------------------------------------------
@@ -410,8 +444,8 @@ def build_realization(g: Graph, d: DistanceFunction, cover: Cover) -> Realizatio
         v: tuple(p.values[v] for p in cover.potentials) for v in g.vertices
     }
     realization = Realization(points, cover.k)
-    result = verify_realization(g, d, realization, norm="inf")
-    assert result.ok, "realization from a certified cover must verify"
+    if not verify_realization(g, d, realization, norm="inf").ok:
+        raise RuntimeError("realization from a certified cover failed verification")
     return realization
 
 
@@ -522,21 +556,24 @@ def min_dimension(
     genericity_budget: int = 10**6,
     threads: int = 1,
 ) -> int:
-    """Least k admitting a realization.  Scans k upward, starting from the
-    arboricity when the weights are verified generic (parts must then be
-    forests) and from 1 otherwise; the vertex cover number caps the scan."""
+    """Least k admitting a realization.  Scans k upward, starting from 1,
+    or from a lower bound on the arboricity when the weights are verified
+    generic (parts must then be forests): the arboricity itself up to
+    ARBORICITY_VERTEX_CAP vertices, ceil(m / (n - 1)) above.  The scan ends
+    by the vertex cover number at the latest, where the stars around a
+    minimum vertex cover realize any weights."""
     report = validate_distance_function(g, d)
     if not report.valid:
         raise InputError("weights are not a valid distance function")
-    start = 1
+    k = 1
     if is_generic(g, d, genericity_budget).status == "generic":
-        start = max(1, arboricity(g))
-    upper = max(start, vertex_cover_number(g), 1)
-    for k in range(start, upper + 1):
-        outcome = decide_realizable(g, d, k, threads=threads)
-        if outcome.cover is not None:
-            return k
-    raise AssertionError("a star cover must exist at k = vertex cover number")
+        if g.n <= ARBORICITY_VERTEX_CAP:
+            k = max(1, arboricity(g))
+        else:
+            k = max(1, -(-g.m // (g.n - 1)))
+    while decide_realizable(g, d, k, threads=threads).cover is None:
+        k += 1
+    return k
 
 
 def finf_bounds(

@@ -164,9 +164,16 @@ def test_realize_and_verify_roundtrip(run, w4_file, tmp_path):
     assert code == 1 and json.loads(out)["ok"] is False
 
 
-def test_min_dim(run, w4_file):
+def test_min_dim(run, w4_file, tmp_path):
     code, out, _ = run("min-dim", w4_file)
     assert code == 0 and json.loads(out) == {"min_dimension": 3}
+    # more vertices than the arboricity cap
+    from linfgraph import DistanceFunction
+
+    path = tmp_path / "path21.json"
+    save_instance(named_graph("path_21"), DistanceFunction.from_values([1] * 20), path)
+    code, out, _ = run("min-dim", str(path))
+    assert code == 0 and json.loads(out) == {"min_dimension": 1}
 
 
 def test_bounds(run, tmp_path):

@@ -14,12 +14,16 @@ from linfgraph import (
     FinfBounds,
     Graph,
     InputError,
+    NegativeCycle,
+    Orientation,
+    Potential,
     Realization,
     apply_forcing,
     arboricity,
     build_bidirected,
     build_realization,
     decide_realizable,
+    find_potential,
     finf_bounds,
     is_feasible_set,
     k4ek4_witness,
@@ -33,6 +37,7 @@ from linfgraph import (
     vertex_cover_number,
     w4_witness,
 )
+from linfgraph.realizability import _Ctx
 
 from atlas import connected_graphs_upto
 from oracles import (
@@ -59,7 +64,8 @@ def test_single_edge_realizes_in_one_dimension():
 
 def test_w4_witness_needs_three_dimensions():
     g, d = w4_witness()
-    assert decide_realizable(g, d, 2).exhausted
+    out = decide_realizable(g, d, 2)
+    assert out.exhausted and out.nodes == 121
     out = decide_realizable(g, d, 3)
     assert out.cover is not None
     assert out.cover.check(g, d)
@@ -67,7 +73,8 @@ def test_w4_witness_needs_three_dimensions():
 
 def test_k4ek4_witness_needs_three_dimensions():
     g, d = k4ek4_witness()
-    assert decide_realizable(g, d, 2).exhausted
+    out = decide_realizable(g, d, 2)
+    assert out.exhausted and out.nodes == 584
     assert decide_realizable(g, d, 3).cover is not None
 
 
@@ -112,6 +119,16 @@ def test_threads_agree_with_single_threaded_verdict():
     assert decide_realizable(g, d, 2, threads=2).exhausted
     out = decide_realizable(g, d, 3, threads=2)
     assert out.cover is not None and out.cover.check(g, d)
+    g, d = k4ek4_witness()
+    out = decide_realizable(g, d, 3, threads=2)
+    assert out.cover is not None and out.cover.check(g, d)
+
+
+def test_failed_re_verification_raises(monkeypatch):
+    g, d = w4_witness()
+    monkeypatch.setattr(Cover, "check", lambda self, g, d: False)
+    with pytest.raises(RuntimeError):
+        decide_realizable(g, d, 3)
 
 
 def test_progress_callback_fires():
@@ -166,6 +183,35 @@ def test_is_feasible_set_matches_oracle(gd, data):
         orientation, potential = res
         assert {g.edge_id(u, v) for u, v in orientation.arcs} == eids
         assert potential.check(apply_forcing(build_bidirected(g, d), orientation))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_weighted(), st.data())
+def test_relaxation_matches_find_potential(gd, data):
+    # fold arcs into one part through the search's relaxation and compare
+    # each step with an independent Fraction Bellman-Ford on the same arcs
+    g, d = gd
+    q = data.draw(st.integers(min_value=1, max_value=6))
+    d = DistanceFunction(tuple(w / q for w in d.weights))
+    ctx = _Ctx(g, d, 1)
+    base = build_bidirected(g, d)
+    eids = data.draw(st.permutations(range(g.m)))
+    dirs = data.draw(st.lists(st.integers(0, 1), min_size=g.m, max_size=g.m))
+    part, arcs, blocked = ctx.empty, [], 0
+    for eid, dr in zip(eids, dirs):
+        u, v = g.edges[eid]
+        arcs.append((u, v) if dr == 0 else (v, u))
+        blocked |= ctx.conflict[2 * eid + dr]
+        ref = find_potential(apply_forcing(base, Orientation.of(arcs)))
+        part = ctx.try_add(part, 2 * eid + dr)
+        if part is None:
+            assert isinstance(ref, NegativeCycle)
+            return
+        assert isinstance(ref, Potential)
+        _, dist, part_blocked = part
+        assert part_blocked == blocked
+        for i, x in enumerate(g.vertices):
+            assert dist[i] == ref.values[x] * ctx.scale
 
 
 # -- Cover and Realization checking --------------------------------------------
@@ -292,6 +338,11 @@ def test_min_dimension_rejects_invalid_weights():
         min_dimension(g, DistanceFunction.from_values([10, 1, 1]))
 
 
+def test_min_dimension_past_the_arboricity_cap():
+    g = named_graph("path_21")
+    assert min_dimension(g, DistanceFunction.from_values([1] * g.m)) == 1
+
+
 @settings(max_examples=20, deadline=None)
 @given(_small_weighted())
 def test_min_dimension_matches_brute_force(gd):
@@ -334,4 +385,4 @@ def test_k7_generic_realizes_at_five_not_four():
     g, d = k7_generic()
     assert decide_realizable(g, d, 5).cover is not None
     out = decide_realizable(g, d, 4)
-    assert out.exhausted and out.nodes > 0
+    assert out.exhausted and out.nodes == 2_136_509
