@@ -294,7 +294,9 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = cmd("generic-check", _cmd_generic_check, help="search cycles for an equal split")
     sp.add_argument("instance")
-    sp.add_argument("--budget", type=_at_least(0), default=10**6)
+    sp.add_argument("--budget", type=_at_least(0), default=10**6,
+                    help="most half-sums to enumerate, about 2 * 2**(L/2) per cycle of "
+                         "length L (default: 10**6); exit 2 when it runs out")
 
     sp = cmd("realize", _cmd_realize, help="decide realizability in a given dimension")
     sp.add_argument("instance")

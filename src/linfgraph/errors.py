@@ -10,7 +10,7 @@ class CapExceeded(RuntimeError):
 
 
 class PerturbationFailed(RuntimeError):
-    """Perturbation retries exhausted; carries the last candidate tried."""
+    """Ties forced by zero weights survive perturbation; carries the result."""
 
     def __init__(self, message, last_candidate=None):
         super().__init__(message)

@@ -9,6 +9,7 @@ can be split into two edge sets of equal total weight.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -325,6 +326,7 @@ class GenericityReport:
 
     status is 'generic', 'not_generic' (with the offending cycle and the edge
     subset whose total is exactly half the cycle weight), or 'budget_exceeded'.
+    `pairs_checked` counts the half-sums charged by `is_generic`.
     """
 
     status: str
@@ -352,33 +354,59 @@ def _simple_cycles(g: Graph) -> Iterator[tuple[int, ...]]:
                     stack.append((y, path_edges + [eid], used | {y}))
 
 
+def _signed_sums(ws, first: int, stop: int, start: dict) -> dict:
+    """Extend `start` ({signed sum: bitmask of the positions signed +}) by
+    every sign choice for positions first..stop-1 of `ws`, keeping one mask
+    per distinct sum."""
+    sums = start
+    for pos in range(first, stop):
+        w, bit = ws[pos], 1 << pos
+        nxt = {}
+        for s, mask in sums.items():
+            nxt.setdefault(s + w, mask | bit)
+            nxt.setdefault(s - w, mask)
+        sums = nxt
+    return sums
+
+
 def is_generic(g: Graph, d: DistanceFunction, budget: int = 10**6) -> GenericityReport:
     """Search every cycle for an equal-weight split of its edges.
 
-    Work is metered in (cycle, subset) pairs; splits are enumerated once per
-    unordered pair by always placing the cycle's first edge on one side.
+    A cycle with weights w_0..w_{L-1} splits evenly exactly when some signed
+    sum of its weights is zero.  Fixing w_0 to `+` counts each unordered
+    split once.  The search is a meet in the middle (Horowitz and Sahni,
+    JACM 1974): over integers with the denominators cleared, it lists the
+    distinct signed sums of the first half of the cycle (w_0 signed `+`) and
+    of the second half, and reports a tie when a second-half sum's negation
+    is a first-half sum.  A cycle of length L costs about 2 * 2**(L/2)
+    half-sums instead of 2**(L-1) subsets.
+
+    Work is metered in half-sums, reported as `pairs_checked`: a cycle is
+    charged the most sums its two halves can have, 2**(h-1) + 2**(L-h) for
+    a first half of h edges, and the search stops with 'budget_exceeded'
+    before the count would pass `budget`.  A 'not_generic' report carries
+    the cycle and the edges signed `+`, which include the cycle's first
+    edge and weigh exactly half the cycle.
     """
     if len(d.weights) != g.m:
         raise InputError("weight count does not match the graph")
+    scale = math.lcm(*(q.denominator for q in d.weights))
+    w = [int(q * scale) for q in d.weights]
     checked = 0
     for cycle in _simple_cycles(g):
-        ws = [d.weights[e] for e in cycle]
-        total = sum(ws, Fraction(0))
-        half = total / 2
-        L = len(cycle)
-        # DFS over the remaining edges; first edge is always in the subset.
-        stack = [(1, ws[0], [cycle[0]])]
-        while stack:
-            pos, acc, members = stack.pop()
-            if pos == L:
-                checked += 1
-                if checked > budget:
-                    return GenericityReport("budget_exceeded", checked - 1)
-                if acc == half:
-                    return GenericityReport("not_generic", checked, cycle, frozenset(members))
-                continue
-            stack.append((pos + 1, acc, members))
-            stack.append((pos + 1, acc + ws[pos], members + [cycle[pos]]))
+        ws = [w[e] for e in cycle]
+        h = (len(cycle) + 1) // 2
+        cost = 2 ** (h - 1) + 2 ** (len(cycle) - h)
+        if checked + cost > budget:
+            return GenericityReport("budget_exceeded", checked)
+        checked += cost
+        left = _signed_sums(ws, 1, h, {ws[0]: 1})
+        right = _signed_sums(ws, h, len(ws), {0: 0})
+        for s, mask in right.items():
+            if -s in left:
+                plus = left[-s] | mask
+                members = frozenset(e for i, e in enumerate(cycle) if plus >> i & 1)
+                return GenericityReport("not_generic", checked, cycle, members)
     return GenericityReport("generic", checked)
 
 
@@ -397,57 +425,72 @@ def perturb_to_generic(
     g: Graph,
     d: DistanceFunction,
     seed: int = 0,
-    max_attempts: int = 20,
     budget: int = 10**6,
 ) -> DistanceFunction:
-    """Nudge a valid weight function into a generic one.
+    """Nudge a valid weight function into a generic one; a generic input is
+    returned unchanged.
 
-    Each attempt blends d toward a scaled reference function r whose
-    weights are 2**(m+2) + 2**s(i) for a seeded permutation s of 1..m.
-    Distinct powers of two never cancel in a signed sum, so r is generic
-    on every graph, and any two-edge path under r already exceeds any
-    single edge, so r is valid on every graph.  The blend (1-t)*d + t*r'
-    with r' = r * min(d)/2**(m+3) and t = 2**-(20+attempt) is a convex
-    combination of valid functions (hence valid), crosses each tie
-    hyperplane for at most one value of t, and moves each weight by at
-    most a factor of t.  Weights that are zero stay pinned at zero (the
-    deviation bound is relative), with a metric closure restoring
-    validity in that case; ties forced by zero-weight edges therefore
-    cannot be repaired and raise PerturbationFailed.  Deterministic for
-    a fixed seed.
+    The result blends each positive weight toward a reference function r,
+    (1-t)*d_i + t*r_i, and keeps zero weights at zero.  With m edges, the
+    least positive weight `low` and a seeded permutation s of 1..m,
+
+        r_i = low/2**(m+3) * (2**(m+2) + 2**s(i)),   low/2 < r_i <= 5*low/8,
+        t = 2**-max(20, (D*low*m).bit_length() + 1),
+
+    where D is the lcm of the input's denominators.  The proof below is for
+    inputs whose weights are all positive; then the result is generic by
+    construction and is returned without a further check.
+
+    Close: 0 < r_i < d_i, so |result_i - d_i| = t*(d_i - r_i) < t*d_i, a
+    relative deviation below t <= 2**-20.
+
+    Valid: under r any two edges weigh more than low >= r_i, so each edge
+    is the shortest path between its endpoints; the blend is a convex
+    combination of two valid functions, hence valid.
+
+    Generic: take a cycle and signs e_i = +-1 on its edges.  The signed sum
+    of the result is (1-t)*S + t*R with S = sum e_i*d_i and R = sum e_i*r_i.
+    R/(low/2**(m+3)) is 2**(m+2) * sum e_i plus a signed sum of distinct
+    powers of two; the latter is nonzero (its smallest power is not a
+    multiple of twice itself) and below 2**(m+1) in size, so it cannot
+    cancel a multiple of 2**(m+2), and R != 0.  If S = 0 the signed sum is
+    t*R != 0.  Otherwise D*S is a nonzero integer, so (1-t)*|S| >= 1/(2D),
+    while t*|R| < t*m*low < 1/(2D) because D*low*m < 2**b for
+    b = (D*low*m).bit_length(); the sum is again nonzero.  So no cycle
+    splits into two halves of equal weight.
+
+    Zero weights stay pinned (the deviation bound is relative), so the
+    blend is no longer a convex combination: a metric closure restores
+    validity, and the result is checked once with `is_generic`.  Ties
+    forced by zero-weight edges cannot be perturbed away and raise
+    PerturbationFailed; a check that runs out of `budget` returns the
+    result unverified.  Deterministic for a fixed seed.
     """
     report = validate_distance_function(g, d)
     if not report.valid:
         raise InputError("input weights are not a valid distance function")
     if is_generic(g, d, budget):
         return d
-    positives = [w for w in d.weights if w > 0]
-    # scale puts every reference weight strictly below the smallest d weight
-    scale = min(positives) / Fraction(2 ** (g.m + 3)) if positives else Fraction(0)
-    base = 2 ** (g.m + 2)
-    last = d
-    for attempt in range(max_attempts):
-        rng = random.Random(seed * 1_000_003 + attempt)
-        exponents = list(range(1, g.m + 1))
-        rng.shuffle(exponents)
-        t = Fraction(1, 2 ** (20 + attempt))
-        cand = DistanceFunction(
-            tuple(
-                w if w == 0 else (1 - t) * w + t * scale * (base + 2 ** exponents[i])
-                for i, w in enumerate(d.weights)
-            )
+    m = g.m
+    low = min((w for w in d.weights if w > 0), default=Fraction(0))
+    den = math.lcm(*(w.denominator for w in d.weights))
+    t = Fraction(1, 2 ** max(20, (int(den * low) * m).bit_length() + 1))
+    scale = low / 2 ** (m + 3)
+    exponents = list(range(1, m + 1))
+    random.Random(seed).shuffle(exponents)
+    out = DistanceFunction(
+        tuple(
+            w if w == 0 else (1 - t) * w + t * scale * (2 ** (m + 2) + 2 ** exponents[i])
+            for i, w in enumerate(d.weights)
         )
-        cand = _metric_closure(g, cand)
-        last = cand
-        rep = is_generic(g, cand, budget)
-        if rep.status == "generic":
-            return cand
-        if rep.status == "budget_exceeded":
-            # cannot verify within budget; the perturbed candidate is still valid
-            return cand
-    raise PerturbationFailed(
-        f"no generic perturbation found after {max_attempts} attempts", last
     )
+    if 0 in d.weights:
+        out = _metric_closure(g, out)
+        if is_generic(g, out, budget).status == "not_generic":
+            raise PerturbationFailed(
+                "ties forced by zero-weight edges cannot be perturbed away", out
+            )
+    return out
 
 
 # -- block decomposition ------------------------------------------------------

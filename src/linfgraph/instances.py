@@ -19,7 +19,6 @@ from .graph_core import (
     Graph,
     _metric_closure,
     edge_key,
-    is_generic,
     perturb_to_generic,
 )
 
@@ -181,14 +180,14 @@ def linf2_to_l1_2(points) -> dict:
 
 def random_distance_function(g: Graph, seed: int = 0) -> DistanceFunction:
     """Seeded valid generic weights: uniform integers in [1, 2^16], replaced
-    by their shortest-path closure (restoring validity), then perturbed to
-    genericity.  Deterministic per (g, seed)."""
+    by their shortest-path closure (restoring validity), then perturbed by a
+    relative deviation below 2**-20.  The weights are positive, so
+    `perturb_to_generic` makes them generic by construction and the result
+    needs no further check.  Deterministic per (g, seed)."""
     import random
 
     if not g.is_connected():
         raise InputError("random weights need a connected graph")
     rng = random.Random(seed)
     raw = DistanceFunction(tuple(Fraction(rng.randint(1, 2**16)) for _ in range(g.m)))
-    out = perturb_to_generic(g, _metric_closure(g, raw), seed=seed)
-    assert is_generic(g, out).status in ("generic", "budget_exceeded")
-    return out
+    return perturb_to_generic(g, _metric_closure(g, raw), seed=seed)

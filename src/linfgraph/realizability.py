@@ -41,6 +41,7 @@ from .graph_core import (
     DistanceFunction,
     Graph,
     VertexId,
+    blocks,
     is_generic,
     shortest_path_table,
     validate_distance_function,
@@ -549,6 +550,12 @@ def arboricity(g: Graph) -> int:
     return best
 
 
+def _block_density(g: Graph) -> int:
+    """max over blocks B of ceil(m_B / (n_B - 1)): a lower bound on the
+    arboricity, since a forest on n_B vertices has at most n_B - 1 edges."""
+    return max((-(-b.m // (b.n - 1)) for b in blocks(g)), default=0)
+
+
 def min_dimension(
     g: Graph,
     d: DistanceFunction,
@@ -557,20 +564,18 @@ def min_dimension(
     threads: int = 1,
 ) -> int:
     """Least k admitting a realization.  Scans k upward, starting from 1,
-    or from a lower bound on the arboricity when the weights are verified
-    generic (parts must then be forests): the arboricity itself up to
-    ARBORICITY_VERTEX_CAP vertices, ceil(m / (n - 1)) above.  The scan ends
-    by the vertex cover number at the latest, where the stars around a
-    minimum vertex cover realize any weights."""
+    or, when the weights are verified generic (every feasible part is then
+    a forest), from the block-density bound: the largest
+    ceil(m_B / (n_B - 1)) over the blocks B of g, which is at most the
+    arboricity and needs no size cap.  The scan ends by the vertex cover
+    number at the latest, where the stars around a minimum vertex cover
+    realize any weights."""
     report = validate_distance_function(g, d)
     if not report.valid:
         raise InputError("weights are not a valid distance function")
     k = 1
     if is_generic(g, d, genericity_budget).status == "generic":
-        if g.n <= ARBORICITY_VERTEX_CAP:
-            k = max(1, arboricity(g))
-        else:
-            k = max(1, -(-g.m // (g.n - 1)))
+        k = max(1, _block_density(g))
     while decide_realizable(g, d, k, threads=threads).cover is None:
         k += 1
     return k
@@ -584,17 +589,28 @@ def finf_bounds(
 ) -> FinfBounds:
     """Bounds on the largest min_dimension over all valid weight functions.
 
-    Upper bound: the vertex cover number (stars around a cover realize any
-    weights).  Lower bound: the arboricity, improved by the best min_dimension
-    seen over `samples` seeded random generic weight functions plus any
-    caller-supplied ones; the maximizing weights are returned as witness.
+    Upper bound: a vertex cover, since the stars around it realize any
+    weights; the least one (`vertex_cover_number`) up to VERTEX_COVER_CAP
+    vertices, the endpoints of a greedy maximal matching above.  Lower
+    bound: the block-density bound of `min_dimension`, improved by the best
+    min_dimension seen over `samples` seeded random weight functions plus
+    any caller-supplied ones; the maximizing weights are returned as
+    witness.  The random samples are generic, so their min_dimension is at
+    least the arboricity, and with samples >= 1 so is the lower bound.
     """
     from .instances import random_distance_function
 
     if g.m == 0:
         return FinfBounds(0, 0, None)
-    upper = vertex_cover_number(g)
-    lower = arboricity(g)
+    if g.n <= VERTEX_COVER_CAP:
+        upper = vertex_cover_number(g)
+    else:
+        matched: set = set()
+        for u, v in g.edges:
+            if u not in matched and v not in matched:
+                matched |= {u, v}
+        upper = len(matched)
+    lower = _block_density(g)
     witness = None
     pool = [random_distance_function(g, seed * 1_000_003 + i) for i in range(samples)]
     pool.extend(extra)

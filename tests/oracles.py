@@ -106,6 +106,46 @@ def brute_min_dimension(g: Graph, d: DistanceFunction) -> int:
     return k
 
 
+def brute_cycles(g: Graph):
+    """Every simple cycle as a frozenset of edge ids: the edge subsets in
+    which each touched vertex has degree two and which are connected."""
+    out = []
+    for size in range(3, g.m + 1):
+        for eids in combinations(range(g.m), size):
+            deg = {}
+            for e in eids:
+                for x in g.edges[e]:
+                    deg[x] = deg.get(x, 0) + 1
+            if any(c != 2 for c in deg.values()):
+                continue
+            # with every degree two, the set is one cycle iff it is connected
+            reach = {g.edges[eids[0]][0]}
+            grew = True
+            while grew:
+                grew = False
+                for e in eids:
+                    u, v = g.edges[e]
+                    if (u in reach) != (v in reach):
+                        reach |= {u, v}
+                        grew = True
+            if len(reach) == len(deg):
+                out.append(frozenset(eids))
+    return out
+
+
+def brute_is_generic(g: Graph, d: DistanceFunction) -> bool:
+    """No cycle splits into two edge sets of equal Fraction weight: for each
+    cycle, every subset holding its smallest edge id is summed directly."""
+    for cycle in brute_cycles(g):
+        first, *rest = sorted(cycle)
+        half = sum((d.weights[e] for e in cycle), Fraction(0)) / 2
+        for size in range(len(rest) + 1):
+            for others in combinations(rest, size):
+                if d.weights[first] + sum((d.weights[e] for e in others), Fraction(0)) == half:
+                    return False
+    return True
+
+
 def sp_by_relaxation(g: Graph, d: DistanceFunction):
     """All-pairs shortest paths by per-source edge relaxation (no
     Floyd-Warshall).  Returns {u: {v: distance-or-None}}."""

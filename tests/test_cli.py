@@ -5,7 +5,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from linfgraph import named_graph, save_instance, w4_witness
 from linfgraph.cli import main
@@ -98,6 +98,52 @@ def test_random_certificates_keep_the_exit_code_contract(kind, fields, command):
         assert main(argv + ["--certificate", str(cert)]) in (0, 1, 2)
 
 
+_VERTEX = st.integers(-1, 5) | st.sampled_from(["a", "b", True, None, 1.5, [1]])
+_CLEAN_WEIGHT = st.integers(1, 30) | st.fractions(1, 20, max_denominator=7).map(str)
+_WEIGHT = (_CLEAN_WEIGHT | st.integers(-2, 0)
+           | st.sampled_from(["0", "-1/4", "1/0", "x", 2.5, None, [1]]))
+
+
+@st.composite
+def _plausible_instance(draw):
+    # mostly well-formed, so the commands get past parsing and run
+    n = draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    picks = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=9)) if pairs else []
+    weight = draw(st.sampled_from([None, _CLEAN_WEIGHT, _WEIGHT]))
+    edges = [{"u": u, "v": v, **({} if weight is None else {"d": draw(weight)})}
+             for u, v in picks]
+    vertices = list(range(n))
+    if draw(st.integers(0, 3)) == 0:
+        vertices.append(draw(_VERTEX))
+        edges.append(draw(st.fixed_dictionaries({"u": _VERTEX, "v": _VERTEX},
+                                                optional={"d": _WEIGHT}) | _JSON))
+    return {"vertices": vertices, "edges": edges}
+
+
+_INSTANCE = (
+    _plausible_instance()
+    | st.dictionaries(st.sampled_from(["vertices", "edges", "u", "v", "d"]), _JSON, max_size=3)
+    | _JSON
+)
+_INSTANCE_ARGV = [
+    ["validate", "FILE"], ["realize", "FILE", "--dim", "2"], ["min-dim", "FILE"],
+    ["classify", "FILE"], ["generic-check", "FILE"], ["bounds", "FILE", "--samples", "1"],
+    ["certify-exceeds2", "FILE"], ["render", "FILE"],
+    ["gen", "--family", "random", "--graph", "FILE"],
+]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(obj=_INSTANCE, argv=st.sampled_from(_INSTANCE_ARGV))
+def test_random_instances_keep_the_exit_code_contract(run, tmp_path, obj, argv):
+    inst = tmp_path / "instance.json"
+    inst.write_text(json.dumps(obj))
+    code, _, err = run(*(str(inst) if a == "FILE" else a for a in argv))
+    assert code in (0, 1, 2) and "Traceback" not in err
+
+
 def test_validate(run, w4_file, tmp_path):
     code, out, _ = run("validate", w4_file)
     assert code == 0 and json.loads(out) == {"valid": True, "violations": []}
@@ -185,6 +231,16 @@ def test_bounds(run, tmp_path):
     b = json.loads(out)
     assert 2 <= b["lower"] <= b["upper"] == 3
     assert b["exact"] == (b["lower"] == b["upper"])
+
+
+@pytest.mark.parametrize("name", ["path_21", "C_21", "path_33"])
+def test_bounds_past_the_caps(run, tmp_path, name):
+    p = tmp_path / f"{name}.json"
+    save_instance(named_graph(name), None, p)
+    code, out, _ = run("bounds", str(p), "--samples", "2")
+    assert code == 0
+    b = json.loads(out)
+    assert 1 <= b["lower"] <= b["upper"]
 
 
 def test_classify(run, tmp_path):

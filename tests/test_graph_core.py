@@ -17,7 +17,7 @@ from linfgraph import (
 )
 from linfgraph.graph_core import to_fraction
 
-from oracles import sp_by_relaxation
+from oracles import brute_cycles, brute_is_generic, sp_by_relaxation
 
 
 # -- strategies ----------------------------------------------------------------
@@ -157,6 +157,36 @@ def test_generic_budget_exceeded():
     g = Graph.build(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
     report = is_generic(g, DistanceFunction.from_values([1, 2, 4, 8]), budget=2)
     assert report.status == "budget_exceeded"
+    # the one 4-cycle is charged 2**1 + 2**2 half-sums
+    report = is_generic(g, DistanceFunction.from_values([1, 2, 4, 8]), budget=5)
+    assert report.status == "budget_exceeded" and report.pairs_checked == 0
+    report = is_generic(g, DistanceFunction.from_values([1, 2, 4, 8]), budget=6)
+    assert report.status == "generic" and report.pairs_checked == 6
+
+
+@st.composite
+def _tied_weights(draw):
+    n = draw(st.integers(3, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=3, max_size=9))
+    g = Graph.build(range(n), edges)
+    # small numerators over at most two denominators make equal splits common
+    den = st.sampled_from([1, draw(st.integers(1, 7))])
+    ws = [Fraction(draw(st.integers(0, 6)), draw(den)) for _ in range(g.m)]
+    return g, DistanceFunction(tuple(ws))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tied_weights())
+def test_is_generic_matches_brute_force(gd):
+    g, d = gd
+    report = is_generic(g, d)
+    assert (report.status == "generic") == brute_is_generic(g, d)
+    if report.status == "not_generic":
+        assert frozenset(report.cycle) in brute_cycles(g)
+        assert report.cycle[0] in report.subset and report.subset <= set(report.cycle)
+        total = sum(d.weights[e] for e in report.cycle)
+        assert sum(d.weights[e] for e in report.subset) * 2 == total
 
 
 # -- perturbation --------------------------------------------------------------
@@ -183,6 +213,29 @@ def test_perturb_cannot_fix_zero_cycle():
     d = DistanceFunction.from_values([0, 0, 0])
     with pytest.raises(PerturbationFailed):
         perturb_to_generic(g, d)
+
+
+@st.composite
+def _valid_tied_weights(draw):
+    g = draw(small_graph(max_n=5, min_n=3))
+    ws = [Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 7))) for _ in range(g.m)]
+    # the metric closure makes the weights valid; an edge it shortens then
+    # weighs exactly its shortest path, a tie
+    _, dist, _ = shortest_path_table(g, ws)
+    vi = g.vertex_index
+    return g, DistanceFunction(tuple(dist[vi[u]][vi[v]] for u, v in g.edges))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_valid_tied_weights(), st.integers(0, 2**32))
+def test_perturbation_is_valid_generic_close_and_deterministic(gd, seed):
+    g, d = gd
+    out = perturb_to_generic(g, d, seed=seed)
+    assert validate_distance_function(g, out).valid
+    assert brute_is_generic(g, out)
+    for w, w0 in zip(out.weights, d.weights):
+        assert abs(w - w0) <= w0 * Fraction(1, 2**20)
+    assert perturb_to_generic(g, d, seed=seed).weights == out.weights
 
 
 def test_perturb_rejects_invalid_input():

@@ -370,6 +370,16 @@ def test_finf_bounds_on_trees_and_cliques():
         assert min_dimension(k4, b4.witness) == b4.lower
 
 
+@pytest.mark.parametrize("name, lower, upper", [
+    ("path_21", 1, 10), ("C_21", 2, 11), ("path_33", 1, 32),
+])
+def test_finf_bounds_past_the_caps(name, lower, upper):
+    # past ARBORICITY_VERTEX_CAP, and for path_33 past VERTEX_COVER_CAP,
+    # where the upper bound is the greedy matching's 32 endpoints
+    b = finf_bounds(named_graph(name), samples=2)
+    assert (b.lower, b.upper) == (lower, upper)
+
+
 def test_finf_bounds_edgeless():
     assert finf_bounds(Graph.build([1, 2], []), samples=2) == FinfBounds(0, 0, None)
 
