@@ -26,7 +26,7 @@ from .instances import (
     tk4_instance,
     w4_witness,
 )
-from .minors import certificate_exceeds_2, classify_dim2, contains_minor
+from .minors import _certificate_from_witness, classify_dim2, contains_minor
 from .realizability import (
     Realization,
     build_realization,
@@ -150,10 +150,11 @@ def _cmd_classify(args) -> int:
 
 def _cmd_certify_exceeds2(args) -> int:
     g, _ = load_instance(args.instance)
-    if classify_dim2(g).verdict == "dim_at_most_2":
+    c = classify_dim2(g)
+    if c.verdict == "dim_at_most_2":
         _emit({"verdict": "dim_at_most_2"})
         return 0
-    d, outcome = certificate_exceeds_2(g)
+    d, outcome = _certificate_from_witness(g, c.witness)
     if args.witness_out:
         save_instance(g, d, args.witness_out)
     _emit(

@@ -1,13 +1,20 @@
 """Minor detection, the dimension-2 classifier, and witness pullbacks.
 
 A graph needs more than two dimensions for some weights exactly when it has
-a minor isomorphic to one of two patterns: the 4-wheel, or two 4-cliques
-glued along an edge that is then removed.  `classify_dim2` decides this by
-decomposing into blocks, suppressing degree-2 vertices, and running an exact
-branch-set search for the two patterns; a positive verdict always carries a
-re-validated embedding.  `pullback_distance` transports weights from a minor
-pattern up to the host graph (zero inside branch sets, shortest-path closure
-elsewhere), so non-realizability witnesses transfer along minors, and
+a minor isomorphic to one of two patterns: the 4-wheel W4, or two 4-cliques
+glued along an edge that is then removed (K4eK4).  `classify_dim2` decides
+this per block, after suppressing degree-2 vertices.  The W4 half is
+structural: the block is split at separation pairs, and it has a W4 minor
+iff some piece is 3-connected with at least five vertices.  That rests on
+two facts: a 3-connected minor of a 2-sum lies inside one of the summands
+(Tutte), and every 3-connected graph on at least five vertices has an edge
+whose contraction keeps it 3-connected (Thomassen), so contracting down to
+five vertices, where W4 is spanning, builds the witness.  K4eK4 is still
+found by the exact branch-set search, which `contains_minor` also uses.  A
+positive verdict always carries a re-validated embedding.
+`pullback_distance` transports weights from a minor pattern up to the host
+graph (zero inside branch sets, shortest-path closure elsewhere), so
+non-realizability witnesses transfer along minors, and
 `certificate_exceeds_2` packages that into a concrete weight function on
 which the k = 2 search provably exhausts.
 
@@ -33,6 +40,10 @@ from .graph_core import (
 )
 from .realizability import SearchOutcome, decide_realizable
 from .instances import k4ek4_witness, named_graph, w4_witness
+
+
+_W4 = named_graph("W_4")
+_K4E = named_graph("K4eK4")
 
 
 @dataclass(frozen=True)
@@ -100,33 +111,22 @@ def _minor_search(g: Graph, h: Graph) -> MinorEmbedding | None:
         for v in comp:
             comp_of[v] = min(comp, key=vertex_key)
 
+    def touching(su: set, sv: set):
+        """The first host edge from su into sv, or None."""
+        for a in su:
+            for b, _ in g.adjacency[a]:
+                if b in sv:
+                    return a, b
+        return None
+
     def realize(bsets: dict, used: set, ei: int):
         while ei < len(pedges):
             pu, pv = pedges[ei]
-            su, sv = bsets[pu], bsets[pv]
-            hit = None
-            for a in su:
-                for b, _ in g.adjacency[a]:
-                    if b in sv:
-                        hit = (a, b)
-                        break
-                if hit:
-                    break
-            if hit is None:
+            if touching(bsets[pu], bsets[pv]) is None:
                 break
             ei += 1
         else:
-            real = {}
-            for pu, pv in h.edges:
-                found = None
-                for a in bsets[pu]:
-                    for b, _ in g.adjacency[a]:
-                        if b in bsets[pv]:
-                            found = (a, b)
-                            break
-                    if found:
-                        break
-                real[(pu, pv)] = found
+            real = {(pu, pv): touching(bsets[pu], bsets[pv]) for pu, pv in h.edges}
             return {pv: frozenset(s) for pv, s in bsets.items()}, real
 
         pu, pv = pedges[ei]
@@ -185,7 +185,8 @@ def _minor_search(g: Graph, h: Graph) -> MinorEmbedding | None:
         return None
     bsets, real = found
     emb = MinorEmbedding(h, bsets, real)
-    assert emb.check(g), "minor search produced an invalid embedding"
+    if not emb.check(g):
+        raise RuntimeError("minor search produced an invalid embedding")
     return emb
 
 
@@ -241,24 +242,217 @@ def _lift_through_suppression(emb: MinorEmbedding, log) -> MinorEmbedding:
     )
 
 
+# -- separation-pair pieces (the W4 half of the classifier) ----------------------
+#
+# A piece of a 2-connected graph is one side of a split at a separation pair
+# {a, b} plus a virtual edge ab, which stands for an a-b path through the other
+# side.  A piece is a pair (adj, hanging): neighbor sets over the vertex indices
+# of the split graph, which keep set iteration deterministic whatever the vertex
+# ids, and a map from each virtual edge (a, b), a < b, to its hanging side, the
+# vertices the splits cut away behind it.  Hanging sides of different virtual
+# edges of one piece are disjoint from each other and from the piece, and each
+# holds the interior of an a-b path of the split graph.
+
+
+def _cut_vertex(adj: dict, gone: set):
+    """Some cut vertex of the graph adj minus the vertices in gone, or None
+    when there is none.  That graph must be connected."""
+    root = next(v for v in adj if v not in gone)
+    index = {root: 0}
+    low = {root: 0}
+    root_children = 0
+    stack = [(root, None, iter(adj[root]))]
+    while stack:
+        x, parent, it = stack[-1]
+        for y in it:
+            if y in gone or y == parent:
+                continue
+            if y in index:
+                if index[y] < low[x]:
+                    low[x] = index[y]
+                continue
+            index[y] = low[y] = len(index)
+            stack.append((y, x, iter(adj[y])))
+            break
+        else:
+            stack.pop()
+            if parent == root:
+                root_children += 1
+                if root_children > 1:
+                    return root
+            elif parent is not None:
+                if low[x] >= index[parent]:
+                    return parent
+                if low[x] < low[parent]:
+                    low[parent] = low[x]
+    return None
+
+
+def _index_adjacency(g: Graph) -> dict:
+    """Neighbor sets of g over vertex indices."""
+    vi = g.vertex_index
+    adj = {i: set() for i in range(g.n)}
+    for u, v in g.edges:
+        adj[vi[u]].add(vi[v])
+        adj[vi[v]].add(vi[u])
+    return adj
+
+
+def _split_side(piece: tuple, keep: set, a: int, b: int, real_ab: bool) -> tuple:
+    """The side of a piece on the vertices keep, which hold a and b, plus the
+    virtual edge ab when ab is not an edge of the split graph."""
+    padj, phanging = piece
+    adj = {v: padj[v] & keep for v in keep}
+    ab = (min(a, b), max(a, b))
+    hanging = {e: h for e, h in phanging.items()
+               if e != ab and e[0] in keep and e[1] in keep}
+    if not real_ab:
+        adj[a].add(b)
+        adj[b].add(a)
+        behind = set(padj).union(*phanging.values())
+        behind -= keep.union(*hanging.values())
+        hanging[ab] = frozenset(behind)
+    return adj, hanging
+
+
+def _three_connected_pieces(g: Graph):
+    """Yield the 3-connected pieces (at least four vertices) of a
+    2-connected graph g, split at separation pairs until none is left."""
+    adj0 = _index_adjacency(g)
+    work = [(adj0, {})]
+    while work:
+        piece = work.pop()
+        adj = piece[0]
+        if len(adj) < 4:
+            continue
+        pair = None
+        for a in adj:
+            b = _cut_vertex(adj, {a})
+            if b is not None:
+                pair = a, b
+                break
+        if pair is None:
+            yield piece
+            continue
+        a, b = pair
+        start = next(v for v in adj if v != a and v != b)
+        comp, stack = {start}, [start]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in comp and y != a and y != b:
+                    comp.add(y)
+                    stack.append(y)
+        real_ab = b in adj0[a]
+        work.append(_split_side(piece, set(adj) - comp, a, b, real_ab))
+        work.append(_split_side(piece, comp | {a, b}, a, b, real_ab))
+
+
+def _wheel_in_piece(g: Graph, piece: tuple) -> MinorEmbedding:
+    """A W4 embedding in g from its 3-connected piece on at least five
+    vertices.  Contract edges of the piece while it stays 3-connected (one
+    always does: Thomassen, JCTB 1980) down to five vertices, where W4 is
+    spanning; then expand the contracted classes into branch sets and route
+    each used virtual edge through its hanging side."""
+    padj, hanging = piece
+    adj = {v: set(ns) for v, ns in padj.items()}
+    classes = {v: [v] for v in adj}
+    while len(adj) > 5:
+        # adj/uv is 3-connected iff adj minus {u, v} has no cut vertex
+        edge = next(((u, v) for u in adj for v in adj[u]
+                     if u < v and _cut_vertex(adj, {u, v}) is None), None)
+        if edge is None:
+            raise RuntimeError("a 3-connected piece had no contractible edge")
+        u, v = edge
+        for x in adj.pop(v):
+            adj[x].discard(v)
+            if x != u:
+                adj[x].add(u)
+                adj[u].add(x)
+        classes[u] += classes.pop(v)
+    five = Graph.build(adj, [(u, v) for u in adj for v in adj[u] if u < v])
+    emb5 = _minor_search(five, _W4)
+    if emb5 is None:
+        raise RuntimeError("a 3-connected graph on five vertices has no W4")
+
+    gadj = _index_adjacency(g)
+
+    def through(a: int, b: int) -> list:
+        """Interior of an a-b path inside the hanging side of virtual ab."""
+        inside = hanging[(min(a, b), max(a, b))]
+        prev, stack = {a: None}, [a]
+        while b not in prev:
+            if not stack:
+                raise RuntimeError("a virtual edge has no path through its hanging side")
+            x = stack.pop()
+            for y in gadj[x]:
+                if y not in prev and (y in inside or y == b):
+                    prev[y] = x
+                    stack.append(y)
+        path = []
+        x = prev[b]
+        while x != a:
+            path.append(x)
+            x = prev[x]
+        return path[::-1]
+
+    owner = {}
+    bsets = {}
+    for pv, (rep,) in emb5.branch_sets.items():
+        bsets[pv] = set(classes[rep])
+        for x in classes[rep]:
+            owner[x] = pv
+    for a, b in hanging:
+        if a in owner and owner.get(b) == owner[a]:
+            bsets[owner[a]].update(through(a, b))
+    real = {}
+    for pedge, (x, y) in emb5.edge_realization.items():
+        a, b = next((a, b) for a in classes[x] for b in classes[y] if b in padj[a])
+        if (min(a, b), max(a, b)) in hanging:
+            path = through(a, b)
+            bsets[pedge[0]].update(path)
+            a = path[-1]
+        real[pedge] = (g.vertices[a], g.vertices[b])
+    return MinorEmbedding(
+        _W4,
+        {pv: frozenset(g.vertices[x] for x in s) for pv, s in bsets.items()},
+        real,
+    )
+
+
 def classify_dim2(g: Graph) -> Classification:
     """Excluded-minor test for two-dimensional realizability of all weights
-    (max norm and, equivalently, sum norm)."""
-    w4 = named_graph("W_4")
-    k4e = named_graph("K4eK4")
+    (max norm and, equivalently, sum norm).
+
+    Each block is reduced by `suppress_degree_2` and split at separation
+    pairs.  The block has a W4 minor iff some piece is 3-connected with at
+    least five vertices: every piece is a minor of the block, a 3-connected
+    minor of a 2-sum lies inside one summand (Tutte), and a 3-connected graph
+    on at least five vertices contracts, keeping 3-connectivity (Thomassen's
+    contractible edge), to a five-vertex graph that contains W4.  The witness
+    comes from that contraction.  Blocks with no such piece are searched for
+    K4eK4 by the exact branch-set search.  Every witness is re-checked on the
+    reduced block and on g."""
     for block in blocks(g):
         if block.n < 5 or block.is_forest():
             continue
         reduced, log = suppress_degree_2(block)
         if reduced.n < 5 or reduced.is_forest():
             continue
-        for pattern in (w4, k4e) if reduced.n >= 6 else (w4,):
-            emb = _minor_search(reduced, pattern)
-            if emb is None:
-                continue
-            lifted = _lift_through_suppression(emb, log)
-            assert lifted.check(g), "lifted witness failed validation"
-            return Classification("exceeds_2", lifted)
+        emb = None
+        for piece in _three_connected_pieces(reduced):
+            if len(piece[0]) >= 5:
+                emb = _wheel_in_piece(reduced, piece)
+                break
+        if emb is None and reduced.n >= 6:
+            emb = _minor_search(reduced, _K4E)
+        if emb is None:
+            continue
+        if not emb.check(reduced):
+            raise RuntimeError("classifier witness failed validation on the reduced block")
+        lifted = _lift_through_suppression(emb, log)
+        if not lifted.check(g):
+            raise RuntimeError("lifted witness failed validation")
+        return Classification("exceeds_2", lifted)
     return Classification("dim_at_most_2")
 
 
@@ -331,7 +525,8 @@ def pullback_distance(g: Graph, emb: MinorEmbedding, d_h: DistanceFunction) -> D
 
     result = DistanceFunction(tuple(Fraction(assigned[e]) for e in range(g.m)))
     report = validate_distance_function(g, result)
-    assert report.valid, "pullback closure must yield a valid distance function"
+    if not report.valid:
+        raise RuntimeError("pullback closure must yield a valid distance function")
     return result
 
 
@@ -342,13 +537,17 @@ def certificate_exceeds_2(g: Graph) -> tuple[DistanceFunction, SearchOutcome]:
     classification = classify_dim2(g)
     if classification.verdict != "exceeds_2":
         raise InputError("graph realizes every weight function in 2 dimensions")
-    emb = classification.witness
-    if emb.pattern.n == 5:
-        wg, wd = w4_witness()
-    else:
-        wg, wd = k4ek4_witness()
-    assert emb.pattern == wg, "classifier witness pattern mismatch"
+    return _certificate_from_witness(g, classification.witness)
+
+
+def _certificate_from_witness(g: Graph, emb: MinorEmbedding) -> tuple[DistanceFunction, SearchOutcome]:
+    """Pull the pattern's witness weights back through the classifier's
+    embedding emb and exhaust the k = 2 search on them."""
+    wg, wd = w4_witness() if emb.pattern.n == 5 else k4ek4_witness()
+    if emb.pattern != wg:
+        raise RuntimeError("classifier witness pattern mismatch")
     d = pullback_distance(g, emb, wd)
     outcome = decide_realizable(g, d, 2)
-    assert outcome.exhausted, "pulled-back witness must defeat the k=2 search"
+    if not outcome.exhausted:
+        raise RuntimeError("pulled-back witness must defeat the k=2 search")
     return d, outcome

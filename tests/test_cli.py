@@ -277,6 +277,25 @@ def test_certify_exceeds2(run, tmp_path):
     assert run("realize", str(wit), "--dim", "2")[0] == 1
 
 
+def test_certify_exceeds2_classifies_once(run, tmp_path, monkeypatch):
+    import linfgraph.cli
+    import linfgraph.minors
+
+    calls = []
+    real = linfgraph.minors.classify_dim2
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(linfgraph.cli, "classify_dim2", counting)
+    monkeypatch.setattr(linfgraph.minors, "classify_dim2", counting)
+    k5 = tmp_path / "k5.json"
+    save_instance(named_graph("K_5"), None, k5)
+    assert run("certify-exceeds2", str(k5))[0] == 1
+    assert len(calls) == 1
+
+
 def test_minor(run, tmp_path):
     k5 = tmp_path / "k5.json"
     save_instance(named_graph("K_5"), None, k5)

@@ -1,5 +1,7 @@
 """Minor containment, the dimension-2 classifier, and witness pullbacks."""
 
+import random
+import time
 import warnings
 
 import pytest
@@ -18,9 +20,11 @@ from linfgraph import (
     min_dimension,
     named_graph,
     pullback_distance,
+    suppress_degree_2,
     validate_distance_function,
     w4_witness,
 )
+from linfgraph.minors import _three_connected_pieces
 
 from atlas import connected_graphs_upto
 from oracles import brute_has_minor
@@ -38,6 +42,15 @@ def _subdivide_all(g: Graph) -> Graph:
         verts.append(w)
         edges += [(u, w), (w, v)]
     return Graph.build(verts, edges)
+
+
+def _grid(rows: int, cols: int) -> Graph:
+    def v(r, c):
+        return r * cols + c
+
+    edges = [(v(r, c), v(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+    edges += [(v(r, c), v(r + 1, c)) for r in range(rows - 1) for c in range(cols)]
+    return Graph.build(range(rows * cols), edges)
 
 
 def _subdivide_edges(g: Graph, targets) -> Graph:
@@ -229,6 +242,70 @@ def test_classifier_agrees_with_brute_minors_on_small_graphs():
         expected = brute_has_minor(g, W4)  # the 6-vertex pattern cannot fit
         got = classify_dim2(g).verdict == "exceeds_2"
         assert got == expected
+
+
+def _seeded_connected_gnp(count: int):
+    rng = random.Random(20261018)
+    out = []
+    while len(out) < count:
+        n = (7, 8)[len(out) % 2]
+        p = rng.choice((0.3, 0.4, 0.5, 0.6))
+        g = Graph.build(range(n), [(i, j) for i in range(n) for j in range(i + 1, n)
+                                   if rng.random() < p])
+        if g.is_connected():
+            out.append(g)
+    return out
+
+
+def test_classifier_agrees_with_the_minor_oracle():
+    graphs = list(connected_graphs_upto(6)) + _seeded_connected_gnp(300)
+    assert len(graphs) == 143 + 300
+    for g in graphs:
+        c = classify_dim2(g)
+        expected = contains_minor(g, W4) is not None or contains_minor(g, K4E) is not None
+        assert (c.verdict == "exceeds_2") == expected
+        if c.witness is not None:
+            assert c.witness.check(g)
+
+
+def _piece_sizes(g: Graph) -> list:
+    return sorted(len(adj) for adj, _ in _three_connected_pieces(g))
+
+
+def test_split_at_separation_pairs():
+    assert _piece_sizes(K4E) == [4, 4]
+    reduced, _ = suppress_degree_2(_subdivide_all(named_graph("W_5")))
+    assert _piece_sizes(reduced) == [6]
+    assert _piece_sizes(named_graph("C_6")) == []
+    assert _piece_sizes(named_graph("petersen")) == [10]
+
+
+def test_wheel_found_through_a_virtual_edge():
+    # the rim edge 1-2 of W4 replaced by a diamond 1-x-2, 1-y-2, x-y: only the
+    # piece with the virtual edge 12 is a wheel
+    edges = [e for e in W4.edges if e != (1, 2)]
+    edges += [(1, "x"), ("x", 2), (1, "y"), ("y", 2), ("x", "y")]
+    g = Graph.build(list(W4.vertices) + ["x", "y"], edges)
+    assert _piece_sizes(g) == [4, 5]
+    c = classify_dim2(g)
+    assert c.verdict == "exceeds_2"
+    assert c.witness.pattern == W4 and c.witness.check(g)
+
+
+def test_classifier_on_large_wheels_and_grids():
+    # the branch-set search took about 10 s on W_9 alone; these take milliseconds
+    for g in (named_graph("W_12"), _grid(4, 5), _grid(6, 6)):
+        start = time.perf_counter()
+        c = classify_dim2(g)
+        assert time.perf_counter() - start < 1.0
+        assert c.verdict == "exceeds_2"
+        assert c.witness.pattern == W4 and c.witness.check(g)
+
+
+def test_classifier_raises_when_a_witness_fails_its_check(monkeypatch):
+    monkeypatch.setattr(MinorEmbedding, "check", lambda self, g: False)
+    with pytest.raises(RuntimeError):
+        classify_dim2(named_graph("W_5"))
 
 
 # -- pullback_distance ---------------------------------------------------------
