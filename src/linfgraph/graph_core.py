@@ -391,7 +391,11 @@ def is_generic(g: Graph, d: DistanceFunction, budget: int = 10**6) -> Genericity
     if len(d.weights) != g.m:
         raise InputError("weight count does not match the graph")
     scale = math.lcm(*(q.denominator for q in d.weights))
-    w = [int(q * scale) for q in d.weights]
+    return _split_search(g, [int(q * scale) for q in d.weights], budget)
+
+
+def _split_search(g: Graph, w: list, budget: int) -> GenericityReport:
+    """`is_generic` over integer weights w, indexed by edge id."""
     checked = 0
     for cycle in _simple_cycles(g):
         ws = [w[e] for e in cycle]

@@ -4,12 +4,12 @@ A weighted graph embeds in dimension k exactly when its edge set is the
 union of k feasible sets; each feasible set contributes one coordinate via
 the certifying potential.  `decide_realizable` runs a complete backtracking
 search over per-edge (part, direction) assignments, branching on edges in
-order of decreasing weight, with four sound reductions: parts are first used
+order of decreasing weight, with five sound reductions: parts are first used
 in increasing order, the first edge of each part has a fixed direction
 (global reversal symmetry), a precomputed table of arc pairs whose joint
 forcing closes a negative walk rejects assignments before the full check
-runs, and once all k parts are open every remaining edge must still fit some
-part without such a conflict.
+runs, once all k parts are open every remaining edge must still fit some
+part without such a conflict, and, for generic weights, the forest rule.
 
 Each part carries the bitmask of the arcs it blocks (the OR of the conflict
 table over its arcs), so the conflict check is one bit test and the
@@ -19,6 +19,22 @@ integers obtained by clearing denominators: adding an arc t->h relaxes
 only from h, label-correcting in FIFO order, starting from the parent part's
 potential, and rejects the part as soon as t's label would drop, since any
 negative cycle runs through the new arc.  Results are memoized per arc set.
+
+The forest rule.  With generic weights (no cycle splits into two halves of
+equal weight) every feasible part is a forest: a cycle inside one part
+would make the signed sum of its weights, taken along its forced
+directions, equal the potential's change around the cycle, which is zero.
+Part i's final edge set therefore lies in F_i, the edges it holds, plus
+E_i, the edges still to come whose arcs it does not both block, and has at
+most rank(F_i + E_i) edges, where rank is the graphic-matroid rank (n minus
+the number of components); an unused part can hold any remaining edge.  A
+cover needs sum_i rank(F_i + E_i) >= the number of edges to cover, and a
+child that falls short is pruned (the forest-cover counting of
+Nash-Williams, J. LMS 1964, and Edmonds, J. Res. NBS 1965).  Each part
+carries a spanning forest of F_i + E_i, rebuilt only when it holds an edge
+the part just lost, so a rank is usually one popcount.  The rule applies
+only when `_generic_gate` proves the weights generic: an O(m) 2-adic test,
+else `is_generic` under a small budget; otherwise it stays off.
 
 A cover's potentials are the ones the search relaxed, divided by the scale
 factor; the cover is then re-verified in exact Fraction arithmetic before
@@ -41,6 +57,7 @@ from .graph_core import (
     DistanceFunction,
     Graph,
     VertexId,
+    _split_search,
     blocks,
     is_generic,
     shortest_path_table,
@@ -55,6 +72,10 @@ from .potentials import (
 
 ARBORICITY_VERTEX_CAP = 20
 VERTEX_COVER_CAP = 32
+# half-sums `is_generic` may spend deciding whether the forest rule applies
+_GATE_BUDGET = 500
+# the prune rules of `_children`, in the order they are tried
+_RULES = ("conflict", "infeasible", "lookahead", "forest")
 
 
 @dataclass(frozen=True)
@@ -99,10 +120,18 @@ class Realization:
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """Either a certified Cover or a proof of exhaustion with node counts."""
+    """Either a certified Cover or a proof of exhaustion with node counts.
+
+    Every child the search tries is one node, and is either pruned by the
+    first rule that rejects it or expanded: `prunes` maps each rule
+    ('conflict', 'infeasible', 'lookahead', 'forest') to the children it
+    rejected, so nodes == sum(prunes.values()) + expanded.  Parallel runs
+    sum the counts over the frontier and every worker."""
 
     cover: Cover | None
     nodes: int
+    prunes: dict
+    expanded: int
 
     @property
     def exhausted(self) -> bool:
@@ -134,12 +163,16 @@ class _Ctx:
     decreasing weight.
 
     Arc 2e runs along edge e as stored in g.edges, arc 2e + 1 against it.
-    A part is a triple (mask, dist, blocked): the bitmask of its forced
-    arcs, its potential as integers over `scale` (the greatest solution
-    <= 0 of its difference constraints), and the OR of `conflict` over its
-    arcs, i.e. every arc that cannot join it."""
+    A part is a tuple (mask, dist, blocked, forest): the bitmask of its
+    forced arcs, its potential as integers over `scale` (the greatest
+    solution <= 0 of its difference constraints), the OR of `conflict` over
+    its arcs, i.e. every arc that cannot join it, and, for the forest rule,
+    a spanning forest (arc 2e for edge e) of the edges it can still hold.
 
-    def __init__(self, g: Graph, d: DistanceFunction, k: int, order=None):
+    `generic` turns the forest rule on or off; None decides it by
+    `_generic_gate`."""
+
+    def __init__(self, g: Graph, d: DistanceFunction, k: int, order=None, generic=None):
         if len(d.weights) != g.m:
             raise InputError("weight count does not match the graph")
         self.g = g
@@ -175,10 +208,25 @@ class _Ctx:
         self.rest = [0] * (len(order) + 1)
         for pos in range(len(order) - 1, -1, -1):
             self.rest[pos] = self.rest[pos + 1] | (1 << 2 * order[pos])
-        self.empty = (0, (0,) * n, 0)
+        self.empty = (0, (0,) * n, 0, 0)
         self.cache: dict = {}
         self.progress: Callable | None = None
         self.progress_every = 250_000
+        self.generic = _generic_gate(g, self.w) if generic is None else generic
+        if self.generic:
+            # rest_rank[pos]: rank of the edges at positions pos.., which an
+            # unused part can still hold; forests[pos]: part mask -> its
+            # spanning forest at pos
+            self.rest_rank = [0] * len(self.rest)
+            root = list(range(n))
+            for pos in range(len(order) - 1, -1, -1):
+                a = 2 * order[pos]
+                self.rest_rank[pos] = self.rest_rank[pos + 1] + _union(root, self.tail[a], self.head[a])
+            self.forests = [{} for _ in self.rest]
+            # (arc-2e bit, tail, head) of each edge e, in and against the order
+            self.even = int("01" * m, 2) if m else 0
+            self.forward = [(1 << 2 * e, self.tail[2 * e], self.head[2 * e]) for e in order]
+            self.backward = self.forward[::-1]
 
     def _conflicts(self):
         # arcs a=(ta,ha), b=(tb,hb) in one part close the walk
@@ -234,15 +282,70 @@ class _Ctx:
 
     def try_add(self, part, aid: int):
         """The part with arc aid forced, or None when that is infeasible;
-        relaxation results are memoized per arc set."""
-        mask0, dist0, blocked0 = part
+        relaxation results are memoized per arc set.  The forest is the
+        parent part's, to be checked by the caller."""
+        mask0, dist0, blocked0, forest = part
         new_mask = mask0 | (1 << aid)
         dist = self.cache.get(new_mask, _UNSEEN)
         if dist is _UNSEEN:
             dist = self.cache[new_mask] = self.bf(new_mask, dist0, aid)
         if dist is None:
             return None
-        return new_mask, dist, blocked0 | self.conflict[aid]
+        return new_mask, dist, blocked0 | self.conflict[aid], forest
+
+    def refit(self, part, pos: int):
+        """The part with a spanning forest of what it can hold at position
+        pos: its own edges and the edges at positions pos.. whose arcs it
+        does not both block.  Built greedily from its own edges, then from
+        the last position backwards, so the edges the search assigns next
+        are the last ones the forest needs; memoized per (mask, pos), since
+        the mask determines what the part blocks."""
+        mask, dist, blocked, _ = part
+        forests = self.forests[pos]
+        forest = forests.get(mask)
+        if forest is None:
+            root = list(range(self.n))
+            forest, size, full = 0, 0, self.n - 1
+            free = ((mask | mask >> 1) & self.even) | (self.rest[pos] & ~(blocked & blocked >> 1))
+            for bit, u, v in self.forward[:pos] + self.backward[:len(self.order) - pos]:
+                if size == full:
+                    break
+                if free & bit and _union(root, u, v):
+                    forest |= bit
+                    size += 1
+            forests[mask] = forest
+        return mask, dist, blocked, forest
+
+
+def _union(root: list, u: int, v: int) -> int:
+    """Merge the union-find classes of u and v; 1 if they were apart."""
+    while root[u] != u:
+        root[u] = u = root[root[u]]
+    while root[v] != v:
+        root[v] = v = root[root[v]]
+    if u == v:
+        return 0
+    root[u] = v
+    return 1
+
+
+def _generic_gate(g: Graph, w: list) -> bool:
+    """Whether the integer weights w on g are known to be generic, so that
+    the forest rule is sound; decided cheaply, and False when in doubt.
+
+    Check 1, O(m): the integer weights w (denominators cleared) have
+    pairwise distinct 2-adic valuations.  Then every nonempty signed sum of
+    them is nonzero: its term of least valuation v is not divisible by
+    2**(v + 1) while every other term is, so the sum is not either.  In
+    particular no cycle splits into two halves of equal weight.
+
+    Check 2, otherwise: `is_generic` on w with the small budget
+    _GATE_BUDGET; 'not_generic' and 'budget_exceeded' both leave the rule
+    off."""
+    lowest = {x & -x for x in w}  # 2**valuation, 0 for a zero weight
+    if 0 not in lowest and len(lowest) == len(w):
+        return True
+    return _split_search(g, w, _GATE_BUDGET).status == "generic"
 
 
 def _viable_remaining(ctx: _Ctx, pos: int, parts) -> bool:
@@ -250,16 +353,25 @@ def _viable_remaining(ctx: _Ctx, pos: int, parts) -> bool:
     part does not block, i.e. no such edge has both arcs blocked in every
     part."""
     everywhere = -1
-    for _, _, blocked in parts:
-        everywhere &= blocked
+    for part in parts:
+        everywhere &= part[2]
     return not (everywhere & (everywhere >> 1) & ctx.rest[pos])
 
 
 def _children(ctx: _Ctx, pos: int, used: int, parts: list, counter: list):
     """Yield (label, direction, used, parts) for every child of a node at
-    position pos that survives the conflict check, the feasibility check and
-    the lookahead; each child tried counts as one node."""
+    position pos that survives the conflict check, the feasibility check,
+    the lookahead and the forest rule.  counter holds [nodes, one count per
+    rule of _RULES, expanded]: each child tried is one node, and counts
+    once more, under the first rule that rejects it or as expanded.
+
+    The parts of a node at pos carry spanning forests for pos.  A child's
+    parts keep them valid for pos + 1: an untouched part loses only the
+    edge at pos, and the part that takes it loses the edges it newly blocks
+    both ways, so a forest is rebuilt only when it held a lost edge."""
     eid = ctx.order[pos]
+    nxt = pos + 1
+    kept = None  # the node's parts refitted for pos + 1, once needed
     for label in range(min(used + 1, ctx.k)):
         fresh = label == used
         part = ctx.empty if fresh else parts[label]
@@ -270,18 +382,40 @@ def _children(ctx: _Ctx, pos: int, used: int, parts: list, counter: list):
             if ctx.progress and counter[0] % ctx.progress_every == 0:
                 ctx.progress(counter[0])
             if (blocked0 >> aid) & 1:
+                counter[1] += 1
                 continue
             added = ctx.try_add(part, aid)
             if added is None:
+                counter[2] += 1
                 continue
-            new_parts = list(parts)
+            if ctx.generic and kept is None:
+                lost, after = 1 << 2 * eid, ctx.rest[nxt]
+                spare = ctx.rest_rank[nxt]
+                # len(order) minus the node's rank sum at pos + 1, unused
+                # parts included; a child whose part gains less is pruned
+                need = len(ctx.order) - (ctx.k - used) * spare
+                kept = list(parts)
+                for i, p in enumerate(parts):
+                    if p[3] & lost:
+                        kept[i] = p = ctx.refit(p, nxt)
+                    need -= p[3].bit_count()
+            new_parts = list(parts if kept is None else kept)
             if fresh:
                 new_parts.append(added)
             else:
                 new_parts[label] = added
             new_used = used + 1 if fresh else used
-            if new_used == ctx.k and not _viable_remaining(ctx, pos + 1, new_parts):
+            if new_used == ctx.k and not _viable_remaining(ctx, nxt, new_parts):
+                counter[3] += 1
                 continue
+            if ctx.generic:
+                blocked = added[2]
+                if fresh or added[3] & blocked & (blocked >> 1) & after:
+                    new_parts[label] = added = ctx.refit(added, nxt)
+                if added[3].bit_count() - (spare if fresh else kept[label][3].bit_count()) < need:
+                    counter[4] += 1
+                    continue
+            counter[5] += 1
             yield label, dr, new_used, new_parts
 
 
@@ -311,20 +445,26 @@ def _replay(ctx: _Ctx, choices) -> tuple[int, list]:
             used += 1
         else:
             parts[label] = added
+    if ctx.generic:
+        parts = [ctx.refit(p, len(choices)) for p in parts]
     return used, parts
 
 
 def _search_worker(payload):
-    vertices, edges, weights, k, prefix = payload
+    vertices, edges, weights, k, generic, prefix = payload
     g = Graph.build(vertices, edges)
     d = DistanceFunction(tuple(weights))
-    ctx = _Ctx(g, d, k)
+    ctx = _Ctx(g, d, k, generic=generic)
     used, parts = _replay(ctx, prefix)
-    counter = [0]
+    counter = [0] * 6
     suffix = _dfs(ctx, len(prefix), used, parts, counter)
     if suffix is None:
-        return None, counter[0]
-    return list(prefix) + suffix, counter[0]
+        return None, counter
+    return list(prefix) + suffix, counter
+
+
+def _outcome(cover: Cover | None, counter: list) -> SearchOutcome:
+    return SearchOutcome(cover, counter[0], dict(zip(_RULES, counter[1:5])), counter[5])
 
 
 def _certified_parts(ctx: _Ctx, choices):
@@ -335,7 +475,7 @@ def _certified_parts(ctx: _Ctx, choices):
     parts += [ctx.empty] * (ctx.k - len(parts))
     vs = ctx.g.vertices
     orientations, potentials = [], []
-    for mask, dist, _ in parts:
+    for mask, dist, _, _ in parts:
         orientations.append(Orientation.of(
             (vs[ctx.tail[aid]], vs[ctx.head[aid]])
             for aid in range(2 * ctx.m) if (mask >> aid) & 1
@@ -366,7 +506,7 @@ def is_feasible_set(
     """
     eids = sorted({g.edge_id(u, v) for u, v in edges})
     ctx = _Ctx(g, d, 1, eids)
-    choices = _dfs(ctx, 0, 0, [], [0])
+    choices = _dfs(ctx, 0, 0, [], [0] * 6)
     if choices is None:
         return None
     (orientation,), (potential,) = _certified_parts(ctx, choices)
@@ -391,15 +531,13 @@ def decide_realizable(
     ctx = _Ctx(g, d, k)
     ctx.progress = progress
     ctx.progress_every = progress_every
+    counter = [0] * 6
     if g.m == 0:
-        return SearchOutcome(_assignment_to_cover(ctx, d, []), 0)
+        return _outcome(_assignment_to_cover(ctx, d, []), counter)
 
-    counter = [0]
     if threads <= 1:
         choices = _dfs(ctx, 0, 0, [], counter)
-        if choices is None:
-            return SearchOutcome(None, counter[0])
-        return SearchOutcome(_assignment_to_cover(ctx, d, choices), counter[0])
+        return _outcome(None if choices is None else _assignment_to_cover(ctx, d, choices), counter)
 
     # parallel mode: expand a prefix frontier, then farm subtrees out
     frontier: list[tuple[int, list, list]] = [(0, [], [])]  # used, parts, choices
@@ -411,26 +549,24 @@ def decide_realizable(
             for label, dr, new_used, new_parts in _children(ctx, depth, used, parts, counter)
         ]
         depth += 1
-    nodes = counter[0]
     if not frontier:
-        return SearchOutcome(None, nodes)
+        return _outcome(None, counter)
     if depth == g.m:
-        return SearchOutcome(_assignment_to_cover(ctx, d, frontier[0][2]), nodes)
+        return _outcome(_assignment_to_cover(ctx, d, frontier[0][2]), counter)
 
     import multiprocessing as mp
 
-    payloads = [(g.vertices, g.edges, d.weights, k, choices) for _, _, choices in frontier]
+    payloads = [(g.vertices, g.edges, d.weights, k, ctx.generic, choices)
+                for _, _, choices in frontier]
     winner = None
     with mp.Pool(processes=threads) as pool:
-        for choices, worker_nodes in pool.imap_unordered(_search_worker, payloads):
-            nodes += worker_nodes
+        for choices, worker_counter in pool.imap_unordered(_search_worker, payloads):
+            counter = [a + b for a, b in zip(counter, worker_counter)]
             if choices is not None:
                 winner = choices
                 pool.terminate()
                 break
-    if winner is None:
-        return SearchOutcome(None, nodes)
-    return SearchOutcome(_assignment_to_cover(ctx, d, winner), nodes)
+    return _outcome(None if winner is None else _assignment_to_cover(ctx, d, winner), counter)
 
 
 # -- realizations -------------------------------------------------------------
@@ -619,5 +755,6 @@ def finf_bounds(
         if k > lower:
             lower = k
             witness = cand
-    assert lower <= upper
+    if lower > upper:
+        raise RuntimeError(f"lower bound {lower} exceeds upper bound {upper}")
     return FinfBounds(lower, upper, witness)

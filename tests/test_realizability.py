@@ -1,6 +1,8 @@
 """Cover search, realizations, and the combinatorial dimension bounds."""
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,17 +33,20 @@ from linfgraph import (
     min_dimension,
     named_graph,
     random_distance_function,
+    shortest_path_table,
     tk4_instance,
     Tree,
     verify_realization,
     vertex_cover_number,
     w4_witness,
 )
-from linfgraph.realizability import _Ctx
+from linfgraph import realizability
+from linfgraph.realizability import _Ctx, _generic_gate
 
 from atlas import connected_graphs_upto
 from oracles import (
     brute_arboricity,
+    brute_is_generic,
     brute_min_dimension,
     brute_realizable,
     brute_vertex_cover,
@@ -65,7 +70,7 @@ def test_single_edge_realizes_in_one_dimension():
 def test_w4_witness_needs_three_dimensions():
     g, d = w4_witness()
     out = decide_realizable(g, d, 2)
-    assert out.exhausted and out.nodes == 121
+    assert out.exhausted and out.nodes == 94
     out = decide_realizable(g, d, 3)
     assert out.cover is not None
     assert out.cover.check(g, d)
@@ -74,8 +79,71 @@ def test_w4_witness_needs_three_dimensions():
 def test_k4ek4_witness_needs_three_dimensions():
     g, d = k4ek4_witness()
     out = decide_realizable(g, d, 2)
-    assert out.exhausted and out.nodes == 584
+    assert out.exhausted and out.nodes == 421
     assert decide_realizable(g, d, 3).cover is not None
+
+
+def test_prune_counts_add_up_and_agree_across_threads():
+    g, d = k4ek4_witness()
+    serial = decide_realizable(g, d, 2)
+    assert serial.prunes == {"conflict": 248, "infeasible": 38, "lookahead": 12, "forest": 17}
+    assert serial.expanded == 106
+    assert serial.nodes == sum(serial.prunes.values()) + serial.expanded
+    parallel = decide_realizable(g, d, 2, threads=2)
+    assert parallel.exhausted
+    assert (parallel.nodes, parallel.prunes, parallel.expanded) == (
+        serial.nodes, serial.prunes, serial.expanded)
+
+
+def _closure(g, raw):
+    """The metric closure of raw edge weights {edge: int}: every edge
+    shortened to the shortest path between its endpoints."""
+    vs, dist, _ = shortest_path_table(g, DistanceFunction.from_map(g, raw))
+    vi = {v: i for i, v in enumerate(vs)}
+    return DistanceFunction.from_map(g, {(u, v): dist[vi[u]][vi[v]] for u, v in g.edges})
+
+
+def test_equal_weight_four_cycle_realizes_on_a_line():
+    # the whole cycle is one part, which the forest rule would reject; the
+    # weights are not generic, so the rule stays off
+    g = named_graph("C_4")
+    d = DistanceFunction.from_values([1] * 4)
+    assert not _Ctx(g, d, 1).generic
+    out = decide_realizable(g, d, 1)
+    assert out.cover is not None and out.prunes["forest"] == 0
+    assert verify_realization(g, d, build_realization(g, d, out.cover)).ok
+
+
+def test_search_matches_brute_force_on_tied_small_weights():
+    # integer weights 1-3 tie often: the gate must keep the forest rule off
+    # wherever a cycle can be one part
+    rng = random.Random(20240611)
+    decisions = 0
+    for g in connected_graphs_upto(5):
+        if g.m == 0:
+            continue
+        for _ in range(3):
+            d = _closure(g, {e: rng.randint(1, 3) for e in g.edges})
+            family = feasible_family(g, d)
+            for k in (1, 2, 3):
+                found = decide_realizable(g, d, k).cover is not None
+                assert found == brute_realizable(g, d, k, family=family), (g.edges, d.weights, k)
+                decisions += 1
+    assert decisions == 270
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_distinct_valuations_open_the_gate(data):
+    # weights odd * 2**v with pairwise distinct v, v possibly negative
+    g = data.draw(st.sampled_from(connected_graphs_upto(5)[3:]))
+    exps = data.draw(st.lists(st.integers(-6, 8), min_size=g.m, max_size=g.m, unique=True))
+    odds = data.draw(st.lists(st.integers(0, 20), min_size=g.m, max_size=g.m))
+    d = DistanceFunction.from_values(
+        [(2 * o + 1) * Fraction(2) ** v for o, v in zip(odds, exps)])
+    assert brute_is_generic(g, d)
+    scale = math.lcm(*(q.denominator for q in d.weights))
+    assert _generic_gate(g, [int(q * scale) for q in d.weights])
 
 
 def test_edgeless_graph_realizes_immediately():
@@ -146,15 +214,7 @@ def _small_weighted(draw):
     edges = draw(st.lists(st.sampled_from(pool), unique=True, min_size=1, max_size=7))
     g = Graph.build(verts, edges)
     raw = {e: draw(st.integers(min_value=1, max_value=12)) for e in g.edges}
-    # shortcut every edge to its metric closure so the weights are valid
-    from linfgraph import shortest_path_table
-
-    closed = DistanceFunction.from_map(g, raw)
-    vs, dist, _ = shortest_path_table(g, closed)
-    vi = {v: i for i, v in enumerate(vs)}
-    return g, DistanceFunction.from_map(
-        g, {(u, v): dist[vi[u]][vi[v]] for u, v in g.edges}
-    )
+    return g, _closure(g, raw)
 
 
 @settings(max_examples=40, deadline=None)
@@ -208,7 +268,7 @@ def test_relaxation_matches_find_potential(gd, data):
             assert isinstance(ref, NegativeCycle)
             return
         assert isinstance(ref, Potential)
-        _, dist, part_blocked = part
+        _, dist, part_blocked, _ = part
         assert part_blocked == blocked
         for i, x in enumerate(g.vertices):
             assert dist[i] == ref.values[x] * ctx.scale
@@ -380,6 +440,12 @@ def test_finf_bounds_past_the_caps(name, lower, upper):
     assert (b.lower, b.upper) == (lower, upper)
 
 
+def test_finf_bounds_raises_when_bounds_cross(monkeypatch):
+    monkeypatch.setattr(realizability, "vertex_cover_number", lambda g: 0)
+    with pytest.raises(RuntimeError):
+        finf_bounds(named_graph("K_4"), samples=1)
+
+
 def test_finf_bounds_edgeless():
     assert finf_bounds(Graph.build([1, 2], []), samples=2) == FinfBounds(0, 0, None)
 
@@ -395,4 +461,5 @@ def test_k7_generic_realizes_at_five_not_four():
     g, d = k7_generic()
     assert decide_realizable(g, d, 5).cover is not None
     out = decide_realizable(g, d, 4)
-    assert out.exhausted and out.nodes == 2_136_509
+    assert out.exhausted and out.nodes == 220_911
+    assert out.prunes["forest"] > 0
