@@ -361,7 +361,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (InputError, CapExceeded, FileNotFoundError) as exc:
+    except (InputError, CapExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

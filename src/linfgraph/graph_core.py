@@ -138,21 +138,6 @@ class Graph:
     def without_vertex(self, v: VertexId) -> "Graph":
         return self.induced(set(self.vertices) - {v})
 
-    def without_edge(self, u: VertexId, v: VertexId) -> "Graph":
-        eid = self.edge_id(u, v)
-        return Graph.build(self.vertices, [e for i, e in enumerate(self.edges) if i != eid])
-
-    def contract_edge(self, u: VertexId, v: VertexId) -> "Graph":
-        """Merge v into u (the edge uv disappears; parallels collapse)."""
-        self.edge_id(u, v)
-        edges = set()
-        for a, b in self.edges:
-            a2 = u if a == v else a
-            b2 = u if b == v else b
-            if a2 != b2:
-                edges.add(tuple(sorted((a2, b2), key=vertex_key)))
-        return Graph.build(set(self.vertices) - {v}, edges)
-
     # -- connectivity ------------------------------------------------------
 
     def components(self) -> list[frozenset]:

@@ -1,5 +1,16 @@
 """Deciding realizability in k-dimensional max-norm space.
 
+A weighted graph induces a bidirected arc system: each edge uv contributes
+arcs (u, v) and (v, u), both of length d_uv.  Forcing an arc (u, v) negates
+its length; a potential p (p(v) - p(u) <= length(u, v) on every arc) then
+pins p(u) - p(v) = d_uv exactly on each forced arc, i.e. forced arcs point
+from the higher potential to the lower.  A set of edges is *feasible* when
+some orientation of it can be forced while a potential still exists, which
+happens exactly when no directed cycle of negative total length appears.
+One check, `_part_certified`, decides whether a given potential certifies
+a given orientation, in Fraction arithmetic; `Cover.check` runs it on every
+part and `is_feasible_set` on its result.
+
 A weighted graph embeds in dimension k exactly when its edge set is the
 union of k feasible sets; each feasible set contributes one coordinate via
 the certifying potential.  `decide_realizable` runs a complete backtracking
@@ -61,21 +72,63 @@ from .graph_core import (
     blocks,
     is_generic,
     shortest_path_table,
-    validate_distance_function,
-)
-from .potentials import (
-    Orientation,
-    Potential,
-    apply_forcing,
-    build_bidirected,
+    vertex_key,
 )
 
-ARBORICITY_VERTEX_CAP = 20
 VERTEX_COVER_CAP = 32
 # half-sums `is_generic` may spend deciding whether the forest rule applies
 _GATE_BUDGET = 500
 # the prune rules of `_children`, in the order they are tried
 _RULES = ("conflict", "infeasible", "lookahead", "forest")
+
+
+@dataclass(frozen=True)
+class Orientation:
+    """A choice of direction for a set of edges; at most one arc per edge."""
+
+    arcs: tuple[tuple[VertexId, VertexId], ...]
+
+    @classmethod
+    def of(cls, arcs: Iterable[tuple[VertexId, VertexId]]) -> "Orientation":
+        seen = set()
+        out = []
+        for u, v in arcs:
+            key = frozenset((u, v))
+            if key in seen:
+                raise InputError(f"two arcs over the same edge {u!r}-{v!r}")
+            seen.add(key)
+            out.append((u, v))
+        out.sort(key=lambda a: (vertex_key(a[0]), vertex_key(a[1])))
+        return cls(tuple(out))
+
+    def __len__(self) -> int:
+        return len(self.arcs)
+
+
+@dataclass(frozen=True)
+class Potential:
+    """Vertex labels satisfying p(v) - p(u) <= length(u, v) on every arc."""
+
+    values: dict
+
+    def __getitem__(self, v: VertexId) -> Fraction:
+        return self.values[v]
+
+
+def _part_certified(g: Graph, d: DistanceFunction, orientation: Orientation, potential: Potential) -> bool:
+    """Whether potential certifies orientation on (g, d): every vertex has a
+    label, no edge's gap exceeds its weight in either direction, and every
+    forced arc is tight.  This is the potential condition on the forced arc
+    system: a forced arc of length -w and its reverse of length w pin the
+    gap to exactly w."""
+    values = potential.values
+    if any(v not in values for v in g.vertices):
+        return False
+    for eid, (u, v) in enumerate(g.edges):
+        if abs(values[u] - values[v]) > d.weights[eid]:
+            return False
+    # edge_id first: an arc that is no edge of g raises InputError
+    return all(d.weights[g.edge_id(u, v)] == values[u] - values[v] for u, v in orientation.arcs)
 
 
 @dataclass(frozen=True)
@@ -93,20 +146,9 @@ class Cover:
     def check(self, g: Graph, d: DistanceFunction) -> bool:
         if len(self.parts) != len(self.potentials):
             return False
-        covered = set()
-        for orientation, potential in zip(self.parts, self.potentials):
-            for v in g.vertices:
-                if v not in potential.values:
-                    return False
-            for eid, (u, v) in enumerate(g.edges):
-                gap = potential.values[u] - potential.values[v]
-                if gap > d.weights[eid] or -gap > d.weights[eid]:
-                    return False
-            for u, v in orientation.arcs:
-                eid = g.edge_id(u, v)
-                if potential.values[u] - potential.values[v] != d.weights[eid]:
-                    return False
-                covered.add(eid)
+        if not all(_part_certified(g, d, o, p) for o, p in zip(self.parts, self.potentials)):
+            return False
+        covered = {g.edge_id(u, v) for o in self.parts for u, v in o.arcs}
         return covered == set(range(g.m))
 
 
@@ -510,7 +552,7 @@ def is_feasible_set(
     if choices is None:
         return None
     (orientation,), (potential,) = _certified_parts(ctx, choices)
-    if not potential.check(apply_forcing(build_bidirected(g, d), orientation)):
+    if not _part_certified(g, d, orientation, potential):
         raise RuntimeError("feasible orientation failed re-verification")
     return orientation, potential
 
@@ -586,6 +628,13 @@ def build_realization(g: Graph, d: DistanceFunction, cover: Cover) -> Realizatio
     return realization
 
 
+_MISMATCH = {
+    "inf": "max-norm distance {} != weight {}",
+    1: "sum-norm distance {} != weight {}",
+    2: "squared distance {} != squared weight {}",
+}
+
+
 def verify_realization(g: Graph, d: DistanceFunction, points, norm="inf") -> VerifyResult:
     """Exact check that every edge's endpoint distance equals its weight
     under the requested norm (1, 2, or 'inf'; 2 compares squares).  Accepts
@@ -605,19 +654,13 @@ def verify_realization(g: Graph, d: DistanceFunction, points, norm="inf") -> Ver
         diffs = [a - b for a, b in zip(points[u], points[v])]
         w = d.weights[eid]
         if norm == "inf":
-            got = max((abs(x) for x in diffs), default=Fraction(0))
-            ok = got == w
-            detail = f"max-norm distance {got} != weight {w}"
+            got, want = max((abs(x) for x in diffs), default=Fraction(0)), w
         elif norm == 1:
-            got = sum((abs(x) for x in diffs), Fraction(0))
-            ok = got == w
-            detail = f"sum-norm distance {got} != weight {w}"
+            got, want = sum((abs(x) for x in diffs), Fraction(0)), w
         else:
-            got = sum((x * x for x in diffs), Fraction(0))
-            ok = got == w * w
-            detail = f"squared distance {got} != squared weight {w * w}"
-        if not ok:
-            return VerifyResult(False, (u, v), detail)
+            got, want = sum((x * x for x in diffs), Fraction(0)), w * w
+        if got != want:
+            return VerifyResult(False, (u, v), _MISMATCH[norm].format(got, want))
     return VerifyResult(True)
 
 
@@ -659,33 +702,6 @@ def vertex_cover_number(g: Graph) -> int:
     return best[0]
 
 
-def arboricity(g: Graph) -> int:
-    """Least number of forests covering E, by the densest-subgraph formula,
-    evaluated over all vertex subsets."""
-    if g.n > ARBORICITY_VERTEX_CAP:
-        raise CapExceeded(f"{g.n} vertices exceeds the cap {ARBORICITY_VERTEX_CAP}")
-    if g.m == 0:
-        return 0
-    n = g.n
-    adj_bits = [0] * n
-    for u, v in g.edges:
-        i, j = g.vertex_index[u], g.vertex_index[v]
-        adj_bits[i] |= 1 << j
-        adj_bits[j] |= 1 << i
-    edge_count = [0] * (1 << n)
-    best = 1
-    for mask in range(1, 1 << n):
-        low = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << low)
-        edge_count[mask] = edge_count[rest] + (adj_bits[low] & rest).bit_count()
-        size = mask.bit_count()
-        if size >= 2 and edge_count[mask] > 0:
-            dens = -(-edge_count[mask] // (size - 1))
-            if dens > best:
-                best = dens
-    return best
-
-
 def _block_density(g: Graph) -> int:
     """max over blocks B of ceil(m_B / (n_B - 1)): a lower bound on the
     arboricity, since a forest on n_B vertices has at most n_B - 1 edges."""
@@ -696,7 +712,6 @@ def min_dimension(
     g: Graph,
     d: DistanceFunction,
     *,
-    genericity_budget: int = 10**6,
     threads: int = 1,
 ) -> int:
     """Least k admitting a realization.  Scans k upward, starting from 1,
@@ -705,12 +720,10 @@ def min_dimension(
     ceil(m_B / (n_B - 1)) over the blocks B of g, which is at most the
     arboricity and needs no size cap.  The scan ends by the vertex cover
     number at the latest, where the stars around a minimum vertex cover
-    realize any weights."""
-    report = validate_distance_function(g, d)
-    if not report.valid:
-        raise InputError("weights are not a valid distance function")
+    realize any weights.  The weights must be a valid distance function;
+    the first search raises InputError otherwise."""
     k = 1
-    if is_generic(g, d, genericity_budget).status == "generic":
+    if is_generic(g, d).status == "generic":
         k = max(1, _block_density(g))
     while decide_realizable(g, d, k, threads=threads).cover is None:
         k += 1

@@ -16,8 +16,35 @@ from pathlib import Path
 from .errors import InputError
 from .graph_core import DistanceFunction, Graph, format_fraction, to_fraction
 from .minors import MinorEmbedding
-from .potentials import Orientation, Potential
-from .realizability import Cover, Realization
+from .realizability import Cover, Orientation, Potential, Realization
+
+
+def _read_json(path):
+    """The JSON value stored in the file at path.  A file that is not UTF-8,
+    not JSON, or past the parser's limits (an integer longer than the
+    interpreter's digit limit, nesting deeper than the recursion limit)
+    raises InputError; OSError passes through."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise InputError(
+            f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{path}: cannot parse: {exc}") from None
+
+
+def _rational(x, what: str):
+    """to_fraction(x), rejecting as `what` any value that does not parse or
+    that `format_fraction` cannot write back (more digits than the
+    interpreter converts), so that every value read can be saved again.
+    The message leaves x out, since such a value cannot be printed."""
+    try:
+        q = to_fraction(x)
+        format_fraction(q)
+    except (InputError, ValueError) as exc:
+        raise InputError(f"{what}: {exc}") from None
+    return q
 
 
 def _parse_vertex(x, where: str):
@@ -61,10 +88,7 @@ def instance_from_obj(obj) -> tuple[Graph, DistanceFunction | None]:
         edges.append((u, v))
         if "d" in entry:
             with_d += 1
-            try:
-                weights[(u, v)] = to_fraction(entry["d"])
-            except (InputError, ValueError) as exc:
-                raise InputError(f"{where}: bad weight {entry['d']!r}: {exc}") from None
+            weights[(u, v)] = _rational(entry["d"], f"{where}: bad weight")
     g = Graph.build(vertices, edges)
     if with_d == 0:
         return g, None
@@ -79,13 +103,7 @@ def save_instance(g: Graph, d: DistanceFunction | None, path, metadata: dict | N
 
 
 def load_instance(path) -> tuple[Graph, DistanceFunction | None]:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
+    obj = _read_json(path)
     try:
         return instance_from_obj(obj)
     except InputError as exc:
@@ -142,7 +160,7 @@ def cover_from_obj(obj) -> Cover:
         ]
         parts.append(Orientation.of(arcs))
         potentials.append(Potential({
-            _parse_vertex(v, where): to_fraction(q)
+            _parse_vertex(v, where): _rational(q, f"{where}: bad potential value")
             for v, q in _pairs(_list_field(part, "potential", where), f"{where}.potential")
         }))
     return Cover(tuple(parts), tuple(potentials))
@@ -168,7 +186,7 @@ def realization_from_obj(obj) -> Realization:
     for v, vec in _pairs(_list_field(obj, "points", "realization"), "points"):
         if not isinstance(vec, list):
             raise InputError(f"point of vertex {v!r}: expected a list of coordinates")
-        points[_parse_vertex(v, "points")] = tuple(to_fraction(q) for q in vec)
+        points[_parse_vertex(v, "points")] = tuple(_rational(q, "points: bad coordinate") for q in vec)
     return Realization(points, k)
 
 
@@ -213,13 +231,7 @@ def save_certificate(obj: dict, path) -> None:
 
 
 def load_certificate(path) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
+    obj = _read_json(path)
     if not isinstance(obj, dict) or "type" not in obj:
         raise InputError(f"{path}: certificate needs a 'type' field")
     return obj

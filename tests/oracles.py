@@ -39,6 +39,11 @@ def forced_arcs(g: Graph, d: DistanceFunction, forced):
     return arcs
 
 
+def potential_fits(g: Graph, d: DistanceFunction, forced, values) -> bool:
+    """values[v] - values[u] <= length on every arc of the forced system."""
+    return all(values[v] - values[u] <= l for u, v, l in forced_arcs(g, d, forced))
+
+
 def orientation_feasible(g: Graph, d: DistanceFunction, forced) -> bool:
     return bellman_ford_potential(g.vertices, forced_arcs(g, d, forced)) is not None
 

@@ -49,6 +49,47 @@ def test_usage_errors_exit_2(run, tmp_path):
     assert code == 2 and "parse error" in err
 
 
+_EDGE = '{"vertices": [0, 1], "edges": [{"u": 0, "v": 1, "d": %s}]}'
+_HOSTILE = {
+    "not_utf8": b"\xff\xfe{}",
+    "directory": None,
+    "long_integer": (_EDGE % ("1" * 5000)).encode(),
+    "deep_nesting": b"[" * 200_000 + b"]" * 200_000,
+    "huge_weight": (_EDGE % '"1e5000"').encode(),
+    "huge_coordinate": b'{"type": "realization", "k": 1, "points": [[0, ["1e5000"]], [1, ["0"]]]}',
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_HOSTILE))
+@pytest.mark.parametrize("argv", [
+    ["validate", "HOSTILE"],
+    ["realize", "HOSTILE", "--dim", "2"],
+    ["classify", "HOSTILE"],
+    ["verify", "HOSTILE", "--certificate", "CERT"],
+    ["verify", "EDGE", "--certificate", "HOSTILE"],
+], ids=["validate", "realize", "classify", "verify-instance", "verify-certificate"])
+def test_hostile_files_exit_2(run, tmp_path, kind, argv):
+    edge = tmp_path / "edge.json"
+    edge.write_text(_EDGE % '"1"')
+    cert = tmp_path / "cert.json"
+    cert.write_text('{"type": "realization", "k": 1, "points": [[0, ["0"]], [1, ["1"]]]}')
+    assert run("verify", str(edge), "--certificate", str(cert))[0] == 0
+    hostile = tmp_path / kind
+    if _HOSTILE[kind] is None:
+        hostile.mkdir()
+    else:
+        hostile.write_bytes(_HOSTILE[kind])
+    files = {"HOSTILE": str(hostile), "EDGE": str(edge), "CERT": str(cert)}
+    code, out, err = run(*(files.get(a, a) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_gen_into_a_directory_exits_2(run, tmp_path):
+    code, out, err = run("gen", "--family", "w4-witness", "-o", str(tmp_path))
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 @pytest.mark.parametrize("argv", [
     ["realize", "--dim", "2", "--threads", "0"],
     ["min-dim", "--threads", "-3"],
@@ -64,7 +105,10 @@ def test_verify_rejects_malformed_certificates(run, w4_file, tmp_path):
     for obj in ({"type": "cover"},
                 {"type": "cover", "parts": [{"arcs": [[1]], "potential": []}]},
                 {"type": "realization", "points": [[1, ["0"]]]},
-                {"type": "minor_embedding", "pattern": {"vertices": [], "edges": []}}):
+                {"type": "minor_embedding", "pattern": {"vertices": [], "edges": []}},
+                # an arc that is no edge, under a potential that passes every edge
+                {"type": "cover", "parts": [{"arcs": [[1, 99]],
+                                             "potential": [[v, "0"] for v in w4_witness()[0].vertices]}]}):
         cert.write_text(json.dumps(obj))
         code, _, err = run("verify", w4_file, "--certificate", str(cert))
         assert code == 2 and "error:" in err

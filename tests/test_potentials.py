@@ -8,23 +8,17 @@ from linfgraph import (
     DistanceFunction,
     Graph,
     InputError,
-    NegativeCycle,
     Orientation,
     Potential,
-    apply_forcing,
-    build_bidirected,
-    find_potential,
     is_feasible_set,
     k4ek4_witness,
     named_graph,
+    random_distance_function,
     w4_witness,
 )
+from linfgraph.realizability import _Ctx, _part_certified
 
-from oracles import bellman_ford_potential, orientation_feasible
-
-
-def _forced_potential(g, d, f):
-    return find_potential(apply_forcing(build_bidirected(g, d), f))
+from oracles import orientation_feasible, potential_fits
 
 
 def _triangle(w12=1, w23=1, w13=1):
@@ -33,102 +27,59 @@ def _triangle(w12=1, w23=1, w13=1):
     return g, d
 
 
-# -- arc systems ----------------------------------------------------------------
-
-def test_build_bidirected_has_both_arcs():
-    g, d = _triangle(2, 3, 4)
-    lengths = build_bidirected(g, d)
-    assert lengths.length(1, 2) == 2 and lengths.length(2, 1) == 2
-    assert len(list(lengths.arcs())) == 6
-
-
-def test_apply_forcing_negates_exactly_the_orientation():
-    g, d = _triangle(2, 3, 4)
-    forced = apply_forcing(build_bidirected(g, d), Orientation.of([(2, 1)]))
-    assert forced.length(2, 1) == -2
-    assert forced.length(1, 2) == 2
-    assert forced.length(2, 3) == 3
-
-
-def test_apply_forcing_unknown_arc():
-    g, d = _triangle()
-    with pytest.raises(InputError):
-        apply_forcing(build_bidirected(g, d), Orientation.of([(1, 4)]))
-
+# -- orientations and the part check ------------------------------------------
 
 def test_orientation_rejects_both_arcs_of_an_edge():
     with pytest.raises(InputError):
         Orientation.of([(1, 2), (2, 1)])
 
 
-def test_orientation_reverse():
-    f = Orientation.of([(1, 2), (3, 2)])
-    assert set(f.reverse().arcs) == {(2, 1), (2, 3)}
-
-
-# -- find_potential ---------------------------------------------------------------
-
 def test_single_forced_edge_pins_the_gap():
     g = Graph.build(["u", "v"], [("u", "v")])
     d = DistanceFunction.from_values([7])
-    res = find_potential(apply_forcing(build_bidirected(g, d), Orientation.of([("u", "v")])))
-    assert isinstance(res, Potential)
-    assert res.values == {"u": Fraction(0), "v": Fraction(-7)}
+    orientation, potential = is_feasible_set(g, d, [("u", "v")])
+    assert orientation.arcs == (("u", "v"),)
+    assert potential.values == {"u": Fraction(0), "v": Fraction(-7)}
+    # the part check accepts exactly the gap 7 along the forced arc
+    for gap in (6, 7, 8, -7):
+        p = Potential({"u": Fraction(gap), "v": Fraction(0)})
+        assert _part_certified(g, d, orientation, p) == (gap == 7)
+    # an unforced edge only bounds the gap
+    assert _part_certified(g, d, Orientation.of([]), Potential({"u": 3, "v": -4}))
+    assert not _part_certified(g, d, Orientation.of([]), Potential({"u": 0}))
+    # an arc that is no edge of g is an input error, not a failed check
+    with pytest.raises(InputError):
+        _part_certified(g, d, Orientation.of([("v", "w")]), potential)
 
 
 def test_cyclically_forced_triangle_is_negative():
-    g, d = _triangle(1, 1, 1)
-    forced = apply_forcing(
-        build_bidirected(g, d), Orientation.of([(1, 2), (2, 3), (3, 1)])
-    )
-    res = find_potential(forced)
-    assert isinstance(res, NegativeCycle)
-    assert res.total < 0
-    assert sum(forced.length(u, v) for u, v in res.arcs()) == res.total
-
-
-@settings(max_examples=120, deadline=None)
-@given(st.data())
-def test_find_potential_matches_textbook_bellman_ford(data):
-    n = data.draw(st.integers(2, 5))
-    g = Graph.build(
-        range(n), [(i, j) for i in range(n) for j in range(i + 1, n)]
-    )
-    ws = data.draw(st.lists(st.integers(0, 8), min_size=g.m, max_size=g.m))
-    d = DistanceFunction.from_values(ws)
-    dirs = data.draw(st.lists(st.sampled_from([0, 1, None]), min_size=g.m, max_size=g.m))
-    arcs = []
-    for eid, dr in enumerate(dirs):
-        if dr is None:
-            continue
-        u, v = g.edges[eid]
-        arcs.append((u, v) if dr == 0 else (v, u))
-    forced = apply_forcing(build_bidirected(g, d), Orientation.of(arcs))
-    res = find_potential(forced)
-    oracle = bellman_ford_potential(
-        g.vertices, [(u, v, l) for (u, v), l in forced.arcs()]
-    )
-    if oracle is None:
-        assert isinstance(res, NegativeCycle)
-        assert res.total < 0
-        # the reported cycle really exists in the arc system
-        assert sum(forced.length(u, v) for u, v in res.arcs()) == res.total
-    else:
-        assert isinstance(res, Potential)
-        assert res.check(forced)
+    # 1->2 and 2->3 fit together (1 + 1 = d13); closing the cycle with 3->1
+    # makes it negative, and the relaxation rejects the closing arc
+    g, d = _triangle(1, 1, 2)
+    assert orientation_feasible(g, d, [(1, 2), (2, 3)])
+    assert not orientation_feasible(g, d, [(1, 2), (2, 3), (3, 1)])
+    ctx = _Ctx(g, d, 1)
+    part = ctx.try_add(ctx.try_add(ctx.empty, 0), 2)  # arcs 1->2 and 2->3
+    assert part is not None
+    assert ctx.try_add(part, 5) is None  # arc 3->1, against edge (1, 3)
 
 
 # -- feasibility ------------------------------------------------------------------
 
 def test_feasibility_matches_oracle_on_triangles():
+    # every orientation of a 3-4-5 triangle, folded in through the search's
+    # relaxation; a surviving part's potential passes the part check
     g, d = _triangle(3, 4, 5)
+    ctx = _Ctx(g, d, 1)
     for dirs in product((0, 1), repeat=3):
-        forced = [
-            (u, v) if dr == 0 else (v, u)
-            for (u, v), dr in zip(g.edges, dirs)
-        ]
-        lib = _forced_potential(g, d, Orientation.of(forced))
-        assert isinstance(lib, Potential) == orientation_feasible(g, d, forced)
+        forced = [(u, v) if dr == 0 else (v, u) for (u, v), dr in zip(g.edges, dirs)]
+        part = ctx.empty
+        for eid, dr in enumerate(dirs):
+            part = part and ctx.try_add(part, 2 * eid + dr)
+        assert (part is not None) == orientation_feasible(g, d, forced)
+        if part is not None:
+            potential = Potential({v: Fraction(x) for v, x in zip(g.vertices, part[1])})
+            assert _part_certified(g, d, Orientation.of(forced), potential)
 
 
 @settings(max_examples=80, deadline=None)
@@ -143,21 +94,19 @@ def test_reversal_symmetry(data):
     arcs = [
         (u, v) if dr else (v, u) for (u, v), dr in zip(g.edges[:k], dirs)
     ]
-    f = Orientation.of(arcs)
-    a = _forced_potential(g, d, f)
-    b = _forced_potential(g, d, f.reverse())
-    assert isinstance(a, Potential) == isinstance(b, Potential)
+    # reversing every forced arc keeps feasibility, so the search may fix
+    # the direction of the first edge it places in a part
+    assert orientation_feasible(g, d, arcs) == orientation_feasible(g, d, [(v, u) for u, v in arcs])
 
 
 def test_stars_are_always_feasible():
+    # so the stars around a vertex cover always realize
     for name in ("W_4", "K_5", "petersen", "K4eK4"):
         g = named_graph(name)
-        from linfgraph import random_distance_function
-
         d = random_distance_function(g, seed=11)
         for v in g.vertices:
-            star = Orientation.of([(u, v) for u in g.neighbors(v)])
-            assert isinstance(_forced_potential(g, d, star), Potential)
+            assert orientation_feasible(g, d, [(u, v) for u in g.neighbors(v)])
+            assert is_feasible_set(g, d, [(u, v) for u in g.neighbors(v)]) is not None
 
 
 def test_is_feasible_set_glued_clique_pair():
@@ -167,7 +116,7 @@ def test_is_feasible_set_glued_clique_pair():
     res = is_feasible_set(g, d, [(2, 3), (4, 5)])
     assert res is not None
     orientation, potential = res
-    assert potential.check(apply_forcing(build_bidirected(g, d), orientation))
+    assert potential_fits(g, d, orientation.arcs, potential.values)
 
 
 def test_is_feasible_set_empty_and_cap():
@@ -176,12 +125,10 @@ def test_is_feasible_set_empty_and_cap():
     assert len(orientation) == 0
     # a 31-edge set: feasibility has no size cap
     star = named_graph("star_31")
-    from linfgraph import random_distance_function
-
     ds = random_distance_function(star, seed=0)
     orientation, potential = is_feasible_set(star, ds, list(star.edges))
     assert {frozenset(a) for a in orientation.arcs} == {frozenset(e) for e in star.edges}
-    assert potential.check(apply_forcing(build_bidirected(star, ds), orientation))
+    assert potential_fits(star, ds, orientation.arcs, potential.values)
 
 
 def test_feasible_sets_downward_closed_on_witness():

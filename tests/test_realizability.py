@@ -16,16 +16,9 @@ from linfgraph import (
     FinfBounds,
     Graph,
     InputError,
-    NegativeCycle,
-    Orientation,
-    Potential,
     Realization,
-    apply_forcing,
-    arboricity,
-    build_bidirected,
     build_realization,
     decide_realizable,
-    find_potential,
     finf_bounds,
     is_feasible_set,
     k4ek4_witness,
@@ -45,13 +38,15 @@ from linfgraph.realizability import _Ctx, _generic_gate
 
 from atlas import connected_graphs_upto
 from oracles import (
-    brute_arboricity,
+    bellman_ford_potential,
     brute_is_generic,
     brute_min_dimension,
     brute_realizable,
     brute_vertex_cover,
     edge_set_feasible,
     feasible_family,
+    forced_arcs,
+    potential_fits,
 )
 
 
@@ -199,6 +194,18 @@ def test_failed_re_verification_raises(monkeypatch):
         decide_realizable(g, d, 3)
 
 
+def test_failed_part_check_raises_in_is_feasible_set(monkeypatch):
+    g, d = w4_witness()
+    assert is_feasible_set(g, d, [(1, 2)]) is not None
+    cover = decide_realizable(g, d, 3).cover
+    assert cover.check(g, d)
+    monkeypatch.setattr(realizability, "_part_certified", lambda *args: False)
+    with pytest.raises(RuntimeError):
+        is_feasible_set(g, d, [(1, 2)])
+    # Cover.check runs the same part check
+    assert not cover.check(g, d)
+
+
 def test_progress_callback_fires():
     g, d = w4_witness()
     seen = []
@@ -242,7 +249,7 @@ def test_is_feasible_set_matches_oracle(gd, data):
     if res is not None:
         orientation, potential = res
         assert {g.edge_id(u, v) for u, v in orientation.arcs} == eids
-        assert potential.check(apply_forcing(build_bidirected(g, d), orientation))
+        assert potential_fits(g, d, orientation.arcs, potential.values)
 
 
 @settings(max_examples=60, deadline=None)
@@ -254,7 +261,6 @@ def test_relaxation_matches_find_potential(gd, data):
     q = data.draw(st.integers(min_value=1, max_value=6))
     d = DistanceFunction(tuple(w / q for w in d.weights))
     ctx = _Ctx(g, d, 1)
-    base = build_bidirected(g, d)
     eids = data.draw(st.permutations(range(g.m)))
     dirs = data.draw(st.lists(st.integers(0, 1), min_size=g.m, max_size=g.m))
     part, arcs, blocked = ctx.empty, [], 0
@@ -262,16 +268,16 @@ def test_relaxation_matches_find_potential(gd, data):
         u, v = g.edges[eid]
         arcs.append((u, v) if dr == 0 else (v, u))
         blocked |= ctx.conflict[2 * eid + dr]
-        ref = find_potential(apply_forcing(base, Orientation.of(arcs)))
+        ref = bellman_ford_potential(g.vertices, forced_arcs(g, d, arcs))
         part = ctx.try_add(part, 2 * eid + dr)
         if part is None:
-            assert isinstance(ref, NegativeCycle)
+            assert ref is None
             return
-        assert isinstance(ref, Potential)
+        assert ref is not None
         _, dist, part_blocked, _ = part
         assert part_blocked == blocked
         for i, x in enumerate(g.vertices):
-            assert dist[i] == ref.values[x] * ctx.scale
+            assert dist[i] == ref[x] * ctx.scale
 
 
 # -- Cover and Realization checking --------------------------------------------
@@ -336,7 +342,7 @@ def test_verify_realization_input_errors():
         verify_realization(g, d, Realization({1: (0, 0), 2: (1,)}, 2))
 
 
-# -- vertex cover and arboricity ------------------------------------------------
+# -- vertex cover ----------------------------------------------------------------
 
 
 def test_vertex_cover_known_values():
@@ -347,26 +353,14 @@ def test_vertex_cover_known_values():
     assert vertex_cover_number(Graph.build([1], [])) == 0
 
 
-def test_arboricity_known_values():
-    assert arboricity(named_graph("K_7")) == 4
-    assert arboricity(named_graph("W_4")) == 2
-    assert arboricity(named_graph("path_6")) == 1
-    # a cycle is not itself a forest: ceil(5 / 4) = 2
-    assert arboricity(named_graph("C_5")) == 2
-    assert arboricity(Graph.build([1, 2], [])) == 0
-
-
 def test_bounds_match_brute_oracles_on_small_graphs():
     for g in connected_graphs_upto(5):
         assert vertex_cover_number(g) == brute_vertex_cover(g)
-        assert arboricity(g) == brute_arboricity(g)
 
 
 def test_caps_are_enforced():
     with pytest.raises(CapExceeded):
         vertex_cover_number(named_graph("path_33"))
-    with pytest.raises(CapExceeded):
-        arboricity(named_graph("path_21"))
 
 
 # -- min_dimension ---------------------------------------------------------------

@@ -93,6 +93,10 @@ def test_instance_field_diagnostics():
             {"vertices": [1, 2, 3],
              "edges": [{"u": 1, "v": 2, "d": "1"}, {"u": 1, "v": 3, "d": "x/y"}]}
         )
+    # a weight too long to write back, from the exponent form or a big int
+    for huge in ("1e5000", "1e-5000", 10**5000):
+        with pytest.raises(InputError, match="edges\\[0\\]: bad weight"):
+            instance_from_obj({"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "d": huge}]})
     with pytest.raises(InputError, match="vertex ids"):
         instance_from_obj({"vertices": [1.5], "edges": []})
     with pytest.raises(InputError, match="all or none"):
