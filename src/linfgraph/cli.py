@@ -15,7 +15,7 @@ import json
 import sys
 
 from .errors import CapExceeded, InputError
-from .graph_core import is_generic, validate_distance_function
+from .graph_core import _printable, is_generic, validate_distance_function
 from .instances import (
     Tree,
     k4ek4_witness,
@@ -76,7 +76,7 @@ def _cmd_validate(args) -> int:
         {
             "valid": report.valid,
             "violations": [
-                {"edge": list(v.edge), "path": list(v.path), "length": str(v.length)}
+                {"edge": list(v.edge), "path": list(v.path), "length": _printable(v.length)}
                 for v in report.violations
             ],
         }

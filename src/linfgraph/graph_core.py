@@ -1,10 +1,15 @@
 """Simple graphs with exact rational edge weights, plus structural preprocessing.
 
-Vertex ids are ints or strings.  Edge weights are `fractions.Fraction`
-throughout; floats are rejected at the boundary so every comparison made by
-the decision procedures is exact.  A weight function is *valid* when each
-edge is a shortest path between its endpoints, and *generic* when no cycle
-can be split into two edge sets of equal total weight.
+Vertex ids are ints or strings.  Edge weights are `fractions.Fraction` at
+every boundary; floats are rejected on input so every comparison made by
+the decision procedures is exact.  Inside, shortest paths and the
+genericity search run on integers: a `DistanceFunction` clears its
+denominators once (`scale`, `integers`), which preserves every sum and
+comparison exactly, and values leave the package as Fractions again.
+Certificates are re-checked in Fraction arithmetic.  A weight function is
+*valid* when each edge is a shortest path between its endpoints, and
+*generic* when no cycle can be split into two edge sets of equal total
+weight.
 """
 
 from __future__ import annotations
@@ -52,6 +57,16 @@ def to_fraction(x) -> Fraction:
 def format_fraction(q: Fraction) -> str:
     """Canonical 'num/den' form used in JSON files."""
     return f"{q.numerator}/{q.denominator}"
+
+
+def _printable(q) -> str:
+    """str(q) for a message, or a short note when q has more digits than
+    the interpreter converts to a string (its int-to-str limit)."""
+    try:
+        return str(q)
+    except ValueError:
+        return (f"<rational too long to print: {q.numerator.bit_length()}-bit numerator, "
+                f"{q.denominator.bit_length()}-bit denominator>")
 
 
 @dataclass(frozen=True)
@@ -170,9 +185,24 @@ class Graph:
 
 @dataclass(frozen=True)
 class DistanceFunction:
-    """Edge weights for a fixed graph, indexed by edge id.  Nonnegative, exact."""
+    """Edge weights for a fixed graph, indexed by edge id.  Nonnegative, exact.
+
+    `scale` (the lcm of the denominators) and `integers` (each weight times
+    `scale`) are the one cached clearing of denominators: shortest paths,
+    validation and the genericity search run on `integers`, and a value
+    that leaves the package is divided by `scale` back into a Fraction.
+    Certificates are re-checked against `weights` in Fraction arithmetic."""
 
     weights: tuple[Fraction, ...]
+
+    @cached_property
+    def scale(self) -> int:
+        return math.lcm(*(q.denominator for q in self.weights))
+
+    @cached_property
+    def integers(self) -> tuple[int, ...]:
+        scale = self.scale
+        return tuple(q.numerator * (scale // q.denominator) for q in self.weights)
 
     @classmethod
     def from_map(cls, g: Graph, mapping: Mapping) -> "DistanceFunction":
@@ -235,11 +265,13 @@ def shortest_path_table(g: Graph, weights):
     """All-pairs shortest distances and next-hop table, exact arithmetic.
 
     `weights` is any sequence indexed by edge id, such as a DistanceFunction
-    or a list; its values may be ints or Fractions, and None marks an edge
-    as absent.  Returns (vertices, dist, nxt) with rows and columns in
-    `g.vertices` order: dist[i][j] is None when j is unreachable from i, the
-    diagonal is the int 0, and nxt[i][j] is the index of the vertex after i
-    on a shortest i-j path.
+    or a list; its values are nonnegative ints or Fractions, and None marks
+    an edge as absent.  Returns (vertices, dist, nxt) with rows and columns
+    in `g.vertices` order: dist[i][j] is None when j is unreachable from i,
+    the diagonal is the int 0, and nxt[i][j] is the index of the vertex
+    after i on a shortest i-j path.  Callers in the package pass integers
+    (a DistanceFunction's `integers`), on which it runs several times
+    faster than on Fractions.
     """
     n = g.n
     vi = g.vertex_index
@@ -257,20 +289,22 @@ def shortest_path_table(g: Graph, weights):
             nxt[i][j] = j
             nxt[j][i] = i
     for k in range(n):
-        dk = dist[k]
+        # with nonnegative weights, pass k changes neither row k nor any
+        # nxt[i][k], so both are read once
+        row = [(j, dkj) for j, dkj in enumerate(dist[k]) if dkj is not None]
         for i in range(n):
-            dik = dist[i][k]
+            di = dist[i]
+            dik = di[k]
             if dik is None:
                 continue
-            di = dist[i]
             ni = nxt[i]
-            for j in range(n):
-                if dk[j] is None:
-                    continue
-                alt = dik + dk[j]
-                if di[j] is None or alt < di[j]:
+            nik = ni[k]
+            for j, dkj in row:
+                alt = dik + dkj
+                dij = di[j]
+                if dij is None or alt < dij:
                     di[j] = alt
-                    ni[j] = ni[k]
+                    ni[j] = nik
     return g.vertices, dist, nxt
 
 
@@ -292,13 +326,14 @@ def validate_distance_function(g: Graph, d: DistanceFunction) -> ValidationRepor
     its endpoints.  Violations carry an explicit shorter witness path."""
     if len(d.weights) != g.m:
         raise InputError("weight count does not match the graph")
-    _, dist, nxt = shortest_path_table(g, d)
+    w = d.integers
+    _, dist, nxt = shortest_path_table(g, w)
     violations = []
     for eid, (u, v) in enumerate(g.edges):
         i, j = g.vertex_index[u], g.vertex_index[v]
-        if dist[i][j] < d.weights[eid]:
+        if dist[i][j] < w[eid]:
             path = _reconstruct_path(g, nxt, i, j)
-            violations.append(Violation((u, v), path, dist[i][j]))
+            violations.append(Violation((u, v), path, Fraction(dist[i][j], d.scale)))
     return ValidationReport(not violations, tuple(violations))
 
 
@@ -324,19 +359,33 @@ class GenericityReport:
 
 
 def _simple_cycles(g: Graph) -> Iterator[tuple[int, ...]]:
-    """Yield each simple cycle once, as edge ids, keyed by its smallest edge id."""
+    """Yield each simple cycle once, as edge ids, keyed by its smallest edge id.
+
+    For each base edge uv, a depth-first search lists the simple paths from
+    v back to u over edges with larger ids.  Its stack holds the steps still
+    to take, each (vertex, edge into it, depth); the path's edges and
+    vertices, and the set of those vertices, are cut back to a step's depth
+    and extended in place, never copied."""
+    adjacency = g.adjacency
     for base, (u, v) in enumerate(g.edges):
-        # simple paths v -> u using only edges with id > base
-        stack = [(v, [base], {v})]
+        path, verts, used = [], [], set()
+        stack = [(v, base, 0)]
         while stack:
-            x, path_edges, used = stack.pop()
-            for y, eid in g.adjacency[x]:
-                if eid <= base:
-                    continue
-                if y == u:
-                    yield tuple(path_edges + [eid])
-                elif y not in used and y != u:
-                    stack.append((y, path_edges + [eid], used | {y}))
+            x, e, depth = stack.pop()
+            if len(verts) > depth:
+                used.difference_update(verts[depth:])
+                del verts[depth:]
+                del path[depth:]
+            path.append(e)
+            verts.append(x)
+            used.add(x)
+            depth += 1
+            for y, eid in adjacency[x]:
+                if eid > base:
+                    if y == u:
+                        yield (*path, eid)
+                    elif y not in used:
+                        stack.append((y, eid, depth))
 
 
 def _signed_sums(ws, first: int, stop: int, start: dict) -> dict:
@@ -375,11 +424,10 @@ def is_generic(g: Graph, d: DistanceFunction, budget: int = 10**6) -> Genericity
     """
     if len(d.weights) != g.m:
         raise InputError("weight count does not match the graph")
-    scale = math.lcm(*(q.denominator for q in d.weights))
-    return _split_search(g, [int(q * scale) for q in d.weights], budget)
+    return _split_search(g, d.integers, budget)
 
 
-def _split_search(g: Graph, w: list, budget: int) -> GenericityReport:
+def _split_search(g: Graph, w, budget: int) -> GenericityReport:
     """`is_generic` over integer weights w, indexed by edge id."""
     checked = 0
     for cycle in _simple_cycles(g):
@@ -403,11 +451,9 @@ def _split_search(g: Graph, w: list, budget: int) -> GenericityReport:
 
 
 def _metric_closure(g: Graph, d: DistanceFunction) -> DistanceFunction:
-    _, dist, _ = shortest_path_table(g, d)
-    out = []
-    for eid, (u, v) in enumerate(g.edges):
-        out.append(dist[g.vertex_index[u]][g.vertex_index[v]])
-    return DistanceFunction(tuple(out))
+    _, dist, _ = shortest_path_table(g, d.integers)
+    vi = g.vertex_index
+    return DistanceFunction(tuple(Fraction(dist[vi[u]][vi[v]], d.scale) for u, v in g.edges))
 
 
 def perturb_to_generic(
@@ -462,8 +508,7 @@ def perturb_to_generic(
         return d
     m = g.m
     low = min((w for w in d.weights if w > 0), default=Fraction(0))
-    den = math.lcm(*(w.denominator for w in d.weights))
-    t = Fraction(1, 2 ** max(20, (int(den * low) * m).bit_length() + 1))
+    t = Fraction(1, 2 ** max(20, (int(d.scale * low) * m).bit_length() + 1))
     scale = low / 2 ** (m + 3)
     exponents = list(range(1, m + 1))
     random.Random(seed).shuffle(exponents)

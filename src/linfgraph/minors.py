@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import InputError
 from .graph_core import (
@@ -469,21 +470,23 @@ def pullback_distance(g: Graph, emb: MinorEmbedding, d_h: DistanceFunction) -> D
     pattern: zero inside branch sets, the pattern weight on realizing edges,
     and shortest-path closure values elsewhere.  Edges left unreachable by
     the closure are zeroed one at a time, re-closing after each, which keeps
-    the result a valid distance function."""
+    the result a valid distance function.  The closure runs over integers,
+    the pattern weights times `d_h.scale`; the result is converted back to
+    Fractions and re-validated from them."""
     if not emb.check(g):
         raise InputError("embedding does not validate against the graph")
     h = emb.pattern
     if len(d_h.weights) != h.m:
         raise InputError("pattern weights do not match the pattern graph")
 
-    assigned: dict[int, object] = {}
+    assigned: dict[int, int] = {}
     for pv, bs in emb.branch_sets.items():
         sub = g.induced(bs)
         for u, v in sub.edges:
-            assigned[g.edge_id(u, v)] = 0  # exact zero, Fraction-compatible
+            assigned[g.edge_id(u, v)] = 0
     for pedge, (gu, gv) in emb.edge_realization.items():
         eid = g.edge_id(gu, gv)
-        w = d_h.of(h, *pedge)
+        w = d_h.integers[h.edge_id(*pedge)]
         prev = assigned.get(eid)
         if prev is not None and prev != w:
             raise InputError("realizing edge doubly assigned with different weights")
@@ -521,9 +524,7 @@ def pullback_distance(g: Graph, emb: MinorEmbedding, d_h: DistanceFunction) -> D
             "certificate weakened to the closure values",
             WeakenedCertificateWarning,
         )
-    from fractions import Fraction
-
-    result = DistanceFunction(tuple(Fraction(assigned[e]) for e in range(g.m)))
+    result = DistanceFunction(tuple(Fraction(assigned[e], d_h.scale) for e in range(g.m)))
     report = validate_distance_function(g, result)
     if not report.valid:
         raise RuntimeError("pullback closure must yield a valid distance function")

@@ -57,7 +57,6 @@ set's edges: `is_feasible_set` runs this engine, not a separate one.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,6 +67,7 @@ from .graph_core import (
     DistanceFunction,
     Graph,
     VertexId,
+    _printable,
     _split_search,
     blocks,
     is_generic,
@@ -222,8 +222,8 @@ class _Ctx:
         n, m = g.n, g.m
         self.n = n
         self.m = m
-        self.scale = math.lcm(*(q.denominator for q in d.weights)) if m else 1
-        self.w = [int(q * self.scale) for q in d.weights]
+        self.scale = d.scale
+        self.w = d.integers
         vi = g.vertex_index
         self.tail = [0] * (2 * m)
         self.head = [0] * (2 * m)
@@ -371,23 +371,25 @@ def _union(root: list, u: int, v: int) -> int:
     return 1
 
 
-def _generic_gate(g: Graph, w: list) -> bool:
+def _distinct_valuations(w) -> bool:
+    """Whether the integer weights w (denominators cleared) are nonzero
+    with pairwise distinct 2-adic valuations, an O(m) certificate that
+    they are generic.  Then every nonempty signed sum of them is nonzero:
+    its term of least valuation v is not divisible by 2**(v + 1) while
+    every other term is, so the sum is not either.  In particular no cycle
+    splits into two halves of equal weight."""
+    lowest = {x & -x for x in w}  # 2**valuation, 0 for a zero weight
+    return 0 not in lowest and len(lowest) == len(w)
+
+
+def _generic_gate(g: Graph, w) -> bool:
     """Whether the integer weights w on g are known to be generic, so that
     the forest rule is sound; decided cheaply, and False when in doubt.
 
-    Check 1, O(m): the integer weights w (denominators cleared) have
-    pairwise distinct 2-adic valuations.  Then every nonempty signed sum of
-    them is nonzero: its term of least valuation v is not divisible by
-    2**(v + 1) while every other term is, so the sum is not either.  In
-    particular no cycle splits into two halves of equal weight.
-
-    Check 2, otherwise: `is_generic` on w with the small budget
-    _GATE_BUDGET; 'not_generic' and 'budget_exceeded' both leave the rule
-    off."""
-    lowest = {x & -x for x in w}  # 2**valuation, 0 for a zero weight
-    if 0 not in lowest and len(lowest) == len(w):
-        return True
-    return _split_search(g, w, _GATE_BUDGET).status == "generic"
+    Check 1, O(m): `_distinct_valuations`.  Check 2, otherwise:
+    `is_generic` on w with the small budget _GATE_BUDGET; 'not_generic'
+    and 'budget_exceeded' both leave the rule off."""
+    return _distinct_valuations(w) or _split_search(g, w, _GATE_BUDGET).status == "generic"
 
 
 def _viable_remaining(ctx: _Ctx, pos: int, parts) -> bool:
@@ -660,7 +662,8 @@ def verify_realization(g: Graph, d: DistanceFunction, points, norm="inf") -> Ver
         else:
             got, want = sum((x * x for x in diffs), Fraction(0)), w * w
         if got != want:
-            return VerifyResult(False, (u, v), _MISMATCH[norm].format(got, want))
+            detail = _MISMATCH[norm].format(_printable(got), _printable(want))
+            return VerifyResult(False, (u, v), detail)
     return VerifyResult(True)
 
 
@@ -718,12 +721,14 @@ def min_dimension(
     or, when the weights are verified generic (every feasible part is then
     a forest), from the block-density bound: the largest
     ceil(m_B / (n_B - 1)) over the blocks B of g, which is at most the
-    arboricity and needs no size cap.  The scan ends by the vertex cover
-    number at the latest, where the stars around a minimum vertex cover
-    realize any weights.  The weights must be a valid distance function;
-    the first search raises InputError otherwise."""
+    arboricity and needs no size cap.  Genericity is verified by the O(m)
+    2-adic certificate `_distinct_valuations` when it applies, else by
+    `is_generic`.  The scan ends by the vertex cover number at the latest,
+    where the stars around a minimum vertex cover realize any weights.  The
+    weights must be a valid distance function; the first search raises
+    InputError otherwise."""
     k = 1
-    if is_generic(g, d).status == "generic":
+    if _distinct_valuations(d.integers) or is_generic(g, d).status == "generic":
         k = max(1, _block_density(g))
     while decide_realizable(g, d, k, threads=threads).cover is None:
         k += 1

@@ -168,6 +168,46 @@ def sp_by_relaxation(g: Graph, d: DistanceFunction):
     return out
 
 
+def fraction_floyd_warshall(g: Graph, weights):
+    """Textbook Floyd-Warshall in Fraction arithmetic over vertex pairs.
+    weights: indexed by edge id, None for an absent edge.  Returns
+    {(a, b): distance or None}."""
+    dist = {(a, b): Fraction(0) if a == b else None for a in g.vertices for b in g.vertices}
+    for eid, (u, v) in enumerate(g.edges):
+        w = weights[eid]
+        if w is not None:
+            w = Fraction(w)
+            for a, b in ((u, v), (v, u)):
+                if dist[a, b] is None or w < dist[a, b]:
+                    dist[a, b] = w
+    for k in g.vertices:
+        for a in g.vertices:
+            for b in g.vertices:
+                if dist[a, k] is None or dist[k, b] is None:
+                    continue
+                if dist[a, b] is None or dist[a, k] + dist[k, b] < dist[a, b]:
+                    dist[a, b] = dist[a, k] + dist[k, b]
+    return dist
+
+
+def copying_simple_cycles(g: Graph):
+    """The simple-cycle enumeration as first written, copying the path and
+    the visited set at every step: each cycle once, as edge ids, keyed by
+    its smallest edge id, in the order the library's enumeration must
+    keep (genericity reports and budget cut-offs depend on it)."""
+    for base, (u, v) in enumerate(g.edges):
+        stack = [(v, [base], {v})]
+        while stack:
+            x, path_edges, used = stack.pop()
+            for y, eid in g.adjacency[x]:
+                if eid <= base:
+                    continue
+                if y == u:
+                    yield tuple(path_edges + [eid])
+                elif y not in used and y != u:
+                    stack.append((y, path_edges + [eid], used | {y}))
+
+
 def brute_vertex_cover(g: Graph) -> int:
     for size in range(g.n + 1):
         for subset in combinations(g.vertices, size):

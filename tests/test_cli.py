@@ -205,6 +205,34 @@ def test_validate(run, w4_file, tmp_path):
     assert not report["valid"] and report["violations"][0]["edge"] == [1, 2]
 
 
+def test_unprintable_numbers_keep_the_verdict(run, tmp_path):
+    # values past the interpreter's int-to-str limit: a violation's path
+    # length with a denominator of about 6,000 digits, and a squared
+    # distance of 6,001 digits from a coordinate of 3,001
+    big = 10**3000
+    tri = tmp_path / "tri.json"
+    tri.write_text(json.dumps({
+        "vertices": [1, 2, 3],
+        "edges": [{"u": 1, "v": 2, "d": f"1/{big + 1}"},
+                  {"u": 2, "v": 3, "d": f"1/{big + 3}"},
+                  {"u": 1, "v": 3, "d": "1/1"}],
+    }))
+    code, out, err = run("validate", str(tri))
+    assert code == 1 and "Traceback" not in err
+    (violation,) = json.loads(out)["violations"]
+    assert violation["edge"] == [1, 3] and "too long to print" in violation["length"]
+
+    cert = tmp_path / "far.json"
+    cert.write_text(json.dumps({
+        "type": "realization", "k": 1,
+        "points": [[1, ["0"]], [2, ["1e3000"]], [3, ["0"]]],
+    }))
+    code, out, err = run("verify", str(tri), "--certificate", str(cert), "--norm", "2")
+    assert code == 1 and "Traceback" not in err
+    report = json.loads(out)
+    assert report["ok"] is False and "too long to print" in report["detail"]
+
+
 def test_commands_require_weights(run, tmp_path):
     p = tmp_path / "plain.json"
     save_instance(named_graph("K_3"), None, p)

@@ -15,9 +15,16 @@ from linfgraph import (
     suppress_degree_2,
     validate_distance_function,
 )
-from linfgraph.graph_core import to_fraction
+from linfgraph.graph_core import _metric_closure, _simple_cycles, to_fraction
 
-from oracles import brute_cycles, brute_is_generic, sp_by_relaxation
+from atlas import connected_graphs_upto
+from oracles import (
+    brute_cycles,
+    brute_is_generic,
+    copying_simple_cycles,
+    fraction_floyd_warshall,
+    sp_by_relaxation,
+)
 
 
 # -- strategies ----------------------------------------------------------------
@@ -85,6 +92,13 @@ def test_distance_function_from_map_checks():
         DistanceFunction.from_map(g, {(1, 2): -1, (2, 3): 1})
 
 
+def test_distance_function_clears_denominators_once():
+    d = DistanceFunction.from_values(["1/2", "2/3", 0, 5])
+    assert d.scale == 6 and d.integers == (3, 4, 0, 30)
+    assert d.integers is d.integers
+    assert DistanceFunction(()).scale == 1 and DistanceFunction(()).integers == ()
+
+
 # -- validation ----------------------------------------------------------------
 
 def test_validate_flags_long_edge_with_witness_path():
@@ -121,6 +135,62 @@ def test_metric_closure_is_valid(gd):
     vi = g.vertex_index
     closed = DistanceFunction(tuple(dist[vi[u]][vi[v]] for u, v in g.edges))
     assert validate_distance_function(g, closed).valid
+
+
+_MIXED = st.builds(Fraction, st.integers(0, 20), st.sampled_from([1, 2, 3, 4, 6, 7, 9]))
+
+
+@st.composite
+def mixed_weights(draw, absent=False):
+    """A small graph with mixed-denominator weights, zeros included, and,
+    with absent, some edges marked None."""
+    g = draw(small_graph())
+    value = st.none() | _MIXED if absent else _MIXED
+    return g, draw(st.lists(value, min_size=g.m, max_size=g.m))
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_weights(absent=True))
+def test_shortest_path_table_on_cleared_integers(gw):
+    g, ws = gw
+    expect = fraction_floyd_warshall(g, ws)
+    vs, dist, nxt = shortest_path_table(g, ws)
+    assert {(a, b): dist[i][j] for i, a in enumerate(vs) for j, b in enumerate(vs)} == expect
+    weight = {}
+    for w, (a, b) in zip(ws, g.edges):
+        if w is not None:
+            weight[a, b] = weight[b, a] = w
+    for i, a in enumerate(vs):
+        for j, b in enumerate(vs):
+            if dist[i][j] is not None:  # the next hops walk a shortest path
+                hops = [i]
+                while hops[-1] != j and len(hops) <= g.n:
+                    hops.append(nxt[hops[-1]][j])
+                assert hops[-1] == j
+                assert sum(weight[vs[x], vs[y]] for x, y in zip(hops, hops[1:])) == dist[i][j]
+    scale = 2520  # a common multiple of every denominator drawn
+    _, idist, inxt = shortest_path_table(g, [None if w is None else int(w * scale) for w in ws])
+    assert inxt == nxt
+    assert idist == [[None if x is None else x * scale for x in row] for row in dist]
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_weights())
+def test_validation_and_closure_match_fraction_floyd_warshall(gw):
+    g, ws = gw
+    d = DistanceFunction(tuple(ws))
+    sp = fraction_floyd_warshall(g, ws)
+    report = validate_distance_function(g, d)
+    short = [e for e, w in zip(g.edges, ws) if sp[e] < w]
+    assert report.valid == (not short)
+    assert [v.edge for v in report.violations] == short
+    for v in report.violations:
+        assert type(v.length) is Fraction and v.length == sp[v.edge]
+        assert (v.path[0], v.path[-1]) == v.edge
+        assert sum(d.of(g, a, b) for a, b in zip(v.path, v.path[1:])) == v.length
+    closed = _metric_closure(g, d)
+    assert all(type(w) is Fraction for w in closed.weights)
+    assert closed.weights == tuple(sp[e] for e in g.edges)
 
 
 # -- genericity ----------------------------------------------------------------
@@ -181,6 +251,13 @@ def test_is_generic_matches_brute_force(gd):
         assert report.cycle[0] in report.subset and report.subset <= set(report.cycle)
         total = sum(d.weights[e] for e in report.cycle)
         assert sum(d.weights[e] for e in report.subset) * 2 == total
+
+
+def test_simple_cycles_keep_the_copying_order():
+    graphs = list(connected_graphs_upto(6))
+    graphs.append(Graph.build(range(7), [(i, j) for i in range(7) for j in range(i + 1, 7)]))
+    for g in graphs:
+        assert list(_simple_cycles(g)) == list(copying_simple_cycles(g))
 
 
 # -- perturbation --------------------------------------------------------------

@@ -21,6 +21,7 @@ from linfgraph import (
     validate_distance_function,
     w4_witness,
 )
+from linfgraph.graph_core import format_fraction
 
 
 # -- named graphs -----------------------------------------------------------
@@ -191,6 +192,39 @@ def test_random_distance_function_is_deterministic_valid_and_generic():
     assert random_distance_function(g, seed=8).weights != d1.weights
     assert validate_distance_function(g, d1).valid
     assert is_generic(g, d1).status == "generic"
+
+
+# random_distance_function(named_graph(name), seed), exactly; every draw here
+# is perturbed, so the pins cover the closure, the genericity check and the blend
+_RANDOM_PINS = {
+    ("C_14", 62): [
+        "380490127971/16777216", "573109185627/67108864", "2144732856943611/68719476736",
+        "510999962695/8388608", "43612130596347/1073741824", "12517670377851/268435456",
+        "752490991723/33554432", "52658397358075/2147483648", "90932962958331/4294967296",
+        "547071199483/536870912", "293431889998843/8589934592", "773230831518715/34359738368",
+        "276441019753467/17179869184", "532172850235/134217728",
+    ],
+    ("petersen", 1): [
+        "147740024585/8388608", "1110248005205/134217728", "4594992167452949/137438953472",
+        "259308405693/16777216", "139453160424725/2147483648", "253042052458773/4294967296",
+        "926337665245461/17179869184", "26713060563989/536870912", "29549346958101/1073741824",
+        "825639575541/67108864", "466304155758869/8589934592", "255361341096213/68719476736",
+        "1714428518309/33554432", "15226718320533/268435456", "9517642989845/34359738368",
+    ],
+    ("K_6", 13): [
+        "7669999212249/268435456", "3116264358361/134217728", "836452704125401/34359738368",
+        "88839472557/4194304", "331382196158937/17179869184", "7093669080025/536870912",
+        "26371075017177/1073741824", "750008009817/67108864", "155759540409/16777216",
+        "87973735100889/4294967296", "50001969324505/8589934592", "32958817441/8388608",
+        "618944493145/33554432", "34716223465/2097152", "4063037125081/2147483648",
+    ],
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(_RANDOM_PINS))
+def test_random_distance_function_is_pinned(name, seed):
+    d = random_distance_function(named_graph(name), seed)
+    assert [format_fraction(w) for w in d.weights] == _RANDOM_PINS[name, seed]
 
 
 def test_random_distance_function_needs_connectivity():

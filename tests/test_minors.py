@@ -3,6 +3,7 @@
 import random
 import time
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -338,6 +339,19 @@ def test_pullback_contracts_one_cycle_edge():
     assert emb.check(c4)
     out = pullback_distance(c4, emb, DistanceFunction.from_values([1, 1, 1]))
     assert out.to_map(c4) == {(1, 2): 1, (1, 4): 1, (2, 3): 1, (3, 4): 0}
+
+
+def test_pullback_closes_fractional_pattern_weights():
+    # vertex 4 is in no branch set: its first edge is zeroed, and the closure
+    # then gives the others the pattern distances 1/2 and 2/3
+    k3, k4 = named_graph("K_3"), named_graph("K_4")
+    d_h = DistanceFunction.from_values(["1/2", "2/3", "1/3"])
+    out = pullback_distance(k4, _identity_embedding(k3), d_h)
+    assert out.to_map(k4) == {
+        (1, 2): Fraction(1, 2), (1, 3): Fraction(2, 3), (1, 4): 0,
+        (2, 3): Fraction(1, 3), (2, 4): Fraction(1, 2), (3, 4): Fraction(2, 3),
+    }
+    assert all(type(w) is Fraction for w in out.weights)
 
 
 def test_pullback_weakens_inconsistent_pattern_weights():

@@ -34,7 +34,7 @@ from linfgraph import (
     w4_witness,
 )
 from linfgraph import realizability
-from linfgraph.realizability import _Ctx, _generic_gate
+from linfgraph.realizability import _Ctx, _distinct_valuations, _generic_gate
 
 from atlas import connected_graphs_upto
 from oracles import (
@@ -138,7 +138,9 @@ def test_distinct_valuations_open_the_gate(data):
         [(2 * o + 1) * Fraction(2) ** v for o, v in zip(odds, exps)])
     assert brute_is_generic(g, d)
     scale = math.lcm(*(q.denominator for q in d.weights))
-    assert _generic_gate(g, [int(q * scale) for q in d.weights])
+    w = [int(q * scale) for q in d.weights]
+    assert list(d.integers) == w
+    assert _distinct_valuations(w) and _generic_gate(g, w)
 
 
 def test_edgeless_graph_realizes_immediately():
@@ -384,6 +386,24 @@ def test_tk4_path3_needs_three_dimensions():
     path3 = Graph.build(["a", "b", "c"], [("a", "b"), ("b", "c")])
     g, d = tk4_instance(Tree.build(path3))
     assert min_dimension(g, d) == 3
+
+
+def test_min_dimension_starts_from_the_valuation_certificate(monkeypatch):
+    # 5, 6, 4 have 2-adic valuations 0, 1, 2: generic with no cycle search,
+    # so the scan starts at the block-density bound, 2 for a triangle
+    def no_cycle_search(*args, **kwargs):
+        raise AssertionError("is_generic ran although the valuations certify genericity")
+
+    tried = []
+
+    def recording(g, d, k, **kwargs):
+        tried.append(k)
+        return decide_realizable(g, d, k, **kwargs)
+
+    monkeypatch.setattr(realizability, "is_generic", no_cycle_search)
+    monkeypatch.setattr(realizability, "decide_realizable", recording)
+    assert min_dimension(named_graph("C_3"), DistanceFunction.from_values([5, 6, 4])) == 2
+    assert tried == [2]
 
 
 def test_min_dimension_rejects_invalid_weights():
