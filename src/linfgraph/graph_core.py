@@ -55,8 +55,16 @@ def to_fraction(x) -> Fraction:
 
 
 def format_fraction(q: Fraction) -> str:
-    """Canonical 'num/den' form used in JSON files."""
-    return f"{q.numerator}/{q.denominator}"
+    """Canonical 'num/den' form used in JSON files.  A value with more
+    digits than the interpreter converts to a string (its int-to-str limit)
+    raises InputError, so a file is never written with it."""
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise InputError(
+            f"rational too long to write: {q.numerator.bit_length()}-bit numerator, "
+            f"{q.denominator.bit_length()}-bit denominator"
+        ) from None
 
 
 def _printable(q) -> str:

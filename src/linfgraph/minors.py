@@ -3,15 +3,17 @@
 A graph needs more than two dimensions for some weights exactly when it has
 a minor isomorphic to one of two patterns: the 4-wheel W4, or two 4-cliques
 glued along an edge that is then removed (K4eK4).  `classify_dim2` decides
-this per block, after suppressing degree-2 vertices.  The W4 half is
-structural: the block is split at separation pairs, and it has a W4 minor
-iff some piece is 3-connected with at least five vertices.  That rests on
-two facts: a 3-connected minor of a 2-sum lies inside one of the summands
-(Tutte), and every 3-connected graph on at least five vertices has an edge
-whose contraction keeps it 3-connected (Thomassen), so contracting down to
-five vertices, where W4 is spanning, builds the witness.  K4eK4 is still
-found by the exact branch-set search, which `contains_minor` also uses.  A
-positive verdict always carries a re-validated embedding.
+this per block, after suppressing degree-2 vertices, with no search: the
+block is split at separation pairs (Tutte's 2-sum decomposition).  It has a
+W4 minor iff some piece is 3-connected with at least five vertices: a
+3-connected minor of a 2-sum lies inside one of the summands (Tutte), and
+every 3-connected graph on at least five vertices has an edge whose
+contraction keeps it 3-connected (Thomassen), so contracting down to five
+vertices, where the wheel is written down, builds the witness.  Otherwise it
+has a K4eK4 minor iff at least two pieces are K4s, and the witness joins two
+of them by two disjoint paths.  The exact branch-set search serves
+`contains_minor` alone.  A positive verdict always carries a re-validated
+embedding.
 `pullback_distance` transports weights from a minor pattern up to the host
 graph (zero inside branch sets, shortest-path closure elsewhere), so
 non-realizability witnesses transfer along minors, and
@@ -26,8 +28,10 @@ so the same two patterns are excluded in both settings.
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 
 from .errors import InputError
 from .graph_core import (
@@ -243,16 +247,16 @@ def _lift_through_suppression(emb: MinorEmbedding, log) -> MinorEmbedding:
     )
 
 
-# -- separation-pair pieces (the W4 half of the classifier) ----------------------
+# -- separation-pair pieces -------------------------------------------------------
 #
 # A piece of a 2-connected graph is one side of a split at a separation pair
-# {a, b} plus a virtual edge ab, which stands for an a-b path through the other
-# side.  A piece is a pair (adj, hanging): neighbor sets over the vertex indices
-# of the split graph, which keep set iteration deterministic whatever the vertex
-# ids, and a map from each virtual edge (a, b), a < b, to its hanging side, the
-# vertices the splits cut away behind it.  Hanging sides of different virtual
-# edges of one piece are disjoint from each other and from the piece, and each
-# holds the interior of an a-b path of the split graph.
+# {a, b} plus a virtual edge ab when ab is not an edge of the split graph; the
+# virtual edge stands for an a-b path through the other side.  A piece maps each
+# of its vertices to its neighbor set, over the vertex indices of the split graph,
+# which keeps set iteration deterministic whatever the vertex ids.  Each component
+# of the split graph minus a 3-connected piece attaches to the two ends of one
+# edge of the piece; the components at ab are the side of ab, and a virtual edge
+# is routed through its side.  Sides of different edges are disjoint.
 
 
 def _cut_vertex(adj: dict, gone: set):
@@ -299,31 +303,23 @@ def _index_adjacency(g: Graph) -> dict:
     return adj
 
 
-def _split_side(piece: tuple, keep: set, a: int, b: int, real_ab: bool) -> tuple:
+def _split_side(adj: dict, keep: set, a: int, b: int, real_ab: bool) -> dict:
     """The side of a piece on the vertices keep, which hold a and b, plus the
     virtual edge ab when ab is not an edge of the split graph."""
-    padj, phanging = piece
-    adj = {v: padj[v] & keep for v in keep}
-    ab = (min(a, b), max(a, b))
-    hanging = {e: h for e, h in phanging.items()
-               if e != ab and e[0] in keep and e[1] in keep}
+    side = {v: adj[v] & keep for v in keep}
     if not real_ab:
-        adj[a].add(b)
-        adj[b].add(a)
-        behind = set(padj).union(*phanging.values())
-        behind -= keep.union(*hanging.values())
-        hanging[ab] = frozenset(behind)
-    return adj, hanging
+        side[a].add(b)
+        side[b].add(a)
+    return side
 
 
 def _three_connected_pieces(g: Graph):
     """Yield the 3-connected pieces (at least four vertices) of a
     2-connected graph g, split at separation pairs until none is left."""
     adj0 = _index_adjacency(g)
-    work = [(adj0, {})]
+    work = [adj0]
     while work:
-        piece = work.pop()
-        adj = piece[0]
+        adj = work.pop()
         if len(adj) < 4:
             continue
         pair = None
@@ -333,7 +329,7 @@ def _three_connected_pieces(g: Graph):
                 pair = a, b
                 break
         if pair is None:
-            yield piece
+            yield adj
             continue
         a, b = pair
         start = next(v for v in adj if v != a and v != b)
@@ -344,18 +340,138 @@ def _three_connected_pieces(g: Graph):
                     comp.add(y)
                     stack.append(y)
         real_ab = b in adj0[a]
-        work.append(_split_side(piece, set(adj) - comp, a, b, real_ab))
-        work.append(_split_side(piece, comp | {a, b}, a, b, real_ab))
+        work.append(_split_side(adj, set(adj) - comp, a, b, real_ab))
+        work.append(_split_side(adj, comp | {a, b}, a, b, real_ab))
 
 
-def _wheel_in_piece(g: Graph, piece: tuple) -> MinorEmbedding:
+def _sides(gadj: dict, piece: dict) -> dict:
+    """The components of the split graph gadj minus the piece's vertices,
+    merged by the pair (a, b), a < b, of piece vertices they attach to."""
+    sides, seen = {}, set(piece)
+    for s in gadj:
+        if s in seen:
+            continue
+        comp, stack, ends = {s}, [s], set()
+        seen.add(s)
+        while stack:
+            for y in gadj[stack.pop()]:
+                if y in piece:
+                    ends.add(y)
+                elif y not in seen:
+                    seen.add(y)
+                    comp.add(y)
+                    stack.append(y)
+        sides.setdefault(tuple(sorted(ends)), set()).update(comp)
+    return sides
+
+
+def _path_through(gadj: dict, a: int, b: int, sides: dict) -> list:
+    """Interior of an a-b path for the piece edge ab: empty when ab is an
+    edge of the split graph gadj, else through the side of ab."""
+    if b in gadj[a]:
+        return []
+    inside = sides.get((min(a, b), max(a, b)))
+    if inside is None:
+        raise RuntimeError("a virtual edge has no side to route through")
+    prev, stack = {a: None}, [a]
+    while b not in prev:
+        if not stack:
+            raise RuntimeError("a virtual edge has no path through its side")
+        x = stack.pop()
+        for y in gadj[x]:
+            if y not in prev and (y in inside or y == b):
+                prev[y] = x
+                stack.append(y)
+    path = []
+    x = prev[b]
+    while x != a:
+        path.append(x)
+        x = prev[x]
+    return path[::-1]
+
+
+def _two_disjoint_paths(gadj: dict, starts: tuple, ends: set) -> list:
+    """Two vertex-disjoint paths, one from each of the two starts to one of
+    the two ends, as vertex lists (a start that is an end is a one-vertex
+    path).  They are found as two augmenting paths of a unit flow in which
+    vertex v is entered at node 2v and left at node 2v + 1, so that each
+    vertex carries at most one path (Menger)."""
+    source, sink = -1, -2
+
+    def forward(node):
+        if node == source:
+            return [2 * v for v in starts]
+        v, out = divmod(node, 2)
+        if not out:
+            return [node + 1]
+        nxt = [2 * y for y in gadj[v]]
+        return nxt + [sink] if v in ends else nxt
+
+    flow = set()
+    for _ in range(2):
+        back = {n: p for p, n in flow if n != sink}
+        prev, queue = {source: None}, deque([source])
+        while sink not in prev:
+            if not queue:
+                raise RuntimeError("no two disjoint paths join the separation pairs")
+            node = queue.popleft()
+            steps = [m for m in forward(node) if (node, m) not in flow]
+            if node in back:
+                steps.append(back[node])
+            for m in steps:
+                if m not in prev:
+                    prev[m] = node
+                    queue.append(m)
+        node = sink
+        while node != source:
+            p = prev[node]
+            if (node, p) in flow:
+                flow.discard((node, p))
+            else:
+                flow.add((p, node))
+            node = p
+    succ = {p: n for p, n in flow if p != source}
+    paths = []
+    for v in starts:
+        node, path = 2 * v, []
+        while node != sink:
+            if node % 2 == 0:
+                path.append(node // 2)
+            node = succ[node]
+        paths.append(path)
+    return paths
+
+
+def _wheel_at_five(five: Graph) -> MinorEmbedding:
+    """The W4 embedding in a 3-connected graph on five vertices, written
+    down.  Every degree is at least 3 and five degrees of 3 would sum to an
+    odd number, so some vertex has degree 4: the hub.  The other four
+    induce a 2-connected graph, which has a Hamiltonian 4-cycle: the rim.
+    The first hub in vertex order is taken, then the first rim listed from
+    the first of the other vertices."""
+    hub = next((v for v in five.vertices if five.degree(v) == 4), None)
+    if hub is not None:
+        first, *rest = (v for v in five.vertices if v != hub)
+        for order in permutations(rest):
+            rim = (first, *order)
+            if all(five.has_edge(u, v) for u, v in zip(rim, rim[1:] + rim[:1])):
+                *rim_pvs, hub_pv = _W4.vertices  # W_4: rim 1..4 in cycle order, hub 5
+                at = dict(zip((hub_pv, *rim_pvs), (hub, *rim)))
+                return MinorEmbedding(
+                    _W4,
+                    {pv: frozenset({x}) for pv, x in at.items()},
+                    {(pu, pv): (at[pu], at[pv]) for pu, pv in _W4.edges},
+                )
+    raise RuntimeError("a 3-connected graph on five vertices has no W4")
+
+
+def _wheel_in_piece(g: Graph, piece: dict) -> MinorEmbedding:
     """A W4 embedding in g from its 3-connected piece on at least five
     vertices.  Contract edges of the piece while it stays 3-connected (one
-    always does: Thomassen, JCTB 1980) down to five vertices, where W4 is
-    spanning; then expand the contracted classes into branch sets and route
-    each used virtual edge through its hanging side."""
-    padj, hanging = piece
-    adj = {v: set(ns) for v, ns in padj.items()}
+    always does: Thomassen, JCTB 1980) down to five vertices, write the
+    wheel down there, then expand the contracted classes into branch sets
+    and route each used virtual edge through its side."""
+    adj = {v: set(ns) for v, ns in piece.items()}
     classes = {v: [v] for v in adj}
     while len(adj) > 5:
         # adj/uv is 3-connected iff adj minus {u, v} has no cut vertex
@@ -370,49 +486,26 @@ def _wheel_in_piece(g: Graph, piece: tuple) -> MinorEmbedding:
                 adj[x].add(u)
                 adj[u].add(x)
         classes[u] += classes.pop(v)
-    five = Graph.build(adj, [(u, v) for u in adj for v in adj[u] if u < v])
-    emb5 = _minor_search(five, _W4)
-    if emb5 is None:
-        raise RuntimeError("a 3-connected graph on five vertices has no W4")
+    emb5 = _wheel_at_five(Graph.build(adj, [(u, v) for u in adj for v in adj[u] if u < v]))
 
     gadj = _index_adjacency(g)
-
-    def through(a: int, b: int) -> list:
-        """Interior of an a-b path inside the hanging side of virtual ab."""
-        inside = hanging[(min(a, b), max(a, b))]
-        prev, stack = {a: None}, [a]
-        while b not in prev:
-            if not stack:
-                raise RuntimeError("a virtual edge has no path through its hanging side")
-            x = stack.pop()
-            for y in gadj[x]:
-                if y not in prev and (y in inside or y == b):
-                    prev[y] = x
-                    stack.append(y)
-        path = []
-        x = prev[b]
-        while x != a:
-            path.append(x)
-            x = prev[x]
-        return path[::-1]
-
+    sides = _sides(gadj, piece)
     owner = {}
     bsets = {}
     for pv, (rep,) in emb5.branch_sets.items():
         bsets[pv] = set(classes[rep])
         for x in classes[rep]:
             owner[x] = pv
-    for a, b in hanging:
-        if a in owner and owner.get(b) == owner[a]:
-            bsets[owner[a]].update(through(a, b))
+    for a in piece:
+        for b in piece[a]:
+            if a < b and owner[a] == owner[b]:
+                bsets[owner[a]].update(_path_through(gadj, a, b, sides))
     real = {}
     for pedge, (x, y) in emb5.edge_realization.items():
-        a, b = next((a, b) for a in classes[x] for b in classes[y] if b in padj[a])
-        if (min(a, b), max(a, b)) in hanging:
-            path = through(a, b)
-            bsets[pedge[0]].update(path)
-            a = path[-1]
-        real[pedge] = (g.vertices[a], g.vertices[b])
+        a, b = next((a, b) for a in classes[x] for b in classes[y] if b in piece[a])
+        path = _path_through(gadj, a, b, sides)
+        bsets[pedge[0]].update(path)
+        real[pedge] = (g.vertices[path[-1] if path else a], g.vertices[b])
     return MinorEmbedding(
         _W4,
         {pv: frozenset(g.vertices[x] for x in s) for pv, s in bsets.items()},
@@ -420,32 +513,100 @@ def _wheel_in_piece(g: Graph, piece: tuple) -> MinorEmbedding:
     )
 
 
+def _glued_cliques(g: Graph, p: dict, q: dict) -> MinorEmbedding:
+    """A K4eK4 embedding in g from two of its K4 pieces p and q (the proof
+    is in `classify_dim2`).  ab is the edge of p whose side holds the
+    vertices of q not in p, and xy the edge of q whose side holds those of
+    p not in q; two disjoint paths join a, b to x, y.  The path from a is
+    the branch set of 0 and the one from b that of 1; the other two
+    vertices of p are 2 and 3, those of q are 4 and 5.  The edges of p
+    other than ab and of q other than xy realize the pattern's, each
+    virtual one routed through its side."""
+    gadj = _index_adjacency(g)
+    sides_p, sides_q = _sides(gadj, p), _sides(gadj, q)
+    a, b = next(e for e, s in sides_p.items() if not s.isdisjoint(q))
+    x, y = next(e for e, s in sides_q.items() if not s.isdisjoint(p))
+    from_a, from_b = _two_disjoint_paths(gadj, (a, b), {x, y})
+    c, d = sorted(set(p) - {a, b})
+    z, w = sorted(set(q) - {x, y})
+    # K4eK4: the cliques 0123 and 0145 without the edge 01
+    chains = {0: from_a, 1: from_b, 2: [c], 3: [d], 4: [z], 5: [w]}
+    bsets = {pv: set(chain) for pv, chain in chains.items()}
+    real = {}
+    for pu, pv in _K4E.edges:
+        if pv <= 3:  # an edge of p, between the first vertices of the chains
+            u, v, sides = chains[pu][0], chains[pv][0], sides_p
+        else:  # an edge of q, between their last vertices
+            u, v, sides = chains[pu][-1], chains[pv][-1], sides_q
+        path = _path_through(gadj, u, v, sides)
+        bsets[pu].update(path)
+        real[(pu, pv)] = (g.vertices[path[-1] if path else u], g.vertices[v])
+    return MinorEmbedding(
+        _K4E,
+        {pv: frozenset(g.vertices[x] for x in s) for pv, s in bsets.items()},
+        real,
+    )
+
+
 def classify_dim2(g: Graph) -> Classification:
     """Excluded-minor test for two-dimensional realizability of all weights
-    (max norm and, equivalently, sum norm).
+    (max norm and, equivalently, sum norm), with no branch-set search.
 
-    Each block is reduced by `suppress_degree_2` and split at separation
-    pairs.  The block has a W4 minor iff some piece is 3-connected with at
-    least five vertices: every piece is a minor of the block, a 3-connected
-    minor of a 2-sum lies inside one summand (Tutte), and a 3-connected graph
-    on at least five vertices contracts, keeping 3-connectivity (Thomassen's
-    contractible edge), to a five-vertex graph that contains W4.  The witness
-    comes from that contraction.  Blocks with no such piece are searched for
-    K4eK4 by the exact branch-set search.  Every witness is re-checked on the
-    reduced block and on g."""
+    Each block is reduced by `suppress_degree_2`; a reduced block on five
+    or more vertices is 2-connected with minimum degree 3.  It is split at
+    separation pairs (Tutte, Connectivity in Graphs, 1966).  The pieces
+    with at least four vertices and no separation pair are its 3-connected
+    components; those on four vertices are K4s.  Every piece is a minor of
+    the block, each virtual edge contracted from a path through its side.
+
+    W4.  The block has a W4 minor iff some piece has at least five
+    vertices.  W4 is 3-connected, and a 3-connected minor of a 2-sum lies
+    inside one summand.  Conversely a 3-connected graph on at least five
+    vertices contracts, keeping 3-connectivity (Thomassen's contractible
+    edge), to five vertices, where `_wheel_at_five` writes the wheel down.
+
+    K4eK4.  When every piece has at most four vertices, the block has a
+    K4eK4 minor iff at least two pieces are K4s.
+    If: let P and Q be K4 pieces.  Let ab be the edge of P whose side holds
+    the vertices of Q not in P, and xy the edge of Q whose side holds those
+    of P not in Q; P and Q share no vertex but a, b, x and y.  Call the
+    vertices in both the side of ab with a, b and the side of xy with x, y
+    the part between.  No vertex v separates {a, b} from {x, y} in that
+    part: the block minus v is connected, and a path in it from a vertex of
+    P other than a, b, v to a vertex of Q other than x, y, v last leaves
+    {a, b} and then first meets {x, y} inside the part.  So by Menger two
+    disjoint paths join a and b to x and y, and any two such paths lie in
+    the part, since each meets a, b, x and y only at its ends.  Contract
+    them.  With the other five edges of P and of Q, virtual ones
+    contracted through their sides, this is a K4 on a, b, c, d and a K4 on
+    a, b, z, w without the edge ab: K4eK4.  The sides used belong to
+    distinct edges of P or of Q, and lie outside the part between, so they
+    are disjoint from each other and from the paths.
+    Only if: the pieces, with the cycles and bonds the splits also leave,
+    form a tree, two of them adjacent when they share a virtual edge.  A
+    leaf has one virtual edge.  A cycle leaf would give its other vertices
+    degree 2 in the block and a bond leaf would be parallel edges, so every
+    leaf of a reduced block is 3-connected, here a K4.  A tree of two
+    nodes or more has two leaves, so with fewer than two K4 pieces the
+    block is one node: a K4 or a cycle, neither with the six vertices of
+    degree 3 that K4eK4 needs.  (A reduced block on five or more vertices
+    is never one such node, so there the rule always finds two K4s.)
+
+    Every witness is re-checked on the reduced block and on g."""
     for block in blocks(g):
         if block.n < 5 or block.is_forest():
             continue
         reduced, log = suppress_degree_2(block)
         if reduced.n < 5 or reduced.is_forest():
             continue
-        emb = None
+        emb, cliques = None, []
         for piece in _three_connected_pieces(reduced):
-            if len(piece[0]) >= 5:
+            if len(piece) >= 5:
                 emb = _wheel_in_piece(reduced, piece)
                 break
-        if emb is None and reduced.n >= 6:
-            emb = _minor_search(reduced, _K4E)
+            cliques.append(piece)
+        if emb is None and len(cliques) >= 2:
+            emb = _glued_cliques(reduced, cliques[0], cliques[1])
         if emb is None:
             continue
         if not emb.check(reduced):

@@ -233,6 +233,24 @@ def test_unprintable_numbers_keep_the_verdict(run, tmp_path):
     assert report["ok"] is False and "too long to print" in report["detail"]
 
 
+def test_unwritable_certificate_exits_2_without_a_file(run, tmp_path):
+    # the far vertex's potential has a denominator of about 6,000 digits,
+    # past the interpreter's int-to-str limit, so the cover cannot be written
+    big = 10**3000
+    path3 = tmp_path / "path3.json"
+    path3.write_text(json.dumps({
+        "vertices": [1, 2, 3],
+        "edges": [{"u": 1, "v": 2, "d": f"1/{big + 1}"},
+                  {"u": 2, "v": 3, "d": f"1/{big + 3}"}],
+    }))
+    cert = tmp_path / "c.json"
+    code, out, err = run("realize", str(path3), "--dim", "1", "--certificate", str(cert))
+    assert code == 2 and out == ""
+    (line,) = [x for x in err.splitlines() if x.startswith("error:")]
+    assert "too long to write" in line and "Traceback" not in err
+    assert not cert.exists()
+
+
 def test_commands_require_weights(run, tmp_path):
     p = tmp_path / "plain.json"
     save_instance(named_graph("K_3"), None, p)

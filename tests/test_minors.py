@@ -4,6 +4,7 @@ import random
 import time
 import warnings
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -12,6 +13,7 @@ from linfgraph import (
     Graph,
     InputError,
     MinorEmbedding,
+    Tree,
     WeakenedCertificateWarning,
     certificate_exceeds_2,
     classify_dim2,
@@ -22,10 +24,12 @@ from linfgraph import (
     named_graph,
     pullback_distance,
     suppress_degree_2,
+    tk4_instance,
     validate_distance_function,
     w4_witness,
 )
-from linfgraph.minors import _three_connected_pieces
+from linfgraph import minors
+from linfgraph.minors import _three_connected_pieces, _wheel_at_five
 
 from atlas import connected_graphs_upto
 from oracles import brute_has_minor
@@ -270,7 +274,7 @@ def test_classifier_agrees_with_the_minor_oracle():
 
 
 def _piece_sizes(g: Graph) -> list:
-    return sorted(len(adj) for adj, _ in _three_connected_pieces(g))
+    return sorted(len(piece) for piece in _three_connected_pieces(g))
 
 
 def test_split_at_separation_pairs():
@@ -294,13 +298,144 @@ def test_wheel_found_through_a_virtual_edge():
 
 
 def test_classifier_on_large_wheels_and_grids():
-    # the branch-set search took about 10 s on W_9 alone; these take milliseconds
+    # each is one 3-connected piece, contracted to five vertices for the
+    # wheel; these take milliseconds
     for g in (named_graph("W_12"), _grid(4, 5), _grid(6, 6)):
         start = time.perf_counter()
         c = classify_dim2(g)
         assert time.perf_counter() - start < 1.0
         assert c.verdict == "exceeds_2"
         assert c.witness.pattern == W4 and c.witness.check(g)
+
+
+def test_classifier_on_large_doubled_trees():
+    # a chain and a star of K4s glued along real spine edges: W4-free, so
+    # the witness is K4eK4, built from two K4 pieces
+    for tree in (named_graph("path_8"), named_graph("star_5")):
+        g, _ = tk4_instance(Tree.build(tree))
+        start = time.perf_counter()
+        c = classify_dim2(g)
+        assert time.perf_counter() - start < 1.0
+        assert c.verdict == "exceeds_2"
+        assert c.witness.pattern == K4E and c.witness.check(g)
+        start = time.perf_counter()
+        d, outcome = certificate_exceeds_2(g)
+        assert time.perf_counter() - start < 1.0
+        assert outcome.exhausted and validate_distance_function(g, d).valid
+
+
+# -- the K4eK4 rule on generated 2-sums ----------------------------------------
+
+
+def _glue(edges: set, n: int, u: int, v: int, kind: str, keep: bool):
+    """Glue a K4, a triangle or a 4-cycle (a path of three edges) onto the
+    edge uv, keeping uv or deleting it (a 2-sum); new vertices are numbered
+    from n.  Returns the new edge set and vertex count."""
+    edges = set(edges)
+    if kind == "K4":
+        s, t = n, n + 1
+        edges |= {(u, s), (u, t), (v, s), (v, t), (s, t)}
+        n += 2
+    else:
+        inner = list(range(n, n + (1 if kind == "triangle" else 2)))
+        walk = [u, *inner, v]
+        edges |= set(zip(walk, walk[1:]))
+        n += len(inner)
+    if not keep:
+        edges -= {(u, v), (v, u)}
+    return edges, n
+
+
+_K4_EDGES = {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
+
+
+def _glued_pieces(count: int, seed: int = 20261018, max_n: int = 8) -> list:
+    """Seeded edge-gluings of K4s, triangles and 4-cycles onto a K4 or a
+    triangle, followed by up to two edge deletions or subdivisions.  Every
+    piece is W4-free, so each graph is too, while many hold K4eK4."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        edges, n = (set(_K4_EDGES), 4) if rng.random() < 0.7 else ({(0, 1), (1, 2), (0, 2)}, 3)
+        for _ in range(rng.randint(1, 3)):
+            u, v = rng.choice(sorted(edges))
+            kind = rng.choice(("K4", "K4", "triangle", "cycle"))
+            edges, n = _glue(edges, n, u, v, kind, keep=rng.random() < 0.4)
+        for _ in range(rng.randint(0, 2)):
+            e = rng.choice(sorted(edges))
+            edges.discard(e)
+            if rng.random() < 0.5:
+                edges |= {(e[0], n), (n, e[1])}
+                n += 1
+        if n <= max_n:
+            out.append(Graph.build(range(n), edges))
+    return out
+
+
+def _named_gluings() -> dict:
+    """Hand-built gluings: one K4 piece among cycles; two K4s separated by
+    a chain of triangles; two K4s glued along a real edge and along a
+    deleted one."""
+    one, n = _glue(_K4_EDGES, 4, 0, 1, "cycle", keep=True)
+    one, n = _glue(one, n, 2, 3, "triangle", keep=False)
+    chain, m = _glue(_K4_EDGES, 4, 0, 1, "triangle", keep=False)  # 0-4-1
+    chain, m = _glue(chain, m, 0, 4, "triangle", keep=False)  # 0-5-4
+    chain, m = _glue(chain, m, 5, 4, "K4", keep=False)
+    real, k = _glue(_K4_EDGES, 4, 0, 1, "K4", keep=True)
+    return {
+        "one_k4": (Graph.build(range(n), one), 1),
+        "k4_triangles_k4": (Graph.build(range(m), chain), 2),
+        "k4_real_edge_k4": (Graph.build(range(k), real), 2),
+        "k4_deleted_edge_k4": (K4E, 2),
+    }
+
+
+def test_named_gluings_split_into_their_k4s():
+    for name, (g, k4s) in _named_gluings().items():
+        reduced, _ = suppress_degree_2(g)
+        assert _piece_sizes(reduced) == [4] * k4s, name
+        c = classify_dim2(g)
+        assert (c.verdict == "exceeds_2") == (k4s >= 2), name
+        if k4s >= 2:
+            assert c.witness.pattern == K4E and c.witness.check(g), name
+
+
+def test_k4ek4_rule_agrees_with_the_minor_oracle_on_gluings():
+    graphs = [g for g, _ in _named_gluings().values()] + _glued_pieces(150)
+    verdicts = []
+    for g in graphs:
+        c = classify_dim2(g)
+        expected = contains_minor(g, K4E) is not None
+        assert (c.verdict == "exceeds_2") == expected
+        if c.witness is not None:
+            assert c.witness.pattern == K4E and c.witness.check(g)
+        verdicts.append(c.verdict)
+    # the set must exercise both sides of the rule
+    assert verdicts.count("exceeds_2") >= 40 and verdicts.count("dim_at_most_2") >= 40
+
+
+def test_wheel_written_down_on_every_labelling_of_the_five_vertex_graphs():
+    k5 = named_graph("K_5")
+    k5e = Graph.build(k5.vertices, [e for e in k5.edges if e != (1, 2)])
+    for base in (W4, k5e, k5):
+        for labels in permutations("abcde"):
+            name = dict(zip(base.vertices, labels))
+            g = Graph.build(labels, [(name[u], name[v]) for u, v in base.edges])
+            emb = _wheel_at_five(g)
+            assert emb.pattern == W4 and emb.check(g)
+
+
+def test_classifier_never_searches_branch_sets(monkeypatch):
+    def no_search(g, h):
+        raise AssertionError("classify_dim2 reached the branch-set search")
+
+    monkeypatch.setattr(minors, "_minor_search", no_search)
+    graphs = list(connected_graphs_upto(6)) + _seeded_connected_gnp(300)
+    graphs += [g for g, _ in _named_gluings().values()] + _glued_pieces(150)
+    for g in graphs:
+        c = classify_dim2(g)
+        if c.witness is not None:
+            assert c.witness.check(g)
 
 
 def test_classifier_raises_when_a_witness_fails_its_check(monkeypatch):
