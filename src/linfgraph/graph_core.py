@@ -158,9 +158,6 @@ class Graph:
         ks = set(keep)
         return Graph.build(ks, [(u, v) for u, v in self.edges if u in ks and v in ks])
 
-    def without_vertex(self, v: VertexId) -> "Graph":
-        return self.induced(set(self.vertices) - {v})
-
     # -- connectivity ------------------------------------------------------
 
     def components(self) -> list[frozenset]:
@@ -593,81 +590,3 @@ def blocks(g: Graph) -> list[Graph]:
                 if low[x] >= index[px]:
                     collect((px, x))
     return out
-
-
-# -- degree-2 suppression -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SuppressionStep:
-    """One reduction: 'smooth' replaces the path u-w-v by the edge uv
-    (u, v not adjacent); 'delete' removes w when uv is already an edge."""
-
-    kind: str
-    w: VertexId
-    u: VertexId
-    v: VertexId
-
-
-@dataclass(frozen=True)
-class SuppressionLog:
-    steps: tuple[SuppressionStep, ...]
-    forest_vertices: frozenset
-
-
-def _component_of(g: Graph, v: VertexId) -> frozenset:
-    for comp in g.components():
-        if v in comp:
-            return comp
-    raise KeyError(v)
-
-
-def _component_has_cycle(g: Graph, comp: frozenset) -> bool:
-    edges = sum(1 for u, v in g.edges if u in comp)
-    return edges > len(comp) - 1
-
-
-def suppress_degree_2(g: Graph) -> tuple[Graph, SuppressionLog]:
-    """Repeatedly remove degree-2 vertices where the reduction preserves the
-    least realizable dimension.
-
-    In a component that contains a cycle: a degree-2 vertex w with
-    non-adjacent neighbors u, v is smoothed (path u-w-v becomes edge uv); if
-    u, v are adjacent, w is deleted provided the rest of its component still
-    contains a cycle.  Triangles therefore persist.  Forest components are
-    reported unchanged (they realize in one dimension already) and are listed
-    in the log.
-    """
-    cur = g
-    steps: list[SuppressionStep] = []
-    while True:
-        progressed = False
-        cyclic: set = set()
-        for comp in cur.components():
-            if _component_has_cycle(cur, comp):
-                cyclic |= comp
-        for w in cur.vertices:
-            if w not in cyclic or cur.degree(w) != 2:
-                continue
-            (u, _), (v, _) = cur.adjacency[w]
-            if not cur.has_edge(u, v):
-                nxt = Graph.build(
-                    set(cur.vertices) - {w},
-                    [e for e in cur.edges if w not in e] + [(u, v)],
-                )
-                steps.append(SuppressionStep("smooth", w, u, v))
-            else:
-                residual = cur.without_vertex(w)
-                if not _component_has_cycle(residual, _component_of(residual, u)):
-                    continue  # removal would drop the dimension below 2
-                nxt = residual
-                steps.append(SuppressionStep("delete", w, u, v))
-            cur = nxt
-            progressed = True
-            break
-        if not progressed:
-            break
-    forest = frozenset(
-        v for comp in cur.components() if not _component_has_cycle(cur, comp) for v in comp
-    )
-    return cur, SuppressionLog(tuple(steps), forest)

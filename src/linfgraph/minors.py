@@ -3,8 +3,9 @@
 A graph needs more than two dimensions for some weights exactly when it has
 a minor isomorphic to one of two patterns: the 4-wheel W4, or two 4-cliques
 glued along an edge that is then removed (K4eK4).  `classify_dim2` decides
-this per block, after suppressing degree-2 vertices, with no search: the
-block is split at separation pairs (Tutte's 2-sum decomposition).  It has a
+this per block with no search: the block, its degree-2 vertices smoothed
+(each smoothing is a split whose triangle side holds no piece), is split
+at separation pairs (Tutte's 2-sum decomposition).  It has a
 W4 minor iff some piece is 3-connected with at least five vertices: a
 3-connected minor of a 2-sum lies inside one of the summands (Tutte), and
 every 3-connected graph on at least five vertices has an edge whose
@@ -39,7 +40,6 @@ from .graph_core import (
     Graph,
     blocks,
     shortest_path_table,
-    suppress_degree_2,
     validate_distance_function,
     vertex_key,
 )
@@ -205,48 +205,6 @@ def contains_minor(g: Graph, h: Graph) -> MinorEmbedding | None:
     return _minor_search(g, h)
 
 
-# -- the dimension-2 classifier -------------------------------------------------
-
-
-def _lift_through_suppression(emb: MinorEmbedding, log) -> MinorEmbedding:
-    """Transport an embedding in the suppressed graph back to the original:
-    replay the log backwards, re-inserting each removed vertex.  A removed
-    vertex w with neighbors u, v matters only when the shortcut edge uv was
-    used; w then joins the branch set at u (or the common set), and a
-    realizing edge (u, v) is rerouted through (w, v)."""
-    bsets = {pv: set(s) for pv, s in emb.branch_sets.items()}
-    real = dict(emb.edge_realization)
-    owner = {}
-    for pv, s in bsets.items():
-        for x in s:
-            owner[x] = pv
-    for step in reversed(log.steps):
-        if step.kind != "smooth":
-            continue  # deleted-shortcut removals leave a plain subgraph
-        w, u, v = step.w, step.u, step.v
-        pu, pv_ = owner.get(u), owner.get(v)
-        if pu is None or pv_ is None:
-            continue
-        if pu == pv_:
-            bsets[pu].add(w)
-            owner[w] = pu
-            continue
-        for pedge, (a, b) in real.items():
-            if (a, b) == (u, v):
-                bsets[pu].add(w)
-                owner[w] = pu
-                real[pedge] = (w, v)
-                break
-            if (a, b) == (v, u):
-                bsets[pv_].add(w)
-                owner[w] = pv_
-                real[pedge] = (w, u)
-                break
-    return MinorEmbedding(
-        emb.pattern, {pv: frozenset(s) for pv, s in bsets.items()}, real
-    )
-
-
 # -- separation-pair pieces -------------------------------------------------------
 #
 # A piece of a 2-connected graph is one side of a split at a separation pair
@@ -303,20 +261,34 @@ def _index_adjacency(g: Graph) -> dict:
     return adj
 
 
-def _split_side(adj: dict, keep: set, a: int, b: int, real_ab: bool) -> dict:
-    """The side of a piece on the vertices keep, which hold a and b, plus the
-    virtual edge ab when ab is not an edge of the split graph."""
+def _split_side(adj: dict, keep: set, a: int, b: int) -> dict:
+    """The side of a piece on the vertices keep, which hold a and b, with
+    the edge ab, virtual when ab is not an edge of the split graph."""
     side = {v: adj[v] & keep for v in keep}
-    if not real_ab:
-        side[a].add(b)
-        side[b].add(a)
+    side[a].add(b)
+    side[b].add(a)
     return side
 
 
 def _three_connected_pieces(g: Graph):
     """Yield the 3-connected pieces (at least four vertices) of a
-    2-connected graph g, split at separation pairs until none is left."""
+    2-connected graph g.  Each degree-2 vertex w is first replaced by the
+    edge between its two neighbors, until the minimum degree is 3 or three
+    vertices are left: that is the split at w's neighbors whose triangle
+    side holds no piece.  The rest is split at separation pairs until none
+    is left."""
     adj0 = _index_adjacency(g)
+    stack = [w for w in adj0 if len(adj0[w]) == 2]
+    while stack and len(adj0) > 3:
+        w = stack.pop()
+        if w not in adj0 or len(adj0[w]) != 2:
+            continue
+        u, v = adj0.pop(w)
+        adj0[u].discard(w)
+        adj0[v].discard(w)
+        adj0[u].add(v)
+        adj0[v].add(u)
+        stack += [x for x in (u, v) if len(adj0[x]) == 2]
     work = [adj0]
     while work:
         adj = work.pop()
@@ -339,9 +311,8 @@ def _three_connected_pieces(g: Graph):
                 if y not in comp and y != a and y != b:
                     comp.add(y)
                     stack.append(y)
-        real_ab = b in adj0[a]
-        work.append(_split_side(adj, set(adj) - comp, a, b, real_ab))
-        work.append(_split_side(adj, comp | {a, b}, a, b, real_ab))
+        work.append(_split_side(adj, set(adj) - comp, a, b))
+        work.append(_split_side(adj, comp | {a, b}, a, b))
 
 
 def _sides(gadj: dict, piece: dict) -> dict:
@@ -552,12 +523,18 @@ def classify_dim2(g: Graph) -> Classification:
     """Excluded-minor test for two-dimensional realizability of all weights
     (max norm and, equivalently, sum norm), with no branch-set search.
 
-    Each block is reduced by `suppress_degree_2`; a reduced block on five
-    or more vertices is 2-connected with minimum degree 3.  It is split at
-    separation pairs (Tutte, Connectivity in Graphs, 1966).  The pieces
-    with at least four vertices and no separation pair are its 3-connected
-    components; those on four vertices are K4s.  Every piece is a minor of
-    the block, each virtual edge contracted from a path through its side.
+    Each block on five or more vertices is 2-connected.  Its degree-2
+    vertices are smoothed: a vertex w with neighbors u and v is replaced by
+    the edge uv, until the minimum degree is 3 or three vertices are left.
+    Smoothing w is the split at {u, v} whose triangle side u, w, v holds no
+    piece.  It also keeps every minor of minimum degree 3, as W4 and K4eK4
+    are: no branch set of such a minor is {w} alone, so a model either
+    misses w or contracts w into a neighbor in its branch set.  The
+    smoothed block is split at separation pairs (Tutte, Connectivity in
+    Graphs, 1966).  The pieces with at least four vertices and no
+    separation pair are the block's 3-connected components; those on four
+    vertices are K4s.  Every piece is a minor of the block, each virtual
+    edge, smoothed ones included, contracted from a path through its side.
 
     W4.  The block has a W4 minor iff some piece has at least five
     vertices.  W4 is 3-connected, and a 3-connected minor of a 2-sum lies
@@ -582,39 +559,35 @@ def classify_dim2(g: Graph) -> Classification:
     a, b, z, w without the edge ab: K4eK4.  The sides used belong to
     distinct edges of P or of Q, and lie outside the part between, so they
     are disjoint from each other and from the paths.
-    Only if: the pieces, with the cycles and bonds the splits also leave,
-    form a tree, two of them adjacent when they share a virtual edge.  A
-    leaf has one virtual edge.  A cycle leaf would give its other vertices
-    degree 2 in the block and a bond leaf would be parallel edges, so every
-    leaf of a reduced block is 3-connected, here a K4.  A tree of two
+    Only if: the smoothed block has the block's K4eK4 minors and its
+    pieces.  Those pieces, with the cycles and bonds the splits also
+    leave, form a tree, two of them adjacent when they share a virtual
+    edge.  A leaf has one virtual edge.  A cycle leaf would give its other
+    vertices degree 2 in the smoothed block and a bond leaf would be
+    parallel edges, so every leaf is 3-connected, here a K4.  A tree of two
     nodes or more has two leaves, so with fewer than two K4 pieces the
-    block is one node: a K4 or a cycle, neither with the six vertices of
-    degree 3 that K4eK4 needs.  (A reduced block on five or more vertices
-    is never one such node, so there the rule always finds two K4s.)
+    smoothed block is one node: a K4 or a triangle, neither with the six
+    vertices of degree 3 that K4eK4 needs.  (A smoothed block on five or
+    more vertices is never one such node, so there the rule always finds
+    two K4s.)
 
-    Every witness is re-checked on the reduced block and on g."""
+    Every witness is re-checked on g."""
     for block in blocks(g):
-        if block.n < 5 or block.is_forest():
-            continue
-        reduced, log = suppress_degree_2(block)
-        if reduced.n < 5 or reduced.is_forest():
+        if block.n < 5:
             continue
         emb, cliques = None, []
-        for piece in _three_connected_pieces(reduced):
+        for piece in _three_connected_pieces(block):
             if len(piece) >= 5:
-                emb = _wheel_in_piece(reduced, piece)
+                emb = _wheel_in_piece(block, piece)
                 break
             cliques.append(piece)
         if emb is None and len(cliques) >= 2:
-            emb = _glued_cliques(reduced, cliques[0], cliques[1])
+            emb = _glued_cliques(block, cliques[0], cliques[1])
         if emb is None:
             continue
-        if not emb.check(reduced):
-            raise RuntimeError("classifier witness failed validation on the reduced block")
-        lifted = _lift_through_suppression(emb, log)
-        if not lifted.check(g):
-            raise RuntimeError("lifted witness failed validation")
-        return Classification("exceeds_2", lifted)
+        if not emb.check(g):
+            raise RuntimeError("classifier witness failed validation")
+        return Classification("exceeds_2", emb)
     return Classification("dim_at_most_2")
 
 

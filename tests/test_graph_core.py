@@ -12,10 +12,10 @@ from linfgraph import (
     is_generic,
     perturb_to_generic,
     shortest_path_table,
-    suppress_degree_2,
     validate_distance_function,
 )
 from linfgraph.graph_core import _metric_closure, _simple_cycles, to_fraction
+from linfgraph.minors import _three_connected_pieces
 
 from atlas import connected_graphs_upto
 from oracles import (
@@ -341,19 +341,23 @@ def test_blocks_partition_edges(g):
     assert len(set(seen)) == len(seen) == g.m
 
 
+# degree-2 suppression now happens inside the 3-connected splitter: a piece is
+# an adjacency dict, and smoothing to a triangle leaves no piece at all
+
 def test_suppress_c5_to_triangle():
     g = Graph.build(range(1, 6), [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
-    reduced, log = suppress_degree_2(g)
-    assert reduced.n == 3 and reduced.m == 3
-    assert len(log.steps) == 2
-    assert all(s.kind in ("smooth", "delete") for s in log.steps)
+    assert list(_three_connected_pieces(g)) == []
+
+
+def _is_k4(piece: dict) -> bool:
+    return len(piece) == 4 and all(len(nbrs) == 3 for nbrs in piece.values())
 
 
 def test_suppress_subdivided_k4():
     k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
     g = Graph.build(list(range(4)) + [9], k4 + [(2, 9), (3, 9)])  # edge 23 subdivided by 9
-    reduced, _ = suppress_degree_2(g)
-    assert reduced.n == 4 and reduced.m == 6
+    pieces = list(_three_connected_pieces(g))
+    assert len(pieces) == 1 and _is_k4(pieces[0])
 
 
 def test_suppress_k4ek4_minus_edge_reaches_k4():
@@ -363,13 +367,5 @@ def test_suppress_k4ek4_minus_edge_reaches_k4():
 
     k4ek4 = named_graph("K4eK4")
     g = Graph.build(k4ek4.vertices, [e for e in k4ek4.edges if e != (2, 3)])
-    reduced, log = suppress_degree_2(g)
-    assert reduced.n == 4 and reduced.m == 6
-    assert all(reduced.degree(v) == 3 for v in reduced.vertices)
-
-
-def test_suppress_leaves_forests_alone():
-    g = Graph.build(range(5), [(0, 1), (1, 2), (2, 3), (3, 4)])
-    reduced, log = suppress_degree_2(g)
-    assert reduced == g
-    assert set(log.forest_vertices) == set(range(5))
+    pieces = list(_three_connected_pieces(g))
+    assert len(pieces) == 1 and _is_k4(pieces[0])

@@ -23,7 +23,6 @@ from linfgraph import (
     min_dimension,
     named_graph,
     pullback_distance,
-    suppress_degree_2,
     tk4_instance,
     validate_distance_function,
     w4_witness,
@@ -262,9 +261,30 @@ def _seeded_connected_gnp(count: int):
     return out
 
 
+def _seeded_subdivided_atlas(count: int):
+    """Atlas graphs with one or two edges subdivided (at most 8 vertices),
+    so that pieces and witnesses run through smoothed chains."""
+    rng = random.Random(20261018)
+    atlas = list(connected_graphs_upto(6))
+    out = []
+    while len(out) < count:
+        g = rng.choice(atlas)
+        if g.m < 2:
+            continue
+        verts, edges = list(g.vertices), set(g.edges)
+        for i, (u, v) in enumerate(rng.sample(g.edges, rng.randint(1, 2))):
+            w = f"s{i}"
+            verts.append(w)
+            edges -= {(u, v)}
+            edges |= {(u, w), (w, v)}
+        out.append(Graph.build(verts, edges))
+    return out
+
+
 def test_classifier_agrees_with_the_minor_oracle():
-    graphs = list(connected_graphs_upto(6)) + _seeded_connected_gnp(300)
-    assert len(graphs) == 143 + 300
+    graphs = (list(connected_graphs_upto(6)) + _seeded_connected_gnp(300)
+              + _seeded_subdivided_atlas(60))
+    assert len(graphs) == 143 + 300 + 60
     for g in graphs:
         c = classify_dim2(g)
         expected = contains_minor(g, W4) is not None or contains_minor(g, K4E) is not None
@@ -279,10 +299,39 @@ def _piece_sizes(g: Graph) -> list:
 
 def test_split_at_separation_pairs():
     assert _piece_sizes(K4E) == [4, 4]
-    reduced, _ = suppress_degree_2(_subdivide_all(named_graph("W_5")))
-    assert _piece_sizes(reduced) == [6]
+    assert _piece_sizes(_subdivide_all(named_graph("W_5"))) == [6]
+    assert _piece_sizes(named_graph("C_5")) == []
     assert _piece_sizes(named_graph("C_6")) == []
     assert _piece_sizes(named_graph("petersen")) == [10]
+    # K4 with its edge 23 subdivided by 9
+    k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
+    assert _piece_sizes(Graph.build([0, 1, 2, 3, 9], k4 + [(2, 9), (3, 9)])) == [4]
+    # without the edge 23, the first clique of K4eK4 smooths into the edge 01
+    assert _piece_sizes(Graph.build(K4E.vertices, [e for e in K4E.edges if e != (2, 3)])) == [4]
+
+
+def test_splitter_smooths_in_linear_time(monkeypatch):
+    # smoothing makes no cut-vertex search, so a fully subdivided graph
+    # costs the splitter as many as the graph itself; without smoothing,
+    # the subdivided graphs took 1,642, 70 and 27
+    calls = []
+    cut_vertex = minors._cut_vertex
+
+    def counted(adj, gone):
+        calls.append(None)
+        return cut_vertex(adj, gone)
+
+    monkeypatch.setattr(minors, "_cut_vertex", counted)
+    for name, expected in (("W_40", 41), ("petersen", 10), ("K4eK4", 9)):
+        for g in (named_graph(name), _subdivide_all(named_graph(name))):
+            calls.clear()
+            list(_three_connected_pieces(g))
+            assert len(calls) == expected, (name, g.n)
+    g = _subdivide_all(named_graph("W_40"))
+    assert g.n == 121
+    c = classify_dim2(g)
+    assert c.verdict == "exceeds_2"
+    assert c.witness.pattern == W4 and c.witness.check(g)
 
 
 def test_wheel_found_through_a_virtual_edge():
@@ -392,8 +441,7 @@ def _named_gluings() -> dict:
 
 def test_named_gluings_split_into_their_k4s():
     for name, (g, k4s) in _named_gluings().items():
-        reduced, _ = suppress_degree_2(g)
-        assert _piece_sizes(reduced) == [4] * k4s, name
+        assert _piece_sizes(g) == [4] * k4s, name
         c = classify_dim2(g)
         assert (c.verdict == "exceeds_2") == (k4s >= 2), name
         if k4s >= 2:
