@@ -154,15 +154,18 @@ def _cmd_certify_exceeds2(args) -> int:
     if c.verdict == "dim_at_most_2":
         _emit({"verdict": "dim_at_most_2"})
         return 0
-    d, outcome = _certificate_from_witness(g, c.witness)
+    d, outcome, points = _certificate_from_witness(g, c.witness)
     if args.witness_out:
         save_instance(g, d, args.witness_out)
+    realization = realization_to_obj(Realization(points, len(points[g.vertices[0]])))
+    realization["norm"] = 1
     _emit(
         {
             "verdict": "exceeds_2",
             "weights": [str(w) for w in d.weights],
             "nodes": outcome.nodes,
             "exhausted_at_2": outcome.exhausted,
+            "realization": realization,
         }
     )
     return 1
@@ -318,7 +321,8 @@ def _parser() -> argparse.ArgumentParser:
     sp = cmd("classify", _cmd_classify, help="excluded-minor test for dimension 2")
     sp.add_argument("instance")
 
-    sp = cmd("certify-exceeds2", _cmd_certify_exceeds2, help="weights defeating every 2-dimensional search")
+    sp = cmd("certify-exceeds2", _cmd_certify_exceeds2,
+             help="weights, and sum-norm points, defeating every 2-dimensional search")
     sp.add_argument("instance")
     sp.add_argument("--witness-out", help="save the certificate weights here")
 

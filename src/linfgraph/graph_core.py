@@ -270,13 +270,12 @@ def shortest_path_table(g: Graph, weights):
     """All-pairs shortest distances and next-hop table, exact arithmetic.
 
     `weights` is any sequence indexed by edge id, such as a DistanceFunction
-    or a list; its values are nonnegative ints or Fractions, and None marks
-    an edge as absent.  Returns (vertices, dist, nxt) with rows and columns
-    in `g.vertices` order: dist[i][j] is None when j is unreachable from i,
-    the diagonal is the int 0, and nxt[i][j] is the index of the vertex
-    after i on a shortest i-j path.  Callers in the package pass integers
-    (a DistanceFunction's `integers`), on which it runs several times
-    faster than on Fractions.
+    or a list; its values are nonnegative ints or Fractions.  Returns
+    (vertices, dist, nxt) with rows and columns in `g.vertices` order:
+    dist[i][j] is None when j is unreachable from i, the diagonal is the int
+    0, and nxt[i][j] is the index of the vertex after i on a shortest i-j
+    path.  Callers in the package pass integers (a DistanceFunction's
+    `integers`), on which it runs several times faster than on Fractions.
     """
     n = g.n
     vi = g.vertex_index
@@ -286,8 +285,6 @@ def shortest_path_table(g: Graph, weights):
         dist[i][i] = 0
     for eid, (u, v) in enumerate(g.edges):
         w = weights[eid]
-        if w is None:
-            continue
         i, j = vi[u], vi[v]
         if dist[i][j] is None or w < dist[i][j]:
             dist[i][j] = dist[j][i] = w

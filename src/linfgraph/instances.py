@@ -1,7 +1,8 @@
 """Generators for the benchmark instances and named graphs.
 
 Includes the two weight functions that defeat every 2-dimensional search
-(on the 4-wheel and on the glued-clique graph), a generic weighting of K7
+(on the 4-wheel and on the glued-clique graph), each the sum-norm distances
+of points that the minor pullback reuses, a generic weighting of K7
 needing exactly 5 dimensions, the tree-of-cliques family whose dimension
 requirement grows with the tree, the exact isometry between 2-dimensional
 max-norm and sum-norm space, and a seeded random generator for valid
@@ -10,6 +11,7 @@ generic weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -91,25 +93,42 @@ def named_graph(name: str) -> Graph:
     raise InputError(f"unknown graph name {name!r}")
 
 
+# The witness points in the sum norm, W_4 in R^3 and K4eK4 in R^4, written
+# doubled: each witness weight is the l1 distance between its ends' points.
+_WITNESS_POINTS = {
+    name: {v: tuple(Fraction(x, 2) for x in p) for v, p in doubled.items()}
+    for name, doubled in {
+        "W_4": {1: (18, 22, 0), 2: (0, 17, 13), 3: (0, -17, 13), 4: (20, -24, 0),
+                5: (383, 0, 13)},
+        "K4eK4": {0: (16, -12, -29, 35), 1: (0, 1, 0, 71), 2: (-43, 1, -29, 105),
+                  3: (16, -12, -29, 189), 4: (16, 107, 0, 35), 5: (0, 0, 0, 0)},
+    }.items()
+}
+
+
+def _l1_weights(g: Graph, points) -> DistanceFunction:
+    """The sum-norm distances between the ends of each edge, summed over
+    integers on the points' cleared denominators."""
+    scale = math.lcm(*(x.denominator for p in points.values() for x in p))
+    cleared = {v: [x.numerator * (scale // x.denominator) for x in p] for v, p in points.items()}
+    return DistanceFunction(tuple(
+        Fraction(sum(abs(a - b) for a, b in zip(cleared[u], cleared[v])), scale)
+        for u, v in g.edges
+    ))
+
+
 def w4_witness() -> tuple[Graph, DistanceFunction]:
     """4-wheel weights not realizable in 2 dimensions: rim 18, 17, 20, 24
-    around 1-2-3-4, spokes 200."""
+    around 1-2-3-4, spokes 200, the l1 distances of points in R^3."""
     g = named_graph("W_4")
-    weights = {
-        (1, 2): 18, (2, 3): 17, (3, 4): 20, (1, 4): 24,
-        (1, 5): 200, (2, 5): 200, (3, 5): 200, (4, 5): 200,
-    }
-    return g, DistanceFunction.from_map(g, weights)
+    return g, _l1_weights(g, _WITNESS_POINTS["W_4"])
 
 
 def k4ek4_witness() -> tuple[Graph, DistanceFunction]:
-    """Glued-clique weights not realizable in 2 dimensions; generic."""
+    """Glued-clique weights not realizable in 2 dimensions, the l1
+    distances of points in R^4; generic."""
     g = named_graph("K4eK4")
-    weights = {
-        (0, 2): 71, (1, 2): 53, (0, 3): 77, (1, 3): 88, (2, 3): 78,
-        (0, 4): 74, (1, 4): 79, (0, 5): 46, (1, 5): 36, (4, 5): 79,
-    }
-    return g, DistanceFunction.from_map(g, weights)
+    return g, _l1_weights(g, _WITNESS_POINTS["K4eK4"])
 
 
 def k7_generic() -> tuple[Graph, DistanceFunction]:

@@ -15,23 +15,34 @@ has a K4eK4 minor iff at least two pieces are K4s, and the witness joins two
 of them by two disjoint paths.  The exact branch-set search serves
 `contains_minor` alone.  A positive verdict always carries a re-validated
 embedding.
-`pullback_distance` transports weights from a minor pattern up to the host
-graph (zero inside branch sets, shortest-path closure elsewhere), so
-non-realizability witnesses transfer along minors, and
-`certificate_exceeds_2` packages that into a concrete weight function on
-which the k = 2 search provably exhausts.
 
-The classifier verdict applies to the sum norm as well: two-dimensional
-max-norm and sum-norm geometry are exactly isometric (see linf2_to_l1_2),
-so the same two patterns are excluded in both settings.
+`pullback_points` carries a pattern's witness points up to a host graph
+with the pattern as a minor.  Each branch set takes its pattern vertex's
+witness point, and a breadth-first search from the branch sets extends them
+to a partition of each component into connected parts.  Weighting each
+host edge by the sum-norm distance of its ends' points gives zero inside
+every part, the pattern weight on every realizing edge, and, by the
+triangle inequality, a valid distance function.  A 2-dimensional
+realization of these weights, under either norm, puts each part, joined by
+zero-weight edges, at one point, so it restricts to a realization of the
+pattern's witness, which has none.  `certificate_exceeds_2` returns the
+weights with the exhausted k = 2 search on them.
+
+The verdict holds for the sum norm as well, since two-dimensional max-norm
+and sum-norm geometry are exactly isometric (see linf2_to_l1_2).  So the
+same two patterns are excluded for f_1, which asks only about weights that
+are sum-norm distances of points in some R^m.  A graph classified
+`dim_at_most_2` realizes every valid distance function in the max-norm
+plane, sum-norm weights are valid, and linf2_to_l1_2 carries the
+realization to the sum-norm plane: f_1 <= 2.  An `exceeds_2` certificate
+has points in R^3 (W4) or R^4 (K4eK4) whose sum-norm weights exhaust the
+k = 2 search: f_1 > 2.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations
 
 from .errors import InputError
@@ -39,12 +50,11 @@ from .graph_core import (
     DistanceFunction,
     Graph,
     blocks,
-    shortest_path_table,
     validate_distance_function,
     vertex_key,
 )
-from .realizability import SearchOutcome, decide_realizable
-from .instances import k4ek4_witness, named_graph, w4_witness
+from .realizability import SearchOutcome, decide_realizable, verify_realization
+from .instances import _WITNESS_POINTS, _l1_weights, named_graph
 
 
 _W4 = named_graph("W_4")
@@ -591,98 +601,60 @@ def classify_dim2(g: Graph) -> Classification:
     return Classification("dim_at_most_2")
 
 
-# -- minor-monotone weight transport --------------------------------------------
+# -- minor-monotone witness transport --------------------------------------------
 
 
-class WeakenedCertificateWarning(UserWarning):
-    """Raised when a pulled-back pattern weight had to be lowered to the
-    host graph's closure distance; indicates an inconsistent input pair."""
-
-
-def pullback_distance(g: Graph, emb: MinorEmbedding, d_h: DistanceFunction) -> DistanceFunction:
-    """Weights on g that force any realization to restrict to one of the
-    pattern: zero inside branch sets, the pattern weight on realizing edges,
-    and shortest-path closure values elsewhere.  Edges left unreachable by
-    the closure are zeroed one at a time, re-closing after each, which keeps
-    the result a valid distance function.  The closure runs over integers,
-    the pattern weights times `d_h.scale`; the result is converted back to
-    Fractions and re-validated from them."""
+def pullback_points(g: Graph, emb: MinorEmbedding) -> dict:
+    """One sum-norm point per vertex of g, pulled back from the witness
+    points of emb's pattern, W4 or K4eK4.  Each branch set takes its
+    pattern vertex's point, a breadth-first search from all branch sets at
+    once gives every other vertex the point of the set that reaches it
+    first, and a component with no branch set takes the first pattern
+    vertex's point.  The module docstring shows why the sum-norm distances
+    of these points defeat every 2-dimensional realization."""
     if not emb.check(g):
         raise InputError("embedding does not validate against the graph")
-    h = emb.pattern
-    if len(d_h.weights) != h.m:
-        raise InputError("pattern weights do not match the pattern graph")
-
-    assigned: dict[int, int] = {}
-    for pv, bs in emb.branch_sets.items():
-        sub = g.induced(bs)
-        for u, v in sub.edges:
-            assigned[g.edge_id(u, v)] = 0
-    for pedge, (gu, gv) in emb.edge_realization.items():
-        eid = g.edge_id(gu, gv)
-        w = d_h.integers[h.edge_id(*pedge)]
-        prev = assigned.get(eid)
-        if prev is not None and prev != w:
-            raise InputError("realizing edge doubly assigned with different weights")
-        assigned[eid] = w
-
-    def closure_distances():
-        _, sp, _ = shortest_path_table(g, [assigned.get(e) for e in range(g.m)])
-        return sp
-
-    weakened = []
-    while len(assigned) < g.m:
-        sp = closure_distances()
-        vi = g.vertex_index
-        progress = False
-        for eid, (u, v) in enumerate(g.edges):
-            if eid in assigned:
-                continue
-            dist = sp[vi[u]][vi[v]]
-            if dist is not None:
-                assigned[eid] = dist
-                progress = True
-        if not progress:
-            eid = min(e for e in range(g.m) if e not in assigned)
-            assigned[eid] = 0
-    sp = closure_distances()
-    vi = g.vertex_index
-    for eid, (u, v) in enumerate(g.edges):
-        dist = sp[vi[u]][vi[v]]
-        if dist < assigned[eid]:
-            weakened.append(g.edges[eid])
-            assigned[eid] = dist
-    if weakened:
-        warnings.warn(
-            f"pattern weights exceeded the host closure on {weakened}; "
-            "certificate weakened to the closure values",
-            WeakenedCertificateWarning,
-        )
-    result = DistanceFunction(tuple(Fraction(assigned[e], d_h.scale) for e in range(g.m)))
-    report = validate_distance_function(g, result)
-    if not report.valid:
-        raise RuntimeError("pullback closure must yield a valid distance function")
-    return result
+    if emb.pattern not in (_W4, _K4E):
+        raise InputError("pattern is neither W4 nor K4eK4")
+    at = _WITNESS_POINTS["W_4" if emb.pattern == _W4 else "K4eK4"]
+    points, queue = {}, deque()
+    for pv in emb.pattern.vertices:
+        for x in sorted(emb.branch_sets[pv], key=vertex_key):
+            points[x] = at[pv]
+            queue.append(x)
+    while queue:
+        x = queue.popleft()
+        for y, _ in g.adjacency[x]:
+            if y not in points:
+                points[y] = points[x]
+                queue.append(y)
+    first = at[emb.pattern.vertices[0]]
+    return {v: points.get(v, first) for v in g.vertices}
 
 
 def certificate_exceeds_2(g: Graph) -> tuple[DistanceFunction, SearchOutcome]:
-    """Concrete weights on g that defeat every 2-dimensional search, built by
-    pulling the matching pattern witness back through a found embedding; the
-    returned outcome is the exhausted k = 2 search on those weights."""
+    """Concrete weights on g that defeat every 2-dimensional search: the
+    sum-norm distances of the witness points pulled back through the
+    classifier's embedding.  The returned outcome is the exhausted k = 2
+    search on those weights."""
     classification = classify_dim2(g)
     if classification.verdict != "exceeds_2":
         raise InputError("graph realizes every weight function in 2 dimensions")
-    return _certificate_from_witness(g, classification.witness)
+    d, outcome, _ = _certificate_from_witness(g, classification.witness)
+    return d, outcome
 
 
-def _certificate_from_witness(g: Graph, emb: MinorEmbedding) -> tuple[DistanceFunction, SearchOutcome]:
-    """Pull the pattern's witness weights back through the classifier's
-    embedding emb and exhaust the k = 2 search on them."""
-    wg, wd = w4_witness() if emb.pattern.n == 5 else k4ek4_witness()
-    if emb.pattern != wg:
-        raise RuntimeError("classifier witness pattern mismatch")
-    d = pullback_distance(g, emb, wd)
+def _certificate_from_witness(g: Graph, emb: MinorEmbedding) -> tuple[DistanceFunction, SearchOutcome, dict]:
+    """The witness points pulled back through the classifier's embedding
+    emb, their sum-norm weights and the exhausted k = 2 search on them.
+    The weights are re-validated and the points re-verified against them."""
+    points = pullback_points(g, emb)
+    d = _l1_weights(g, points)
+    if not validate_distance_function(g, d).valid:
+        raise RuntimeError("pulled-back weights must be a valid distance function")
+    if not verify_realization(g, d, points, norm=1).ok:
+        raise RuntimeError("pulled-back points must realize their weights in the sum norm")
     outcome = decide_realizable(g, d, 2)
     if not outcome.exhausted:
         raise RuntimeError("pulled-back witness must defeat the k=2 search")
-    return d, outcome
+    return d, outcome, points

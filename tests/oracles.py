@@ -170,16 +170,14 @@ def sp_by_relaxation(g: Graph, d: DistanceFunction):
 
 def fraction_floyd_warshall(g: Graph, weights):
     """Textbook Floyd-Warshall in Fraction arithmetic over vertex pairs.
-    weights: indexed by edge id, None for an absent edge.  Returns
-    {(a, b): distance or None}."""
+    weights: indexed by edge id.  Returns {(a, b): distance or None}, None
+    for an unreachable pair."""
     dist = {(a, b): Fraction(0) if a == b else None for a in g.vertices for b in g.vertices}
     for eid, (u, v) in enumerate(g.edges):
-        w = weights[eid]
-        if w is not None:
-            w = Fraction(w)
-            for a, b in ((u, v), (v, u)):
-                if dist[a, b] is None or w < dist[a, b]:
-                    dist[a, b] = w
+        w = Fraction(weights[eid])
+        for a, b in ((u, v), (v, u)):
+            if dist[a, b] is None or w < dist[a, b]:
+                dist[a, b] = w
     for k in g.vertices:
         for a in g.vertices:
             for b in g.vertices:

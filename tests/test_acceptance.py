@@ -26,6 +26,7 @@ from linfgraph import (
     linf2_to_l1_2,
     min_dimension,
     named_graph,
+    pullback_points,
     random_distance_function,
     save_instance,
     tk4_instance,
@@ -86,22 +87,24 @@ def test_criterion_3_classifier_matches_search_on_small_graphs():
     t0 = time.monotonic()
     harmless = exceeding = 0
     for gi, g in enumerate(connected_graphs_upto(6)):
-        verdict = classify_dim2(g).verdict
-        if verdict == "dim_at_most_2":
+        c = classify_dim2(g)
+        if c.verdict == "dim_at_most_2":
             harmless += 1
             for i in range(SAMPLES_PER_GRAPH):
                 d = random_distance_function(g, seed=1009 * gi + i)
                 _accumulate_2d(g, d)
         else:
             exceeding += 1
-            _, outcome = certificate_exceeds_2(g)  # asserts k=2 exhaustion
+            d, outcome = certificate_exceeds_2(g)  # asserts k=2 exhaustion
             assert outcome.exhausted
+            # f_1 > 2 too: the weights are sum-norm distances of points
+            assert verify_realization(g, d, pullback_points(g, c.witness), norm=1).ok
     assert harmless + exceeding == 143
     elapsed = time.monotonic() - t0
     assert elapsed < 1800.0
     print(
         f"criterion 3: PASS ({harmless} graphs realize 20/20 generic samples at k=2, "
-        f"{exceeding} graphs certified exceeding; {elapsed:.1f}s)"
+        f"{exceeding} graphs certified exceeding with sum-norm points; {elapsed:.1f}s)"
     )
 
 
@@ -147,11 +150,17 @@ def test_criterion_5_tree_of_cliques():
         "edge": Graph.build([1, 2], [(1, 2)]),
         "path-3": named_graph("path_3"),
         "star-3": named_graph("star_3"),
+        # unbounded: the dimension grows with the tree
+        "path-8": named_graph("path_8"),
+        "path-12": named_graph("path_12"),
+        "star-7": named_graph("star_7"),
+        "star-11": named_graph("star_11"),
     }
     pairs_refuted = 0
     for tg in trees.values():
         g, d = tk4_instance(Tree.build(tg))
         assert validate_distance_function(g, d).valid
+        assert min_dimension(g, d) == tg.n
         spines = [(f"{v}+", f"{v}-") for v in tg.vertices]
         for e1, e2 in itertools.combinations(spines, 2):
             # no feasible set can hold two spine edges at once
@@ -166,7 +175,8 @@ def test_criterion_5_tree_of_cliques():
     elapsed = time.monotonic() - t0
     assert elapsed < 600.0
     print(
-        f"criterion 5: PASS (3 instances valid, {pairs_refuted} spine pairs "
+        f"criterion 5: PASS ({len(trees)} instances valid, each needs as many "
+        f"dimensions as its tree has vertices, up to 12; {pairs_refuted} spine pairs "
         f"infeasible, path-3 instance needs k >= 3; {elapsed:.1f}s)"
     )
 

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -365,6 +366,25 @@ def test_certify_exceeds2(run, tmp_path):
     # the emitted weights defeat the 2-dimensional search end to end
     assert run("validate", str(wit))[0] == 0
     assert run("realize", str(wit), "--dim", "2")[0] == 1
+
+
+def test_certify_exceeds2_points_verify_in_the_sum_norm(run, tmp_path):
+    w5 = tmp_path / "w5.json"
+    wit = tmp_path / "wit.json"
+    save_instance(named_graph("W_5"), None, w5)
+    code, out, _ = run("certify-exceeds2", str(w5), "--witness-out", str(wit))
+    assert code == 1
+    realization = json.loads(out)["realization"]
+    assert (realization["type"], realization["norm"], realization["k"]) == ("realization", 1, 3)
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps(realization))
+    assert run("verify", str(wit), "--certificate", str(points), "--norm", "1")[0] == 0
+
+    _, coords = realization["points"][0]
+    coords[0] = str(Fraction(coords[0]) + 1)
+    points.write_text(json.dumps(realization))
+    code, out, _ = run("verify", str(wit), "--certificate", str(points), "--norm", "1")
+    assert code == 1 and json.loads(out)["ok"] is False
 
 
 def test_certify_exceeds2_classifies_once(run, tmp_path, monkeypatch):

@@ -141,16 +141,14 @@ _MIXED = st.builds(Fraction, st.integers(0, 20), st.sampled_from([1, 2, 3, 4, 6,
 
 
 @st.composite
-def mixed_weights(draw, absent=False):
-    """A small graph with mixed-denominator weights, zeros included, and,
-    with absent, some edges marked None."""
+def mixed_weights(draw):
+    """A small graph with mixed-denominator weights, zeros included."""
     g = draw(small_graph())
-    value = st.none() | _MIXED if absent else _MIXED
-    return g, draw(st.lists(value, min_size=g.m, max_size=g.m))
+    return g, draw(st.lists(_MIXED, min_size=g.m, max_size=g.m))
 
 
 @settings(max_examples=80, deadline=None)
-@given(mixed_weights(absent=True))
+@given(mixed_weights())
 def test_shortest_path_table_on_cleared_integers(gw):
     g, ws = gw
     expect = fraction_floyd_warshall(g, ws)
@@ -158,8 +156,7 @@ def test_shortest_path_table_on_cleared_integers(gw):
     assert {(a, b): dist[i][j] for i, a in enumerate(vs) for j, b in enumerate(vs)} == expect
     weight = {}
     for w, (a, b) in zip(ws, g.edges):
-        if w is not None:
-            weight[a, b] = weight[b, a] = w
+        weight[a, b] = weight[b, a] = w
     for i, a in enumerate(vs):
         for j, b in enumerate(vs):
             if dist[i][j] is not None:  # the next hops walk a shortest path
@@ -169,7 +166,7 @@ def test_shortest_path_table_on_cleared_integers(gw):
                 assert hops[-1] == j
                 assert sum(weight[vs[x], vs[y]] for x, y in zip(hops, hops[1:])) == dist[i][j]
     scale = 2520  # a common multiple of every denominator drawn
-    _, idist, inxt = shortest_path_table(g, [None if w is None else int(w * scale) for w in ws])
+    _, idist, inxt = shortest_path_table(g, [int(w * scale) for w in ws])
     assert inxt == nxt
     assert idist == [[None if x is None else x * scale for x in row] for row in dist]
 

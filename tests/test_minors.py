@@ -2,29 +2,27 @@
 
 import random
 import time
-import warnings
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 from linfgraph import (
-    DistanceFunction,
     Graph,
     InputError,
     MinorEmbedding,
     Tree,
-    WeakenedCertificateWarning,
     certificate_exceeds_2,
     classify_dim2,
     contains_minor,
-    decide_realizable,
     k4ek4_witness,
     min_dimension,
     named_graph,
-    pullback_distance,
+    pullback_points,
+    shortest_path_table,
     tk4_instance,
     validate_distance_function,
+    verify_realization,
     w4_witness,
 )
 from linfgraph import minors
@@ -492,77 +490,89 @@ def test_classifier_raises_when_a_witness_fails_its_check(monkeypatch):
         classify_dim2(named_graph("W_5"))
 
 
-# -- pullback_distance ---------------------------------------------------------
+# -- pullback_points -----------------------------------------------------------
 
 
-def _identity_embedding(g: Graph) -> MinorEmbedding:
+def _identity_embedding(h: Graph) -> MinorEmbedding:
+    """h as a minor of any graph that contains it as a subgraph."""
     return MinorEmbedding(
-        g,
-        {v: frozenset({v}) for v in g.vertices},
-        {(u, v): (u, v) for u, v in g.edges},
+        h,
+        {v: frozenset({v}) for v in h.vertices},
+        {(u, v): (u, v) for u, v in h.edges},
     )
 
 
-def test_pullback_through_identity_is_identity():
-    g, d = w4_witness()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        out = pullback_distance(g, _identity_embedding(g), d)
-    assert out.weights == d.weights
+def _l1(p, q):
+    return sum(abs(a - b) for a, b in zip(p, q))
 
 
-def test_pullback_contracts_one_cycle_edge():
-    c4 = named_graph("C_4")
-    k3 = named_graph("K_3")
-    emb = MinorEmbedding(
-        k3,
-        {1: frozenset({1}), 2: frozenset({2}), 3: frozenset({3, 4})},
-        {(1, 2): (1, 2), (2, 3): (2, 3), (1, 3): (1, 4)},
-    )
-    assert emb.check(c4)
-    out = pullback_distance(c4, emb, DistanceFunction.from_values([1, 1, 1]))
-    assert out.to_map(c4) == {(1, 2): 1, (1, 4): 1, (2, 3): 1, (3, 4): 0}
-
-
-def test_pullback_closes_fractional_pattern_weights():
-    # vertex 4 is in no branch set: its first edge is zeroed, and the closure
-    # then gives the others the pattern distances 1/2 and 2/3
-    k3, k4 = named_graph("K_3"), named_graph("K_4")
-    d_h = DistanceFunction.from_values(["1/2", "2/3", "1/3"])
-    out = pullback_distance(k4, _identity_embedding(k3), d_h)
-    assert out.to_map(k4) == {
-        (1, 2): Fraction(1, 2), (1, 3): Fraction(2, 3), (1, 4): 0,
-        (2, 3): Fraction(1, 3), (2, 4): Fraction(1, 2), (3, 4): Fraction(2, 3),
+def test_pullback_through_identity_gives_the_witness_points():
+    h = Fraction(1, 2)
+    assert pullback_points(K4E, _identity_embedding(K4E)) == {
+        0: (8, -6, -29 * h, 35 * h), 1: (0, h, 0, 71 * h),
+        2: (-43 * h, h, -29 * h, 105 * h), 3: (8, -6, -29 * h, 189 * h),
+        4: (8, 107 * h, 0, 35 * h), 5: (0, 0, 0, 0),
     }
-    assert all(type(w) is Fraction for w in out.weights)
 
 
-def test_pullback_weakens_inconsistent_pattern_weights():
-    k3 = named_graph("K_3")
-    bad = DistanceFunction.from_values([10, 1, 1])  # (1,2) cannot be 10
-    with pytest.warns(WeakenedCertificateWarning):
-        out = pullback_distance(k3, _identity_embedding(k3), bad)
-    assert out.to_map(k3) == {(1, 2): 2, (1, 3): 1, (2, 3): 1}
-    assert validate_distance_function(k3, out).valid
+@pytest.mark.parametrize("witness", [w4_witness, k4ek4_witness])
+def test_witness_points_realize_the_witness_in_the_sum_norm(witness):
+    g, d = witness()
+    points = pullback_points(g, _identity_embedding(g))
+    assert verify_realization(g, d, points, norm=1).ok
+    assert all(type(x) is Fraction for p in points.values() for x in p)
+
+
+def test_w4_points_are_the_shortest_path_metric():
+    # so between branch sets the pullback is the shortest-path closure
+    g, d = w4_witness()
+    points = pullback_points(g, _identity_embedding(g))
+    vs, dist, _ = shortest_path_table(g, d)
+    assert all(_l1(points[a], points[b]) == dist[i][j]
+               for i, a in enumerate(vs) for j, b in enumerate(vs))
+
+
+def test_pullback_gives_subdivision_vertices_their_sets_point():
+    host = _subdivide_all(W4)
+    emb = classify_dim2(host).witness
+    _, d = w4_witness()
+    at = pullback_points(W4, _identity_embedding(W4))
+    points = pullback_points(host, emb)
+    assert set(points) == set(host.vertices)
+    for pv, bs in emb.branch_sets.items():
+        assert all(points[x] == at[pv] for x in bs)
+    for u, v in W4.edges:
+        assert points[f"mid:{u}:{v}"] in (points[u], points[v])
+    for (pu, pv), (x, y) in emb.edge_realization.items():
+        assert _l1(points[x], points[y]) == d.of(W4, pu, pv)
+
+
+def test_pullback_gives_an_outside_vertex_a_neighbouring_sets_point():
+    host = Graph.build(range(1, 8), list(W4.edges) + [(2, 6), (3, 6), (6, 7)])
+    at = pullback_points(W4, _identity_embedding(W4))
+    points = pullback_points(host, _identity_embedding(W4))
+    assert points[6] == at[2]  # 2 reaches 6 before 3 does
+    assert points[7] == at[2]
+
+
+def test_certificate_on_the_wheel_plus_a_disjoint_triangle():
+    edges = list(W4.edges) + [(6, 7), (7, 8), (6, 8)]
+    host = Graph.build(range(1, 9), edges)
+    d, outcome = certificate_exceeds_2(host)
+    assert outcome.exhausted
+    assert validate_distance_function(host, d).valid
+    # the triangle lies in no branch set's component: one point, zero weights
+    assert [d.of(host, u, v) for u, v in [(6, 7), (7, 8), (6, 8)]] == [0, 0, 0]
+    points = pullback_points(host, classify_dim2(host).witness)
+    assert verify_realization(host, d, points, norm=1).ok
 
 
 def test_pullback_input_errors():
+    with pytest.raises(InputError):  # the embedding does not fit the host
+        pullback_points(named_graph("C_4"), _identity_embedding(W4))
     k3 = named_graph("K_3")
-    emb = _identity_embedding(k3)
-    with pytest.raises(InputError):
-        pullback_distance(named_graph("C_4"), emb, DistanceFunction.from_values([1, 1, 1]))
-    with pytest.raises(InputError):
-        pullback_distance(k3, emb, DistanceFunction.from_values([1, 1]))
-
-
-def test_pullback_of_wheel_witness_defeats_dimension_2():
-    host = named_graph("K_5")
-    emb = contains_minor(host, W4)
-    wg, wd = w4_witness()
-    d = pullback_distance(host, emb, wd)
-    assert validate_distance_function(host, d).valid
-    assert decide_realizable(host, d, 2).exhausted
-    assert decide_realizable(host, d, 3).cover is not None
+    with pytest.raises(InputError):  # a pattern with no witness points
+        pullback_points(k3, _identity_embedding(k3))
 
 
 # -- certificate_exceeds_2 ------------------------------------------------------
