@@ -503,9 +503,14 @@ def perturb_to_generic(
     PerturbationFailed; a check that runs out of `budget` returns the
     result unverified.  Deterministic for a fixed seed.
     """
-    report = validate_distance_function(g, d)
-    if not report.valid:
+    if not validate_distance_function(g, d).valid:
         raise InputError("input weights are not a valid distance function")
+    return _perturb_valid(g, d, seed, budget)
+
+
+def _perturb_valid(g: Graph, d: DistanceFunction, seed: int, budget: int = 10**6) -> DistanceFunction:
+    """`perturb_to_generic` on weights the caller knows to be valid, such
+    as a metric closure; skips the validation pass."""
     if is_generic(g, d, budget):
         return d
     m = g.m

@@ -20,8 +20,8 @@ from .graph_core import (
     DistanceFunction,
     Graph,
     _metric_closure,
+    _perturb_valid,
     edge_key,
-    perturb_to_generic,
 )
 
 
@@ -200,13 +200,15 @@ def linf2_to_l1_2(points) -> dict:
 def random_distance_function(g: Graph, seed: int = 0) -> DistanceFunction:
     """Seeded valid generic weights: uniform integers in [1, 2^16], replaced
     by their shortest-path closure (restoring validity), then perturbed by a
-    relative deviation below 2**-20.  The weights are positive, so
-    `perturb_to_generic` makes them generic by construction and the result
-    needs no further check.  Deterministic per (g, seed)."""
+    relative deviation below 2**-20.  The closure is valid by construction,
+    so it goes to `perturb_to_generic` without a second validation pass;
+    the weights are positive, so the perturbation makes them generic by
+    construction and the result needs no further check.  Deterministic per
+    (g, seed)."""
     import random
 
     if not g.is_connected():
         raise InputError("random weights need a connected graph")
     rng = random.Random(seed)
     raw = DistanceFunction(tuple(Fraction(rng.randint(1, 2**16)) for _ in range(g.m)))
-    return perturb_to_generic(g, _metric_closure(g, raw), seed=seed)
+    return _perturb_valid(g, _metric_closure(g, raw), seed)

@@ -51,8 +51,12 @@ A cover's potentials are the ones the search relaxed, divided by the scale
 factor; the cover is then re-verified in exact Fraction arithmetic before
 it is returned, so a positive answer is always certified.
 
-Feasibility of a single edge set is the same question with k = 1 over that
-set's edges: `is_feasible_set` runs this engine, not a separate one.
+Nothing the search context holds depends on k: the relaxation cache and
+the forest cache are keyed by arc sets and positions.  `min_dimension`
+therefore scans k = 1, 2, ... on one context, and each k reuses what the
+smaller ones relaxed.  Feasibility of a single edge set is the same
+question with k = 1 over that set's edges: `is_feasible_set` runs this
+engine, not a separate one.
 """
 
 from __future__ import annotations
@@ -70,7 +74,6 @@ from .graph_core import (
     _printable,
     _split_search,
     blocks,
-    is_generic,
     shortest_path_table,
     vertex_key,
 )
@@ -80,6 +83,8 @@ VERTEX_COVER_CAP = 32
 _GATE_BUDGET = 500
 # the prune rules of `_children`, in the order they are tried
 _RULES = ("conflict", "infeasible", "lookahead", "forest")
+# nodes between two calls of a search's progress callback
+_PROGRESS_EVERY = 250_000
 
 
 @dataclass(frozen=True)
@@ -200,9 +205,10 @@ _UNSEEN = object()  # cache miss marker; None caches an infeasible arc set
 
 
 class _Ctx:
-    """Scaled integer view of one (g, d, k) search problem.  `order` lists
-    the edge ids to cover in branching order; by default every edge, by
-    decreasing weight.
+    """Scaled integer view of the search problems of one (g, d), for every
+    k: nothing it holds depends on the number of parts, so one context
+    serves a whole k-scan.  `order` lists the edge ids to cover in
+    branching order; by default every edge, by decreasing weight.
 
     Arc 2e runs along edge e as stored in g.edges, arc 2e + 1 against it.
     A part is a tuple (mask, dist, blocked, forest): the bitmask of its
@@ -212,13 +218,18 @@ class _Ctx:
     a spanning forest (arc 2e for edge e) of the edges it can still hold.
 
     `generic` turns the forest rule on or off; None decides it by
-    `_generic_gate`."""
+    `_generic_gate`.
 
-    def __init__(self, g: Graph, d: DistanceFunction, k: int, order=None, generic=None):
+    The caches are independent of k as well.  `cache` maps an arc set to
+    the greatest solution <= 0 of its constraints (or None when it has
+    none), which depends on the mask alone; `forests[pos]` maps a part's
+    mask to its spanning forest at pos, and the mask determines what the
+    part blocks."""
+
+    def __init__(self, g: Graph, d: DistanceFunction, order=None, generic=None):
         if len(d.weights) != g.m:
             raise InputError("weight count does not match the graph")
         self.g = g
-        self.k = k
         n, m = g.n, g.m
         self.n = n
         self.m = m
@@ -253,7 +264,6 @@ class _Ctx:
         self.empty = (0, (0,) * n, 0, 0)
         self.cache: dict = {}
         self.progress: Callable | None = None
-        self.progress_every = 250_000
         self.generic = _generic_gate(g, self.w) if generic is None else generic
         if self.generic:
             # rest_rank[pos]: rank of the edges at positions pos.., which an
@@ -402,12 +412,13 @@ def _viable_remaining(ctx: _Ctx, pos: int, parts) -> bool:
     return not (everywhere & (everywhere >> 1) & ctx.rest[pos])
 
 
-def _children(ctx: _Ctx, pos: int, used: int, parts: list, counter: list):
+def _children(ctx: _Ctx, k: int, pos: int, used: int, parts: list, counter: list):
     """Yield (label, direction, used, parts) for every child of a node at
-    position pos that survives the conflict check, the feasibility check,
-    the lookahead and the forest rule.  counter holds [nodes, one count per
-    rule of _RULES, expanded]: each child tried is one node, and counts
-    once more, under the first rule that rejects it or as expanded.
+    position pos of a k-part search that survives the conflict check, the
+    feasibility check, the lookahead and the forest rule.  counter holds
+    [nodes, one count per rule of _RULES, expanded]: each child tried is
+    one node, and counts once more, under the first rule that rejects it
+    or as expanded.
 
     The parts of a node at pos carry spanning forests for pos.  A child's
     parts keep them valid for pos + 1: an untouched part loses only the
@@ -416,14 +427,14 @@ def _children(ctx: _Ctx, pos: int, used: int, parts: list, counter: list):
     eid = ctx.order[pos]
     nxt = pos + 1
     kept = None  # the node's parts refitted for pos + 1, once needed
-    for label in range(min(used + 1, ctx.k)):
+    for label in range(min(used + 1, k)):
         fresh = label == used
         part = ctx.empty if fresh else parts[label]
         blocked0 = part[2]
         for dr in (0,) if fresh else (0, 1):
             aid = 2 * eid + dr
             counter[0] += 1
-            if ctx.progress and counter[0] % ctx.progress_every == 0:
+            if ctx.progress and counter[0] % _PROGRESS_EVERY == 0:
                 ctx.progress(counter[0])
             if (blocked0 >> aid) & 1:
                 counter[1] += 1
@@ -437,7 +448,7 @@ def _children(ctx: _Ctx, pos: int, used: int, parts: list, counter: list):
                 spare = ctx.rest_rank[nxt]
                 # len(order) minus the node's rank sum at pos + 1, unused
                 # parts included; a child whose part gains less is pruned
-                need = len(ctx.order) - (ctx.k - used) * spare
+                need = len(ctx.order) - (k - used) * spare
                 kept = list(parts)
                 for i, p in enumerate(parts):
                     if p[3] & lost:
@@ -449,7 +460,7 @@ def _children(ctx: _Ctx, pos: int, used: int, parts: list, counter: list):
             else:
                 new_parts[label] = added
             new_used = used + 1 if fresh else used
-            if new_used == ctx.k and not _viable_remaining(ctx, nxt, new_parts):
+            if new_used == k and not _viable_remaining(ctx, nxt, new_parts):
                 counter[3] += 1
                 continue
             if ctx.generic:
@@ -463,13 +474,13 @@ def _children(ctx: _Ctx, pos: int, used: int, parts: list, counter: list):
             yield label, dr, new_used, new_parts
 
 
-def _dfs(ctx: _Ctx, pos: int, used: int, parts: list, counter: list):
+def _dfs(ctx: _Ctx, k: int, pos: int, used: int, parts: list, counter: list):
     """Returns the list of (label, direction) choices for positions pos..end
-    completing a cover, or None when the subtree is exhausted."""
+    completing a k-part cover, or None when the subtree is exhausted."""
     if pos == len(ctx.order):
         return []
-    for label, dr, new_used, new_parts in _children(ctx, pos, used, parts, counter):
-        suffix = _dfs(ctx, pos + 1, new_used, new_parts, counter)
+    for label, dr, new_used, new_parts in _children(ctx, k, pos, used, parts, counter):
+        suffix = _dfs(ctx, k, pos + 1, new_used, new_parts, counter)
         if suffix is not None:
             return [(label, dr)] + suffix
     return None
@@ -498,10 +509,10 @@ def _search_worker(payload):
     vertices, edges, weights, k, generic, prefix = payload
     g = Graph.build(vertices, edges)
     d = DistanceFunction(tuple(weights))
-    ctx = _Ctx(g, d, k, generic=generic)
+    ctx = _Ctx(g, d, generic=generic)
     used, parts = _replay(ctx, prefix)
     counter = [0] * 6
-    suffix = _dfs(ctx, len(prefix), used, parts, counter)
+    suffix = _dfs(ctx, k, len(prefix), used, parts, counter)
     if suffix is None:
         return None, counter
     return list(prefix) + suffix, counter
@@ -511,12 +522,12 @@ def _outcome(cover: Cover | None, counter: list) -> SearchOutcome:
     return SearchOutcome(cover, counter[0], dict(zip(_RULES, counter[1:5])), counter[5])
 
 
-def _certified_parts(ctx: _Ctx, choices):
+def _certified_parts(ctx: _Ctx, k: int, choices):
     """The k orientations a search assignment describes, each paired with
     the potential the search relaxed for it, as exact rationals.  The
     callers re-verify these in Fraction arithmetic."""
     _, parts = _replay(ctx, choices)
-    parts += [ctx.empty] * (ctx.k - len(parts))
+    parts += [ctx.empty] * (k - len(parts))
     vs = ctx.g.vertices
     orientations, potentials = [], []
     for mask, dist, _, _ in parts:
@@ -530,8 +541,8 @@ def _certified_parts(ctx: _Ctx, choices):
     return tuple(orientations), tuple(potentials)
 
 
-def _assignment_to_cover(ctx: _Ctx, d: DistanceFunction, choices) -> Cover:
-    cover = Cover(*_certified_parts(ctx, choices))
+def _assignment_to_cover(ctx: _Ctx, d: DistanceFunction, k: int, choices) -> Cover:
+    cover = Cover(*_certified_parts(ctx, k, choices))
     if not cover.check(ctx.g, d):
         raise RuntimeError("assembled cover failed re-verification")
     return cover
@@ -549,11 +560,11 @@ def is_feasible_set(
     must be a valid distance function; InputError otherwise.
     """
     eids = sorted({g.edge_id(u, v) for u, v in edges})
-    ctx = _Ctx(g, d, 1, eids)
-    choices = _dfs(ctx, 0, 0, [], [0] * 6)
+    ctx = _Ctx(g, d, eids)
+    choices = _dfs(ctx, 1, 0, 0, [], [0] * 6)
     if choices is None:
         return None
-    (orientation,), (potential,) = _certified_parts(ctx, choices)
+    (orientation,), (potential,) = _certified_parts(ctx, 1, choices)
     if not _part_certified(g, d, orientation, potential):
         raise RuntimeError("feasible orientation failed re-verification")
     return orientation, potential
@@ -566,22 +577,29 @@ def decide_realizable(
     *,
     threads: int = 1,
     progress: Callable | None = None,
-    progress_every: int = 250_000,
 ) -> SearchOutcome:
     """Complete search for a k-part cover of (g, d); exact and deterministic
-    for threads=1.  Returns a certified Cover or an exhaustion outcome."""
+    for threads=1.  Returns a certified Cover or an exhaustion outcome.
+    `progress`, if given, is called with the node count every
+    _PROGRESS_EVERY nodes of the serial search."""
     if k <= 0:
         raise InputError(f"dimension must be positive, got {k}")
-    ctx = _Ctx(g, d, k)
+    ctx = _Ctx(g, d)
     ctx.progress = progress
-    ctx.progress_every = progress_every
+    return _search(ctx, d, k, threads)
+
+
+def _search(ctx: _Ctx, d: DistanceFunction, k: int, threads: int) -> SearchOutcome:
+    """The k-part cover search on ctx, in process for threads <= 1, else
+    over a pool of `threads` workers."""
+    g = ctx.g
     counter = [0] * 6
     if g.m == 0:
-        return _outcome(_assignment_to_cover(ctx, d, []), counter)
+        return _outcome(_assignment_to_cover(ctx, d, k, []), counter)
 
     if threads <= 1:
-        choices = _dfs(ctx, 0, 0, [], counter)
-        return _outcome(None if choices is None else _assignment_to_cover(ctx, d, choices), counter)
+        choices = _dfs(ctx, k, 0, 0, [], counter)
+        return _outcome(None if choices is None else _assignment_to_cover(ctx, d, k, choices), counter)
 
     # parallel mode: expand a prefix frontier, then farm subtrees out
     frontier: list[tuple[int, list, list]] = [(0, [], [])]  # used, parts, choices
@@ -590,13 +608,13 @@ def decide_realizable(
         frontier = [
             (new_used, new_parts, choices + [(label, dr)])
             for used, parts, choices in frontier
-            for label, dr, new_used, new_parts in _children(ctx, depth, used, parts, counter)
+            for label, dr, new_used, new_parts in _children(ctx, k, depth, used, parts, counter)
         ]
         depth += 1
     if not frontier:
         return _outcome(None, counter)
     if depth == g.m:
-        return _outcome(_assignment_to_cover(ctx, d, frontier[0][2]), counter)
+        return _outcome(_assignment_to_cover(ctx, d, k, frontier[0][2]), counter)
 
     import multiprocessing as mp
 
@@ -610,7 +628,7 @@ def decide_realizable(
                 winner = choices
                 pool.terminate()
                 break
-    return _outcome(None if winner is None else _assignment_to_cover(ctx, d, winner), counter)
+    return _outcome(None if winner is None else _assignment_to_cover(ctx, d, k, winner), counter)
 
 
 # -- realizations -------------------------------------------------------------
@@ -717,20 +735,18 @@ def min_dimension(
     *,
     threads: int = 1,
 ) -> int:
-    """Least k admitting a realization.  Scans k upward, starting from 1,
-    or, when the weights are verified generic (every feasible part is then
-    a forest), from the block-density bound: the largest
-    ceil(m_B / (n_B - 1)) over the blocks B of g, which is at most the
-    arboricity and needs no size cap.  Genericity is verified by the O(m)
-    2-adic certificate `_distinct_valuations` when it applies, else by
-    `is_generic`.  The scan ends by the vertex cover number at the latest,
+    """Least k admitting a realization: the cover search for k = 1, 2, ...
+    on one search context, until a k has a cover.  Every k below the answer
+    is an exhausted search, and the answer's cover is re-verified in
+    Fraction arithmetic.  The small k cost little: with weights the gate
+    proves generic, the forest rule prunes every k with k * rank(g) < m at
+    the root, and otherwise the conflict table and the lookahead exhaust
+    them quickly.  The scan ends by the vertex cover number at the latest,
     where the stars around a minimum vertex cover realize any weights.  The
-    weights must be a valid distance function; the first search raises
-    InputError otherwise."""
+    weights must be a valid distance function; InputError otherwise."""
+    ctx = _Ctx(g, d)
     k = 1
-    if _distinct_valuations(d.integers) or is_generic(g, d).status == "generic":
-        k = max(1, _block_density(g))
-    while decide_realizable(g, d, k, threads=threads).cover is None:
+    while _search(ctx, d, k, threads).cover is None:
         k += 1
     return k
 
@@ -746,7 +762,8 @@ def finf_bounds(
     Upper bound: a vertex cover, since the stars around it realize any
     weights; the least one (`vertex_cover_number`) up to VERTEX_COVER_CAP
     vertices, the endpoints of a greedy maximal matching above.  Lower
-    bound: the block-density bound of `min_dimension`, improved by the best
+    bound: the block density, the largest ceil(m_B / (n_B - 1)) over the
+    blocks B of g, which is at most the arboricity, improved by the best
     min_dimension seen over `samples` seeded random weight functions plus
     any caller-supplied ones; the maximizing weights are returned as
     witness.  The random samples are generic, so their min_dimension is at

@@ -156,6 +156,11 @@ def test_criterion_5_tree_of_cliques():
         "star-7": named_graph("star_7"),
         "star-11": named_graph("star_11"),
     }
+    rng = random.Random(20261018)
+    for n in (6, 9, 12):
+        # seeded random trees: vertex i hangs off a random earlier vertex
+        edges = [(i, rng.randrange(1, i)) for i in range(2, n + 1)]
+        trees[f"random-{n}"] = Graph.build(range(1, n + 1), edges)
     pairs_refuted = 0
     for tg in trees.values():
         g, d = tk4_instance(Tree.build(tg))

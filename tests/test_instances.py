@@ -21,6 +21,7 @@ from linfgraph import (
     validate_distance_function,
     w4_witness,
 )
+from linfgraph import graph_core
 from linfgraph.graph_core import format_fraction
 
 
@@ -225,6 +226,20 @@ _RANDOM_PINS = {
 def test_random_distance_function_is_pinned(name, seed):
     d = random_distance_function(named_graph(name), seed)
     assert [format_fraction(w) for w in d.weights] == _RANDOM_PINS[name, seed]
+
+
+def test_random_distance_function_runs_one_shortest_path_table(monkeypatch):
+    # the closure is valid by construction; only building it needs the table
+    calls = []
+    table = graph_core.shortest_path_table
+
+    def counting(*args):
+        calls.append(args)
+        return table(*args)
+
+    monkeypatch.setattr(graph_core, "shortest_path_table", counting)
+    random_distance_function(named_graph("W_6"), seed=3)
+    assert len(calls) == 1
 
 
 def test_random_distance_function_needs_connectivity():

@@ -58,7 +58,7 @@ def test_cyclically_forced_triangle_is_negative():
     g, d = _triangle(1, 1, 2)
     assert orientation_feasible(g, d, [(1, 2), (2, 3)])
     assert not orientation_feasible(g, d, [(1, 2), (2, 3), (3, 1)])
-    ctx = _Ctx(g, d, 1)
+    ctx = _Ctx(g, d)
     part = ctx.try_add(ctx.try_add(ctx.empty, 0), 2)  # arcs 1->2 and 2->3
     assert part is not None
     assert ctx.try_add(part, 5) is None  # arc 3->1, against edge (1, 3)
@@ -70,7 +70,7 @@ def test_feasibility_matches_oracle_on_triangles():
     # every orientation of a 3-4-5 triangle, folded in through the search's
     # relaxation; a surviving part's potential passes the part check
     g, d = _triangle(3, 4, 5)
-    ctx = _Ctx(g, d, 1)
+    ctx = _Ctx(g, d)
     for dirs in product((0, 1), repeat=3):
         forced = [(u, v) if dr == 0 else (v, u) for (u, v), dr in zip(g.edges, dirs)]
         part = ctx.empty

@@ -33,7 +33,7 @@ from linfgraph import (
     vertex_cover_number,
     w4_witness,
 )
-from linfgraph import realizability
+from linfgraph import graph_core, realizability
 from linfgraph.realizability import _Ctx, _distinct_valuations, _generic_gate
 
 from atlas import connected_graphs_upto
@@ -103,7 +103,7 @@ def test_equal_weight_four_cycle_realizes_on_a_line():
     # weights are not generic, so the rule stays off
     g = named_graph("C_4")
     d = DistanceFunction.from_values([1] * 4)
-    assert not _Ctx(g, d, 1).generic
+    assert not _Ctx(g, d).generic
     out = decide_realizable(g, d, 1)
     assert out.cover is not None and out.prunes["forest"] == 0
     assert verify_realization(g, d, build_realization(g, d, out.cover)).ok
@@ -208,10 +208,11 @@ def test_failed_part_check_raises_in_is_feasible_set(monkeypatch):
     assert not cover.check(g, d)
 
 
-def test_progress_callback_fires():
+def test_progress_callback_fires(monkeypatch):
     g, d = w4_witness()
     seen = []
-    decide_realizable(g, d, 2, progress=seen.append, progress_every=10)
+    monkeypatch.setattr(realizability, "_PROGRESS_EVERY", 10)
+    decide_realizable(g, d, 2, progress=seen.append)
     assert seen and seen[0] == 10
 
 
@@ -262,7 +263,7 @@ def test_relaxation_matches_find_potential(gd, data):
     g, d = gd
     q = data.draw(st.integers(min_value=1, max_value=6))
     d = DistanceFunction(tuple(w / q for w in d.weights))
-    ctx = _Ctx(g, d, 1)
+    ctx = _Ctx(g, d)
     eids = data.draw(st.permutations(range(g.m)))
     dirs = data.draw(st.lists(st.integers(0, 1), min_size=g.m, max_size=g.m))
     part, arcs, blocked = ctx.empty, [], 0
@@ -388,22 +389,35 @@ def test_tk4_path3_needs_three_dimensions():
     assert min_dimension(g, d) == 3
 
 
-def test_min_dimension_starts_from_the_valuation_certificate(monkeypatch):
-    # 5, 6, 4 have 2-adic valuations 0, 1, 2: generic with no cycle search,
-    # so the scan starts at the block-density bound, 2 for a triangle
-    def no_cycle_search(*args, **kwargs):
-        raise AssertionError("is_generic ran although the valuations certify genericity")
+def test_min_dimension_builds_one_context(monkeypatch):
+    # every k of the scan, 1 to 4 on the doubled 4-vertex path, runs on the
+    # same search context
+    built = []
+    init = _Ctx.__init__
 
-    tried = []
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
 
-    def recording(g, d, k, **kwargs):
-        tried.append(k)
-        return decide_realizable(g, d, k, **kwargs)
+    g, d = tk4_instance(Tree.build(named_graph("path_4")))
+    monkeypatch.setattr(_Ctx, "__init__", counting)
+    assert min_dimension(g, d) == 4
+    assert len(built) == 1
+    monkeypatch.undo()
+    assert min_dimension(g, d, threads=2) == 4
 
-    monkeypatch.setattr(realizability, "is_generic", no_cycle_search)
-    monkeypatch.setattr(realizability, "decide_realizable", recording)
+
+def test_min_dimension_runs_no_genericity_search(monkeypatch):
+    # 5, 6, 4 have 2-adic valuations 0, 1, 2, so the gate needs no cycle
+    # search, and the scan itself asks no genericity question
+    def refuse(*args, **kwargs):
+        raise AssertionError("min_dimension ran a genericity search or a start bound")
+
+    monkeypatch.setattr(graph_core, "is_generic", refuse)
+    monkeypatch.setattr(realizability, "is_generic", refuse, raising=False)
+    monkeypatch.setattr(realizability, "_split_search", refuse)
+    monkeypatch.setattr(realizability, "_block_density", refuse)
     assert min_dimension(named_graph("C_3"), DistanceFunction.from_values([5, 6, 4])) == 2
-    assert tried == [2]
 
 
 def test_min_dimension_rejects_invalid_weights():
