@@ -1,124 +1,57 @@
 """Exact decision toolkit for realizing edge-weighted graphs in
-low-dimensional max-norm space."""
+low-dimensional max-norm space.
 
-from .errors import CapExceeded, InputError, PerturbationFailed
-from .graph_core import (
-    DistanceFunction,
-    GenericityReport,
-    Graph,
-    ValidationReport,
-    Violation,
-    blocks,
-    is_generic,
-    perturb_to_generic,
-    shortest_path_table,
-    validate_distance_function,
-)
-from .realizability import (
-    Cover,
-    FinfBounds,
-    Orientation,
-    Potential,
-    Realization,
-    SearchOutcome,
-    VerifyResult,
-    build_realization,
-    decide_realizable,
-    finf_bounds,
-    is_feasible_set,
-    min_dimension,
-    verify_realization,
-    vertex_cover_number,
-)
-from .minors import (
-    Classification,
-    MinorEmbedding,
-    certificate_exceeds_2,
-    classify_dim2,
-    contains_minor,
-    pullback_points,
-)
-from .instances import (
-    Tree,
-    k4ek4_witness,
-    k7_generic,
-    linf2_to_l1_2,
-    named_graph,
-    random_distance_function,
-    tk4_instance,
-    w4_witness,
-)
-from .serialize import (
-    cover_from_obj,
-    cover_to_obj,
-    embedding_from_obj,
-    embedding_to_obj,
-    instance_from_obj,
-    instance_to_obj,
-    load_certificate,
-    load_instance,
-    realization_from_obj,
-    realization_to_obj,
-    render_dot,
-    save_certificate,
-    save_instance,
-)
+The public names below load their submodule on first access (PEP 562), so
+a command that never searches or classifies never compiles `realizability`
+or `minors`."""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapExceeded",
-    "Classification",
-    "Cover",
-    "DistanceFunction",
-    "FinfBounds",
-    "GenericityReport",
-    "Graph",
-    "InputError",
-    "MinorEmbedding",
-    "Orientation",
-    "PerturbationFailed",
-    "Potential",
-    "Realization",
-    "SearchOutcome",
-    "Tree",
-    "ValidationReport",
-    "VerifyResult",
-    "Violation",
-    "blocks",
-    "build_realization",
-    "certificate_exceeds_2",
-    "classify_dim2",
-    "contains_minor",
-    "cover_from_obj",
-    "cover_to_obj",
-    "decide_realizable",
-    "embedding_from_obj",
-    "embedding_to_obj",
-    "finf_bounds",
-    "instance_from_obj",
-    "instance_to_obj",
-    "is_feasible_set",
-    "is_generic",
-    "k4ek4_witness",
-    "k7_generic",
-    "linf2_to_l1_2",
-    "load_certificate",
-    "load_instance",
-    "min_dimension",
-    "named_graph",
-    "perturb_to_generic",
-    "pullback_points",
-    "random_distance_function",
-    "realization_from_obj",
-    "realization_to_obj",
-    "render_dot",
-    "save_certificate",
-    "save_instance",
-    "shortest_path_table",
-    "tk4_instance",
-    "validate_distance_function",
-    "verify_realization",
-    "vertex_cover_number",
-    "w4_witness",
-]
+_EXPORTS = {
+    "errors": ("CapExceeded", "InputError", "PerturbationFailed"),
+    "graph_core": (
+        "DistanceFunction", "GenericityReport", "Graph", "ValidationReport", "Violation",
+        "blocks", "is_generic", "perturb_to_generic", "shortest_path_table",
+        "validate_distance_function",
+    ),
+    "realizability": (
+        "Cover", "FinfBounds", "Orientation", "Potential", "Realization", "SearchOutcome",
+        "VerifyResult", "build_realization", "decide_realizable", "finf_bounds",
+        "is_feasible_set", "min_dimension", "verify_realization", "vertex_cover_number",
+    ),
+    "minors": (
+        "Classification", "MinorEmbedding", "certificate_exceeds_2", "classify_dim2",
+        "contains_minor", "pullback_points",
+    ),
+    "instances": (
+        "Tree", "k4ek4_witness", "k7_generic", "linf2_to_l1_2", "named_graph",
+        "random_distance_function", "tk4_instance", "w4_witness",
+    ),
+    "serialize": (
+        "cover_from_obj", "cover_to_obj", "embedding_from_obj", "embedding_to_obj",
+        "instance_from_obj", "instance_to_obj", "load_certificate", "load_instance",
+        "realization_from_obj", "realization_to_obj", "render_dot", "save_certificate",
+        "save_instance",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    # An unknown name raises AttributeError, so that `from linfgraph import
+    # minors` falls through to importing the submodule.
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups find it without this call
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -5,7 +5,8 @@ Decision commands follow a stable exit-code contract for scripting:
 1 = no / exceeds (exhausted search, not generic, invalid, no minor),
 2 = usage errors, parse errors, or an inconclusive budget-limited check.
 Standard output carries one machine-readable JSON object per run; node
-counts and diagnostics go to standard error.
+counts and diagnostics go to standard error.  Each command imports the
+modules it runs, so a call compiles no search or classifier it does not use.
 """
 
 from __future__ import annotations
@@ -15,40 +16,6 @@ import json
 import sys
 
 from .errors import CapExceeded, InputError
-from .graph_core import _printable, is_generic, validate_distance_function
-from .instances import (
-    Tree,
-    k4ek4_witness,
-    k7_generic,
-    linf2_to_l1_2,
-    named_graph,
-    random_distance_function,
-    tk4_instance,
-    w4_witness,
-)
-from .minors import _certificate_from_witness, classify_dim2, contains_minor
-from .realizability import (
-    Realization,
-    build_realization,
-    decide_realizable,
-    finf_bounds,
-    min_dimension,
-    verify_realization,
-)
-from .serialize import (
-    cover_from_obj,
-    cover_to_obj,
-    embedding_from_obj,
-    embedding_to_obj,
-    instance_to_obj,
-    load_certificate,
-    load_instance,
-    realization_from_obj,
-    realization_to_obj,
-    render_dot,
-    save_certificate,
-    save_instance,
-)
 
 
 def _emit(obj) -> None:
@@ -63,6 +30,8 @@ def _progress(label: str):
 
 
 def _need_weights(path):
+    from .serialize import load_instance
+
     g, d = load_instance(path)
     if d is None:
         raise InputError(f"{path}: instance has no edge weights")
@@ -70,6 +39,8 @@ def _need_weights(path):
 
 
 def _cmd_validate(args) -> int:
+    from .graph_core import _printable, validate_distance_function
+
     g, d = _need_weights(args.instance)
     report = validate_distance_function(g, d)
     _emit(
@@ -85,6 +56,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_generic_check(args) -> int:
+    from .graph_core import is_generic
+
     g, d = _need_weights(args.instance)
     report = is_generic(g, d, budget=args.budget)
     out = {"status": report.status, "pairs_checked": report.pairs_checked}
@@ -101,6 +74,9 @@ def _cmd_generic_check(args) -> int:
 
 
 def _cmd_realize(args) -> int:
+    from .realizability import build_realization, decide_realizable
+    from .serialize import cover_to_obj, realization_to_obj, save_certificate
+
     g, d = _need_weights(args.instance)
     outcome = decide_realizable(
         g,
@@ -123,6 +99,8 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_min_dim(args) -> int:
+    from .realizability import min_dimension
+
     g, d = _need_weights(args.instance)
     k = min_dimension(g, d, threads=args.threads)
     _emit({"min_dimension": k})
@@ -130,6 +108,9 @@ def _cmd_min_dim(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .realizability import finf_bounds
+    from .serialize import load_instance, save_instance
+
     g, _ = load_instance(args.instance)
     bounds = finf_bounds(g, samples=args.samples, seed=args.seed)
     _emit({"lower": bounds.lower, "upper": bounds.upper, "exact": bounds.lower == bounds.upper})
@@ -139,6 +120,9 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .minors import classify_dim2
+    from .serialize import embedding_to_obj, load_instance
+
     g, _ = load_instance(args.instance)
     c = classify_dim2(g)
     out = {"verdict": c.verdict}
@@ -149,6 +133,10 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_certify_exceeds2(args) -> int:
+    from .minors import _certificate_from_witness, classify_dim2
+    from .realizability import Realization
+    from .serialize import load_instance, realization_to_obj, save_instance
+
     g, _ = load_instance(args.instance)
     c = classify_dim2(g)
     if c.verdict == "dim_at_most_2":
@@ -172,6 +160,10 @@ def _cmd_certify_exceeds2(args) -> int:
 
 
 def _cmd_minor(args) -> int:
+    from .instances import named_graph
+    from .minors import contains_minor
+    from .serialize import embedding_to_obj, load_instance, save_certificate
+
     g, _ = load_instance(args.instance)
     if args.pattern == "w4":
         h = named_graph("W_4")
@@ -191,6 +183,17 @@ def _cmd_minor(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .instances import (
+        Tree,
+        k4ek4_witness,
+        k7_generic,
+        named_graph,
+        random_distance_function,
+        tk4_instance,
+        w4_witness,
+    )
+    from .serialize import instance_to_obj, load_instance, save_instance
+
     if args.family == "w4-witness":
         g, d = w4_witness()
     elif args.family == "k4e-witness":
@@ -217,6 +220,15 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_convert_l1(args) -> int:
+    from .instances import linf2_to_l1_2
+    from .realizability import Realization
+    from .serialize import (
+        load_certificate,
+        realization_from_obj,
+        realization_to_obj,
+        save_certificate,
+    )
+
     obj = load_certificate(args.certificate)
     if obj.get("type") == "cover" and "realization" in obj:
         obj = obj["realization"]
@@ -234,6 +246,14 @@ def _cmd_convert_l1(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .serialize import (
+        cover_from_obj,
+        embedding_from_obj,
+        load_certificate,
+        load_instance,
+        realization_from_obj,
+    )
+
     obj = load_certificate(args.certificate)
     kind = obj["type"]
     if kind == "cover":
@@ -241,6 +261,8 @@ def _cmd_verify(args) -> int:
         ok = cover_from_obj(obj).check(g, d)
         detail = None if ok else "cover failed re-verification"
     elif kind == "realization":
+        from .realizability import verify_realization
+
         g, d = _need_weights(args.instance)
         norm = {"1": 1, "2": 2, "inf": "inf"}[args.norm]
         res = verify_realization(g, d, realization_from_obj(obj), norm=norm)
@@ -256,6 +278,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .serialize import embedding_from_obj, load_certificate, load_instance, render_dot
+
     g, d = load_instance(args.instance)
     emb = None
     if args.certificate:
@@ -314,7 +338,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = cmd("bounds", _cmd_bounds, help="sandwich the worst-case dimension of a graph")
     sp.add_argument("instance")
-    sp.add_argument("--samples", type=int, default=5)
+    sp.add_argument("--samples", type=_at_least(0), default=5)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--witness-out", help="save the maximizing weights here")
 

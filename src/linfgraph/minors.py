@@ -44,6 +44,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import permutations
+from typing import TYPE_CHECKING
 
 from .errors import InputError
 from .graph_core import (
@@ -53,8 +54,10 @@ from .graph_core import (
     validate_distance_function,
     vertex_key,
 )
-from .realizability import SearchOutcome, decide_realizable, verify_realization
 from .instances import _WITNESS_POINTS, _l1_weights, named_graph
+
+if TYPE_CHECKING:
+    from .realizability import SearchOutcome
 
 
 _W4 = named_graph("W_4")
@@ -648,6 +651,8 @@ def _certificate_from_witness(g: Graph, emb: MinorEmbedding) -> tuple[DistanceFu
     """The witness points pulled back through the classifier's embedding
     emb, their sum-norm weights and the exhausted k = 2 search on them.
     The weights are re-validated and the points re-verified against them."""
+    from .realizability import decide_realizable, verify_realization
+
     points = pullback_points(g, emb)
     d = _l1_weights(g, points)
     if not validate_distance_function(g, d).valid:

@@ -671,14 +671,16 @@ def verify_realization(g: Graph, d: DistanceFunction, points, norm="inf") -> Ver
         if len(points[v]) != k:
             raise InputError(f"vertex {v!r} has {len(points[v])} coordinates, expected {k}")
     for eid, (u, v) in enumerate(g.edges):
-        diffs = [a - b for a, b in zip(points[u], points[v])]
+        pu, pv = points[u], points[v]
+        # equal points (a part of a pulled-back witness) have no gaps to add
+        gaps = () if pu == pv else (abs(a - b) for a, b in zip(pu, pv))
         w = d.weights[eid]
         if norm == "inf":
-            got, want = max((abs(x) for x in diffs), default=Fraction(0)), w
+            got, want = max(gaps, default=0), w
         elif norm == 1:
-            got, want = sum((abs(x) for x in diffs), Fraction(0)), w
+            got, want = sum(gaps), w
         else:
-            got, want = sum((x * x for x in diffs), Fraction(0)), w * w
+            got, want = sum(x * x for x in gaps), w * w
         if got != want:
             detail = _MISMATCH[norm].format(_printable(got), _printable(want))
             return VerifyResult(False, (u, v), detail)
@@ -771,6 +773,8 @@ def finf_bounds(
     """
     from .instances import random_distance_function
 
+    if samples < 0:
+        raise InputError(f"samples must be at least 0, got {samples}")
     if g.m == 0:
         return FinfBounds(0, 0, None)
     if g.n <= VERTEX_COVER_CAP:

@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import InputError
 from .graph_core import DistanceFunction, Graph, format_fraction, to_fraction
-from .minors import MinorEmbedding
-from .realizability import Cover, Orientation, Potential, Realization
+
+if TYPE_CHECKING:
+    from .minors import MinorEmbedding
+    from .realizability import Cover, Realization
 
 
 def _read_json(path):
@@ -148,6 +151,8 @@ def _pairs(items: list, where: str) -> list:
 
 
 def cover_from_obj(obj) -> Cover:
+    from .realizability import Cover, Orientation, Potential
+
     obj = _certificate_of(obj, "cover")
     parts, potentials = [], []
     for i, part in enumerate(_list_field(obj, "parts", "cover")):
@@ -178,6 +183,8 @@ def realization_to_obj(realization: Realization) -> dict:
 
 
 def realization_from_obj(obj) -> Realization:
+    from .realizability import Realization
+
     obj = _certificate_of(obj, "realization")
     k = obj.get("k")
     if isinstance(k, bool) or not isinstance(k, int) or k < 0:
@@ -208,8 +215,12 @@ def embedding_to_obj(emb: MinorEmbedding) -> dict:
 
 
 def embedding_from_obj(obj) -> MinorEmbedding:
+    from .minors import MinorEmbedding
+
     obj = _certificate_of(obj, "minor_embedding")
-    pattern, _ = instance_from_obj(obj.get("pattern"))
+    if not isinstance(obj.get("pattern"), dict):
+        raise InputError("embedding: field 'pattern' must be an instance object")
+    pattern, _ = instance_from_obj(obj["pattern"])
     branch_sets = {}
     for pv, bs in _pairs(_list_field(obj, "branch_sets", "embedding"), "branch_sets"):
         if not isinstance(bs, list):

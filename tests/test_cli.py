@@ -95,6 +95,7 @@ def test_gen_into_a_directory_exits_2(run, tmp_path):
     ["realize", "--dim", "2", "--threads", "0"],
     ["min-dim", "--threads", "-3"],
     ["generic-check", "--budget", "-1"],
+    ["bounds", "--samples", "-1"],
 ])
 def test_out_of_range_numbers_are_usage_errors(run, w4_file, argv):
     code, out, err = run(argv[0], w4_file, *argv[1:])
@@ -113,6 +114,19 @@ def test_verify_rejects_malformed_certificates(run, w4_file, tmp_path):
         cert.write_text(json.dumps(obj))
         code, _, err = run("verify", w4_file, "--certificate", str(cert))
         assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("pattern", [None, [], "w4"])
+@pytest.mark.parametrize("command", ["verify", "render"])
+def test_embedding_without_a_pattern_object_names_the_field(run, w4_file, tmp_path, pattern, command):
+    cert = tmp_path / "emb.json"
+    obj = {"type": "minor_embedding", "branch_sets": [], "edge_realization": []}
+    if pattern is not None:
+        obj["pattern"] = pattern
+    cert.write_text(json.dumps(obj))
+    code, out, err = run(command, w4_file, "--certificate", str(cert))
+    assert code == 2 and out == ""
+    assert err == "error: embedding: field 'pattern' must be an instance object\n"
 
 
 _CERT_KEYS = ["k", "parts", "arcs", "potential", "points", "pattern", "vertices",
@@ -388,7 +402,6 @@ def test_certify_exceeds2_points_verify_in_the_sum_norm(run, tmp_path):
 
 
 def test_certify_exceeds2_classifies_once(run, tmp_path, monkeypatch):
-    import linfgraph.cli
     import linfgraph.minors
 
     calls = []
@@ -398,7 +411,7 @@ def test_certify_exceeds2_classifies_once(run, tmp_path, monkeypatch):
         calls.append(g)
         return real(g)
 
-    monkeypatch.setattr(linfgraph.cli, "classify_dim2", counting)
+    # the command imports classify_dim2 from minors when it runs
     monkeypatch.setattr(linfgraph.minors, "classify_dim2", counting)
     k5 = tmp_path / "k5.json"
     save_instance(named_graph("K_5"), None, k5)

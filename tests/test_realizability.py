@@ -29,6 +29,7 @@ from linfgraph import (
     shortest_path_table,
     tk4_instance,
     Tree,
+    VerifyResult,
     verify_realization,
     vertex_cover_number,
     w4_witness,
@@ -336,6 +337,44 @@ def test_verify_realization_norms():
         verify_realization(g, DistanceFunction.from_values([5]), pts, norm="3")
 
 
+def _distance_by_list(pu, pv, norm):
+    """The reference formula: a list of differences summed from Fraction(0)."""
+    diffs = [a - b for a, b in zip(pu, pv)]
+    if norm == "inf":
+        return max((abs(x) for x in diffs), default=Fraction(0))
+    if norm == 1:
+        return sum((abs(x) for x in diffs), Fraction(0))
+    return sum((x * x for x in diffs), Fraction(0))
+
+
+_COORD = st.integers(-4, 4) | st.fractions(-4, 4, max_denominator=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(2, 4), k=st.integers(0, 3),
+       norm=st.sampled_from([1, 2, "inf"]))
+def test_verify_realization_matches_the_list_formula(data, n, k, norm):
+    # a small pool of points, so that edges often join equal points
+    pool = data.draw(st.lists(st.tuples(*[_COORD] * k), min_size=1, max_size=n))
+    g = Graph.build(list(range(n)), [(i, j) for i in range(n) for j in range(i + 1, n)])
+    points = {v: data.draw(st.sampled_from(pool)) for v in g.vertices}
+    weights = []
+    for u, v in g.edges:
+        exact = _distance_by_list(points[u], points[v], norm)
+        choices = [Fraction(0), Fraction(1, 2), Fraction(5)] + ([exact] if norm != 2 else [])
+        weights.append(data.draw(st.sampled_from(choices)))
+    d = DistanceFunction.from_values(weights)
+    expected = VerifyResult(True)
+    for eid, (u, v) in enumerate(g.edges):
+        got = _distance_by_list(points[u], points[v], norm)
+        want = d.weights[eid] ** 2 if norm == 2 else d.weights[eid]
+        if got != want:
+            detail = realizability._MISMATCH[norm].format(got, want)
+            expected = VerifyResult(False, (u, v), detail)
+            break
+    assert verify_realization(g, d, points, norm=norm) == expected
+
+
 def test_verify_realization_input_errors():
     g = Graph.build([1, 2], [(1, 2)])
     d = DistanceFunction.from_values([1])
@@ -472,6 +511,11 @@ def test_finf_bounds_raises_when_bounds_cross(monkeypatch):
     monkeypatch.setattr(realizability, "vertex_cover_number", lambda g: 0)
     with pytest.raises(RuntimeError):
         finf_bounds(named_graph("K_4"), samples=1)
+
+
+def test_finf_bounds_rejects_negative_samples():
+    with pytest.raises(InputError):
+        finf_bounds(named_graph("K_4"), samples=-1)
 
 
 def test_finf_bounds_edgeless():
