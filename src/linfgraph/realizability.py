@@ -15,12 +15,13 @@ A weighted graph embeds in dimension k exactly when its edge set is the
 union of k feasible sets; each feasible set contributes one coordinate via
 the certifying potential.  `decide_realizable` runs a complete backtracking
 search over per-edge (part, direction) assignments, branching on edges in
-order of decreasing weight, with five sound reductions: parts are first used
+order of decreasing weight, with six sound reductions: parts are first used
 in increasing order, the first edge of each part has a fixed direction
 (global reversal symmetry), a precomputed table of arc pairs whose joint
 forcing closes a negative walk rejects assignments before the full check
 runs, once all k parts are open every remaining edge must still fit some
-part without such a conflict, and, for generic weights, the forest rule.
+part without such a conflict (the lookahead), unit propagation, and, for
+generic weights, the forest rule.
 
 Each part carries the bitmask of the arcs it blocks (the OR of the conflict
 table over its arcs), so the conflict check is one bit test and the
@@ -30,6 +31,20 @@ integers obtained by clearing denominators: adding an arc t->h relaxes
 only from h, label-correcting in FIFO order, starting from the parent part's
 potential, and rejects the part as soon as t's label would drop, since any
 negative cycle runs through the new arc.  Results are memoized per arc set.
+
+Unit propagation, the unit rule of Davis, Logemann and Loveland (CACM
+1962).  Once all k parts are open, no new part can take an edge, so in
+any completion every remaining edge takes one arc in one part, and that
+(part, arc) is one the part does not block.  An edge with a single such
+option, a unit, must therefore take it, and forcing every unit into its
+part loses no completion.  A forced arc blocks more in its part, which
+can leave new units, so the rounds repeat to a fixpoint.  The node is
+pruned if two units of one part conflict, if an edge is left with no
+option at all, or if the memoized relaxation finds a part infeasible with
+its forced arcs.  The options are counted for all edges at once with a
+saturating ones/twos pair of bitmasks.  The grown parts only decide the
+prune: the child keeps its own parts, and the search still branches on
+the forced edges in order.
 
 The forest rule.  With generic weights (no cycle splits into two halves of
 equal weight) every feasible part is a forest: a cycle inside one part
@@ -82,7 +97,7 @@ VERTEX_COVER_CAP = 32
 # half-sums `is_generic` may spend deciding whether the forest rule applies
 _GATE_BUDGET = 500
 # the prune rules of `_children`, in the order they are tried
-_RULES = ("conflict", "infeasible", "lookahead", "forest")
+_RULES = ("conflict", "infeasible", "lookahead", "unit", "forest")
 # nodes between two calls of a search's progress callback
 _PROGRESS_EVERY = 250_000
 
@@ -171,9 +186,9 @@ class SearchOutcome:
 
     Every child the search tries is one node, and is either pruned by the
     first rule that rejects it or expanded: `prunes` maps each rule
-    ('conflict', 'infeasible', 'lookahead', 'forest') to the children it
-    rejected, so nodes == sum(prunes.values()) + expanded.  Parallel runs
-    sum the counts over the frontier and every worker."""
+    ('conflict', 'infeasible', 'lookahead', 'unit', 'forest') to the
+    children it rejected, so nodes == sum(prunes.values()) + expanded.
+    Parallel runs sum the counts over the frontier and every worker."""
 
     cover: Cover | None
     nodes: int
@@ -402,20 +417,71 @@ def _generic_gate(g: Graph, w) -> bool:
     return _distinct_valuations(w) or _split_search(g, w, _GATE_BUDGET).status == "generic"
 
 
-def _viable_remaining(ctx: _Ctx, pos: int, parts) -> bool:
-    """Whether every edge at positions pos.. still has an arc that some
-    part does not block, i.e. no such edge has both arcs blocked in every
-    part."""
-    everywhere = -1
-    for part in parts:
-        everywhere &= part[2]
-    return not (everywhere & (everywhere >> 1) & ctx.rest[pos])
+def _propagate(ctx: _Ctx, pos: int, parts) -> int:
+    """Unit propagation at a node whose k parts are all open: the counter
+    slot of the rule that prunes the node, 3 (lookahead) or 4 (unit), or 0
+    when it survives.
+
+    Every edge at positions pos.. must take an arc that its part does not
+    block.  The first round prunes the node when some edge has no such
+    (part, arc): the lookahead.  An edge with exactly one, a unit, must
+    take it, and its arc blocks more in its part (`try_add` ORs in the same
+    conflict mask), which can leave an edge with one option or none, so the
+    rounds repeat to a fixpoint.  The node is pruned as a unit if two units
+    of one part conflict, if a later round finds an edge with no option, or
+    if `try_add` finds a part infeasible with the arcs forced into it.
+    Relaxing once at the fixpoint prunes exactly when relaxing arc by arc
+    would, since a superset of an infeasible arc set is infeasible, and
+    spares the relaxation wherever the conflict table already prunes.  The
+    grown parts are dropped: the rule only prunes."""
+    rest = ctx.rest[pos]
+    blocked = [part[2] for part in parts]
+    forced = [0] * len(parts)  # the arcs forced into each part
+    slot = 3
+    while True:
+        # ones: edges with at least one option; twos: with at least two
+        ones = twos = 0
+        for b in blocked:
+            free = rest & ~b
+            twos |= ones & free
+            ones |= free
+            free = rest & ~(b >> 1)
+            twos |= ones & free
+            ones |= free
+        if rest & ~ones:
+            return slot
+        units = ones & ~twos
+        if not units:
+            break
+        rest ^= units
+        slot = 4
+        for i, b in enumerate(blocked):
+            arcs = (units & ~b) | (units & ~(b >> 1)) << 1
+            if arcs:
+                forced[i] |= arcs
+                while arcs:
+                    low = arcs & -arcs
+                    arcs ^= low
+                    b |= ctx.conflict[low.bit_length() - 1]
+                # two of the part's units conflict (the table is symmetric)
+                if forced[i] & b:
+                    return 4
+                blocked[i] = b
+    for part, arcs in zip(parts, forced):
+        while arcs:
+            low = arcs & -arcs
+            arcs ^= low
+            part = ctx.try_add(part, low.bit_length() - 1)
+            if part is None:
+                return 4
+    return 0
 
 
 def _children(ctx: _Ctx, k: int, pos: int, used: int, parts: list, counter: list):
     """Yield (label, direction, used, parts) for every child of a node at
     position pos of a k-part search that survives the conflict check, the
-    feasibility check, the lookahead and the forest rule.  counter holds
+    feasibility check, unit propagation once all k parts are open (the
+    lookahead is its first round) and the forest rule.  counter holds
     [nodes, one count per rule of _RULES, expanded]: each child tried is
     one node, and counts once more, under the first rule that rejects it
     or as expanded.
@@ -460,17 +526,19 @@ def _children(ctx: _Ctx, k: int, pos: int, used: int, parts: list, counter: list
             else:
                 new_parts[label] = added
             new_used = used + 1 if fresh else used
-            if new_used == k and not _viable_remaining(ctx, nxt, new_parts):
-                counter[3] += 1
-                continue
+            if new_used == k:
+                slot = _propagate(ctx, nxt, new_parts)
+                if slot:
+                    counter[slot] += 1
+                    continue
             if ctx.generic:
                 blocked = added[2]
                 if fresh or added[3] & blocked & (blocked >> 1) & after:
                     new_parts[label] = added = ctx.refit(added, nxt)
                 if added[3].bit_count() - (spare if fresh else kept[label][3].bit_count()) < need:
-                    counter[4] += 1
+                    counter[5] += 1
                     continue
-            counter[5] += 1
+            counter[6] += 1
             yield label, dr, new_used, new_parts
 
 
@@ -511,7 +579,7 @@ def _search_worker(payload):
     d = DistanceFunction(tuple(weights))
     ctx = _Ctx(g, d, generic=generic)
     used, parts = _replay(ctx, prefix)
-    counter = [0] * 6
+    counter = [0] * 7
     suffix = _dfs(ctx, k, len(prefix), used, parts, counter)
     if suffix is None:
         return None, counter
@@ -519,7 +587,7 @@ def _search_worker(payload):
 
 
 def _outcome(cover: Cover | None, counter: list) -> SearchOutcome:
-    return SearchOutcome(cover, counter[0], dict(zip(_RULES, counter[1:5])), counter[5])
+    return SearchOutcome(cover, counter[0], dict(zip(_RULES, counter[1:6])), counter[6])
 
 
 def _certified_parts(ctx: _Ctx, k: int, choices):
@@ -561,7 +629,7 @@ def is_feasible_set(
     """
     eids = sorted({g.edge_id(u, v) for u, v in edges})
     ctx = _Ctx(g, d, eids)
-    choices = _dfs(ctx, 1, 0, 0, [], [0] * 6)
+    choices = _dfs(ctx, 1, 0, 0, [], [0] * 7)
     if choices is None:
         return None
     (orientation,), (potential,) = _certified_parts(ctx, 1, choices)
@@ -593,7 +661,7 @@ def _search(ctx: _Ctx, d: DistanceFunction, k: int, threads: int) -> SearchOutco
     """The k-part cover search on ctx, in process for threads <= 1, else
     over a pool of `threads` workers."""
     g = ctx.g
-    counter = [0] * 6
+    counter = [0] * 7
     if g.m == 0:
         return _outcome(_assignment_to_cover(ctx, d, k, []), counter)
 

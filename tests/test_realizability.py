@@ -35,9 +35,17 @@ from linfgraph import (
     w4_witness,
 )
 from linfgraph import graph_core, realizability
-from linfgraph.realizability import _Ctx, _distinct_valuations, _generic_gate
+from linfgraph.realizability import (
+    _RULES,
+    _Ctx,
+    _dfs,
+    _distinct_valuations,
+    _generic_gate,
+    _propagate,
+    _replay,
+)
 
-from atlas import connected_graphs_upto
+from atlas import connected_graphs, connected_graphs_upto
 from oracles import (
     bellman_ford_potential,
     brute_is_generic,
@@ -66,7 +74,7 @@ def test_single_edge_realizes_in_one_dimension():
 def test_w4_witness_needs_three_dimensions():
     g, d = w4_witness()
     out = decide_realizable(g, d, 2)
-    assert out.exhausted and out.nodes == 94
+    assert out.exhausted and out.nodes == 46
     out = decide_realizable(g, d, 3)
     assert out.cover is not None
     assert out.cover.check(g, d)
@@ -75,15 +83,16 @@ def test_w4_witness_needs_three_dimensions():
 def test_k4ek4_witness_needs_three_dimensions():
     g, d = k4ek4_witness()
     out = decide_realizable(g, d, 2)
-    assert out.exhausted and out.nodes == 421
+    assert out.exhausted and out.nodes == 201
     assert decide_realizable(g, d, 3).cover is not None
 
 
 def test_prune_counts_add_up_and_agree_across_threads():
     g, d = k4ek4_witness()
     serial = decide_realizable(g, d, 2)
-    assert serial.prunes == {"conflict": 248, "infeasible": 38, "lookahead": 12, "forest": 17}
-    assert serial.expanded == 106
+    assert serial.prunes == {
+        "conflict": 103, "infeasible": 18, "lookahead": 3, "unit": 25, "forest": 1}
+    assert serial.expanded == 51
     assert serial.nodes == sum(serial.prunes.values()) + serial.expanded
     parallel = decide_realizable(g, d, 2, threads=2)
     assert parallel.exhausted
@@ -126,6 +135,75 @@ def test_search_matches_brute_force_on_tied_small_weights():
                 assert found == brute_realizable(g, d, k, family=family), (g.edges, d.weights, k)
                 decisions += 1
     assert decisions == 270
+
+
+def _arc(g, u, v):
+    """The search's arc id of u->v: 2e along edge e as stored, 2e + 1 against."""
+    eid = g.edge_id(u, v)
+    return 2 * eid + (g.edges[eid] != (u, v))
+
+
+def test_unit_propagation_prunes_what_the_lookahead_passes():
+    # K_4 at k = 2, with the edges 0-2 and 1-2 left.  Part 0, the star
+    # 0->3, 1->3, 2->3, pins p = (5, 4, 5, 0) up to a shift and blocks both
+    # arcs of each; part 1, the arc 0->1, blocks 2->0 and 1->2.  Each edge
+    # left keeps one option, so the lookahead passes, and both are units in
+    # part 1: 0->2 and 2->1.  Forcing 0->2 blocks 2->1, since together they
+    # would make p(0) - p(1) = 3 + 2, not 4.
+    g = Graph.build([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    ctx = _Ctx(g, DistanceFunction.from_values([4, 3, 5, 2, 4, 5]))
+    pos = 4
+    assert [g.edges[e] for e in ctx.order[pos:]] == [(0, 2), (1, 2)]
+    star = ctx.empty
+    for u in (0, 1, 2):
+        star = ctx.try_add(star, _arc(g, u, 3))
+    parts = [star, ctx.try_add(ctx.empty, _arc(g, 0, 1))]
+    options = {(u, v): [i for i, p in enumerate(parts) if not (p[2] >> _arc(g, u, v)) & 1]
+               for u, v in [(0, 2), (2, 0), (1, 2), (2, 1)]}
+    assert options == {(0, 2): [1], (2, 0): [], (1, 2): [], (2, 1): [1]}
+    assert _RULES[_propagate(ctx, pos, parts) - 1] == "unit"
+
+
+def _options(parts, eid):
+    """How many (part, arc) pairs of edge eid no part blocks."""
+    return sum(not (p[2] >> a) & 1 for p in parts for a in (2 * eid, 2 * eid + 1))
+
+
+@pytest.mark.parametrize("name, k", [("K_7", 4), ("W_8", 2)])
+def test_unit_propagation_keeps_every_state_on_a_cover(name, k):
+    # every prefix of a cover with all k parts open has a completion, the
+    # rest of that cover, so propagation must let it through, units and all
+    g = named_graph(name)
+    d = random_distance_function(g, 3)
+    ctx = _Ctx(g, d)
+    choices = _dfs(ctx, k, 0, 0, [], [0] * 7)
+    assert choices is not None
+    states = units = 0
+    for pos in range(len(choices)):
+        used, parts = _replay(ctx, choices[:pos])
+        if used == k:
+            assert _propagate(ctx, pos, parts) == 0, pos
+            states += 1
+            units += sum(_options(parts, e) == 1 for e in ctx.order[pos:])
+    assert states >= 10 and units >= 20
+
+
+def test_search_matches_brute_force_with_unit_prunes():
+    # weights within a factor 2 keep every edge a shortest path, which
+    # gives the conflict table, and so the unit rule, something to force
+    rng = random.Random(1414)
+    graphs = list(connected_graphs(4) + connected_graphs(5))
+    graphs += rng.sample([g for g in connected_graphs(6) if g.m <= 9], 12)
+    units = 0
+    for g in graphs:
+        d = _closure(g, {e: rng.randint(10, 20) for e in g.edges})
+        family = feasible_family(g, d)
+        for k in (2, 3):
+            out = decide_realizable(g, d, k)
+            assert (out.cover is not None) == brute_realizable(g, d, k, family=family), (
+                g.edges, d.weights, k)
+            units += out.prunes["unit"]
+    assert units > 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -533,5 +611,5 @@ def test_k7_generic_realizes_at_five_not_four():
     g, d = k7_generic()
     assert decide_realizable(g, d, 5).cover is not None
     out = decide_realizable(g, d, 4)
-    assert out.exhausted and out.nodes == 220_911
-    assert out.prunes["forest"] > 0
+    assert out.exhausted and out.nodes == 53_935
+    assert out.prunes["forest"] > 0 and out.prunes["unit"] > 0
