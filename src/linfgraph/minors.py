@@ -12,9 +12,9 @@ every 3-connected graph on at least five vertices has an edge whose
 contraction keeps it 3-connected (Thomassen), so contracting down to five
 vertices, where the wheel is written down, builds the witness.  Otherwise it
 has a K4eK4 minor iff at least two pieces are K4s, and the witness joins two
-of them by two disjoint paths.  The exact branch-set search serves
-`contains_minor` alone.  A positive verdict always carries a re-validated
-embedding.
+of them by two disjoint paths.  `contains_minor` answers W4 by the same
+pieces and runs the exact branch-set search for every other pattern.  A
+positive verdict always carries a re-validated embedding.
 
 `pullback_points` carries a pattern's witness points up to a host graph
 with the pattern as a minor.  Each branch set takes its pattern vertex's
@@ -210,12 +210,25 @@ def _minor_search(g: Graph, h: Graph) -> MinorEmbedding | None:
 
 def contains_minor(g: Graph, h: Graph) -> MinorEmbedding | None:
     """Certified embedding of h as a minor of g, or None after exhaustive
-    search.  h must be connected."""
+    search.  h must be connected.  For h = W4 no search runs: g has a W4
+    minor iff some block has a piece on five or more vertices, and the
+    witness is built in that piece (the proof is in `classify_dim2`)."""
     if h.n == 0:
         raise InputError("pattern graph is empty")
     if not h.is_connected():
         raise InputError("pattern graph must be connected")
-    return _minor_search(g, h)
+    if h != _W4:
+        return _minor_search(g, h)
+    for block in blocks(g):
+        if block.n < 5:
+            continue
+        piece = next((p for p in _three_connected_pieces(block) if len(p) >= 5), None)
+        if piece is not None:
+            emb = _wheel_in_piece(block, piece)
+            if not emb.check(g):
+                raise RuntimeError("W4 witness failed validation")
+            return emb
+    return None
 
 
 # -- separation-pair pieces -------------------------------------------------------

@@ -15,13 +15,14 @@ A weighted graph embeds in dimension k exactly when its edge set is the
 union of k feasible sets; each feasible set contributes one coordinate via
 the certifying potential.  `decide_realizable` runs a complete backtracking
 search over per-edge (part, direction) assignments, branching on edges in
-order of decreasing weight, with six sound reductions: parts are first used
+order of decreasing weight, with seven sound reductions: parts are first used
 in increasing order, the first edge of each part has a fixed direction
 (global reversal symmetry), a precomputed table of arc pairs whose joint
 forcing closes a negative walk rejects assignments before the full check
 runs, once all k parts are open every remaining edge must still fit some
-part without such a conflict (the lookahead), unit propagation, and, for
-generic weights, the forest rule.
+part without such a conflict (the lookahead), unit propagation, orphan
+seeding once k - 1 parts are open, and, for generic weights, the forest
+rule.
 
 Each part carries the bitmask of the arcs it blocks (the OR of the conflict
 table over its arcs), so the conflict check is one bit test and the
@@ -45,6 +46,17 @@ its forced arcs.  The options are counted for all edges at once with a
 saturating ones/twos pair of bitmasks.  The grown parts only decide the
 prune: the child keeps its own parts, and the search still branches on
 the forced edges in order.
+
+Orphan seeding, the same rule one part earlier.  Once k - 1 parts are
+open, a remaining edge whose arcs every open part blocks, an orphan, can
+only go to the last part.  Reversing every arc of one part keeps it
+feasible (negate its potential), and reverses every arc pair in the
+conflict table alike, so if the node has a completion it has one whose
+last part takes arc 2e of the lowest orphan e.  That completion also
+completes the node with its last part seeded by 2e alone and e placed, so
+unit propagation on the seeded node prunes only nodes with no completion.
+The seed, like the units, only decides the prune: the child's last part
+stays unopened, and the search opens it with its own fixed direction.
 
 The forest rule.  With generic weights (no cycle splits into two halves of
 equal weight) every feasible part is a forest: a cycle inside one part
@@ -417,13 +429,14 @@ def _generic_gate(g: Graph, w) -> bool:
     return _distinct_valuations(w) or _split_search(g, w, _GATE_BUDGET).status == "generic"
 
 
-def _propagate(ctx: _Ctx, pos: int, parts) -> int:
+def _propagate(ctx: _Ctx, pos: int, parts, placed: int = 0) -> int:
     """Unit propagation at a node whose k parts are all open: the counter
     slot of the rule that prunes the node, 3 (lookahead) or 4 (unit), or 0
-    when it survives.
+    when it survives.  placed holds arc 2e of each edge e at positions
+    pos.. that the parts already hold (a seeded orphan): it is not left.
 
-    Every edge at positions pos.. must take an arc that its part does not
-    block.  The first round prunes the node when some edge has no such
+    Every other edge at positions pos.. must take an arc that its part does
+    not block.  The first round prunes the node when some edge has no such
     (part, arc): the lookahead.  An edge with exactly one, a unit, must
     take it, and its arc blocks more in its part (`try_add` ORs in the same
     conflict mask), which can leave an edge with one option or none, so the
@@ -434,7 +447,7 @@ def _propagate(ctx: _Ctx, pos: int, parts) -> int:
     would, since a superset of an infeasible arc set is infeasible, and
     spares the relaxation wherever the conflict table already prunes.  The
     grown parts are dropped: the rule only prunes."""
-    rest = ctx.rest[pos]
+    rest = ctx.rest[pos] & ~placed
     blocked = [part[2] for part in parts]
     forced = [0] * len(parts)  # the arcs forced into each part
     slot = 3
@@ -480,8 +493,11 @@ def _propagate(ctx: _Ctx, pos: int, parts) -> int:
 def _children(ctx: _Ctx, k: int, pos: int, used: int, parts: list, counter: list):
     """Yield (label, direction, used, parts) for every child of a node at
     position pos of a k-part search that survives the conflict check, the
-    feasibility check, unit propagation once all k parts are open (the
-    lookahead is its first round) and the forest rule.  counter holds
+    feasibility check, unit propagation (the lookahead is its first round)
+    and the forest rule.  Propagation runs once all k parts are open, and
+    once k - 1 are open when an edge left is an orphan, which every open
+    part blocks both ways: then it runs on the k - 1 parts plus a last part
+    seeded with arc 2e of the lowest orphan e, with e placed.  counter holds
     [nodes, one count per rule of _RULES, expanded]: each child tried is
     one node, and counts once more, under the first rule that rejects it
     or as expanded.
@@ -526,11 +542,21 @@ def _children(ctx: _Ctx, k: int, pos: int, used: int, parts: list, counter: list
             else:
                 new_parts[label] = added
             new_used = used + 1 if fresh else used
+            slot = 0
             if new_used == k:
                 slot = _propagate(ctx, nxt, new_parts)
-                if slot:
-                    counter[slot] += 1
-                    continue
+            elif new_used == k - 1:
+                # orphans: edges left whose arcs every open part blocks
+                orphans = ctx.rest[nxt]
+                for p in new_parts:
+                    orphans &= p[2] & p[2] >> 1
+                if orphans:
+                    low = orphans & -orphans
+                    seeded = ctx.try_add(ctx.empty, low.bit_length() - 1)
+                    slot = _propagate(ctx, nxt, new_parts + [seeded], low)
+            if slot:
+                counter[slot] += 1
+                continue
             if ctx.generic:
                 blocked = added[2]
                 if fresh or added[3] & blocked & (blocked >> 1) & after:

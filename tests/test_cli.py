@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from linfgraph import named_graph, save_instance, w4_witness
+from linfgraph import Tree, named_graph, save_instance, tk4_instance, w4_witness
 from linfgraph.cli import main
 
 
@@ -434,6 +434,12 @@ def test_minor(run, tmp_path):
     patt = tmp_path / "patt.json"
     save_instance(named_graph("C_4"), None, patt)
     assert run("minor", str(k5), "--pattern", str(patt))[0] == 0
+
+    # the doubled 5-vertex path is W4-free, read off its K4 pieces
+    tk4 = tmp_path / "tk4.json"
+    save_instance(*tk4_instance(Tree.build(named_graph("path_5"))), tk4)
+    code, out, _ = run("minor", str(tk4), "--pattern", "w4")
+    assert code == 1 and json.loads(out) == {"contains": False}
 
 
 def test_gen_families_and_byte_stability(run, tmp_path):

@@ -26,7 +26,7 @@ from linfgraph import (
     w4_witness,
 )
 from linfgraph import minors
-from linfgraph.minors import _three_connected_pieces, _wheel_at_five
+from linfgraph.minors import _minor_search, _three_connected_pieces, _wheel_at_five
 
 from atlas import connected_graphs_upto
 from oracles import brute_has_minor
@@ -285,10 +285,33 @@ def test_classifier_agrees_with_the_minor_oracle():
     assert len(graphs) == 143 + 300 + 60
     for g in graphs:
         c = classify_dim2(g)
-        expected = contains_minor(g, W4) is not None or contains_minor(g, K4E) is not None
+        # the oracle is the branch-set search: contains_minor(g, W4) reads
+        # the pieces, as the classifier does
+        has_w4 = _minor_search(g, W4) is not None
+        emb = contains_minor(g, W4)
+        assert (emb is not None) == has_w4
+        if emb is not None:
+            assert emb.pattern == W4 and emb.check(g)
+        expected = has_w4 or _minor_search(g, K4E) is not None
         assert (c.verdict == "exceeds_2") == expected
         if c.witness is not None:
             assert c.witness.check(g)
+
+
+def test_w4_containment_never_searches_branch_sets(monkeypatch):
+    def no_search(g, h):
+        raise AssertionError("contains_minor(g, W4) reached the branch-set search")
+
+    monkeypatch.setattr(minors, "_minor_search", no_search)
+    # the doubled paths are W4-free: every piece is a K4
+    for n in (5, 6):
+        g, _ = tk4_instance(Tree.build(named_graph(f"path_{n}")))
+        start = time.perf_counter()
+        assert contains_minor(g, W4) is None
+        assert time.perf_counter() - start < 1.0
+    for g in (named_graph("petersen"), _subdivide_all(named_graph("W_7")), _grid(6, 6)):
+        emb = contains_minor(g, W4)
+        assert emb is not None and emb.pattern == W4 and emb.check(g)
 
 
 def _piece_sizes(g: Graph) -> list:

@@ -38,6 +38,7 @@ from linfgraph import graph_core, realizability
 from linfgraph.realizability import (
     _RULES,
     _Ctx,
+    _children,
     _dfs,
     _distinct_valuations,
     _generic_gate,
@@ -91,7 +92,7 @@ def test_prune_counts_add_up_and_agree_across_threads():
     g, d = k4ek4_witness()
     serial = decide_realizable(g, d, 2)
     assert serial.prunes == {
-        "conflict": 103, "infeasible": 18, "lookahead": 3, "unit": 25, "forest": 1}
+        "conflict": 103, "infeasible": 18, "lookahead": 3, "unit": 26, "forest": 0}
     assert serial.expanded == 51
     assert serial.nodes == sum(serial.prunes.values()) + serial.expanded
     parallel = decide_realizable(g, d, 2, threads=2)
@@ -204,6 +205,109 @@ def test_search_matches_brute_force_with_unit_prunes():
                 g.edges, d.weights, k)
             units += out.prunes["unit"]
     assert units > 0
+
+
+def test_orphan_seeding_prunes_what_the_open_parts_pass():
+    # K_4 at k = 2, edge 0-1 of weight 3, the others 2.  Part 0, the star
+    # 0->1, 0->2, 0->3, pins p = (0, -3, -2, -2) up to a shift, so the
+    # gaps on 1-2, 1-3 and 2-3 are 1, 1 and 0, none of them 2: it blocks
+    # both arcs of each, and all three are orphans.  With the last part
+    # unopened, each edge keeps both arcs there, so propagation over the
+    # parts as they stand passes: only the seed prunes.
+    # Seeded with 1->2, the last part leaves 1-3 and 2-3 one arc each,
+    # 1->3 and 3->2, and together they make p(1) - p(2) = 4, not 2.
+    g = Graph.build([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    ctx = _Ctx(g, DistanceFunction.from_values([3, 2, 2, 2, 2, 2]))
+    assert not ctx.generic  # 0-2-1-3 splits 2 + 2 = 2 + 2: no forest rule
+    pos = 3
+    assert [g.edges[e] for e in ctx.order[:pos]] == [(0, 1), (0, 2), (0, 3)]
+    star = ctx.empty
+    for v in (1, 2, 3):
+        star = ctx.try_add(star, _arc(g, 0, v))
+    assert all(_options([star], e) == 0 for e in ctx.order[pos:])
+    assert _propagate(ctx, pos, [star, ctx.empty]) == 0
+    seeded = ctx.try_add(ctx.empty, _arc(g, 1, 2))
+    placed = 1 << _arc(g, 1, 2)
+    assert _RULES[_propagate(ctx, pos, [star, seeded], placed) - 1] == "unit"
+    # and the search prunes the child that completes the star, as a unit
+    counter = [0] * 7
+    parent = [ctx.try_add(ctx.try_add(ctx.empty, _arc(g, 0, 1)), _arc(g, 0, 2))]
+    kids = [(label, dr) for label, dr, _, _ in _children(ctx, 2, pos - 1, 1, parent, counter)]
+    assert (0, 0) not in kids and counter[1 + _RULES.index("unit")] == 1
+
+
+def _path_to(ctx, arcs):
+    """The choices by which ctx's search reaches the cover that puts edge e
+    into part arcs[e][0] with direction arcs[e][1]: parts renumbered by
+    first use in ctx's order, and each reversed if needed so that its
+    first edge takes direction 0."""
+    label, flip, choices = {}, {}, []
+    for e in ctx.order:
+        part, dr = arcs[e]
+        if part not in label:
+            label[part], flip[part] = len(label), dr
+        choices.append((label[part], dr ^ flip[part]))
+    return choices
+
+
+def test_orphan_seeding_keeps_every_state_on_a_cover():
+    # covers found in shuffled branching orders, replayed in the default
+    # one: every prefix has a completion, the rest of that cover, so the
+    # search must yield each next step.  Where k - 1 parts are open, the
+    # cover's last part holds the lowest orphan one way or the other, and
+    # reversing that part gives either arc, so both seeds must pass
+    steps = states = 0
+    for name, k in [("K_5", 3), ("K_7", 4), ("W_10", 2), ("W_12", 2)]:
+        g = named_graph(name)
+        for seed in range(3):
+            d = random_distance_function(g, seed)
+            ctx = _Ctx(g, d)
+            rng = random.Random(seed)
+            for _ in range(3):
+                order = rng.sample(ctx.order, len(ctx.order))
+                found = _dfs(_Ctx(g, d, order), k, 0, 0, [], [0] * 7)
+                assert found is not None
+                choices = _path_to(ctx, dict(zip(order, found)))
+                for pos, step in enumerate(choices):
+                    used, parts = _replay(ctx, choices[:pos])
+                    kids = _children(ctx, k, pos, used, parts, [0] * 7)
+                    assert step in [(label, dr) for label, dr, _, _ in kids], (name, seed, pos)
+                    steps += 1
+                    used, parts = _replay(ctx, choices[:pos + 1])
+                    left = [e for e in ctx.order[pos + 1:] if _options(parts, e) == 0]
+                    if used != k - 1 or not left:
+                        continue
+                    e = min(left)
+                    for arc in (2 * e, 2 * e + 1):
+                        seeded = ctx.try_add(ctx.empty, arc)
+                        assert _propagate(ctx, pos + 1, parts + [seeded], 1 << 2 * e) == 0
+                    states += 1
+    assert steps == 675 and states >= 30
+
+
+def test_search_matches_brute_force_with_orphan_seeding(monkeypatch):
+    # the sweep of the unit rule's test at k = 2, 3 and 4, counting the
+    # nodes that only the seeded propagation prunes
+    seeded_prunes = []
+
+    def counting(ctx, pos, parts, placed=0):
+        slot = _propagate(ctx, pos, parts, placed)
+        if placed and slot:
+            seeded_prunes.append(slot)
+        return slot
+
+    monkeypatch.setattr(realizability, "_propagate", counting)
+    rng = random.Random(1515)
+    graphs = list(connected_graphs(4) + connected_graphs(5))
+    graphs += rng.sample([g for g in connected_graphs(6) if g.m <= 9], 12)
+    for g in graphs:
+        d = _closure(g, {e: rng.randint(10, 20) for e in g.edges})
+        family = feasible_family(g, d)
+        for k in (2, 3, 4):
+            out = decide_realizable(g, d, k)
+            assert (out.cover is not None) == brute_realizable(g, d, k, family=family), (
+                g.edges, d.weights, k)
+    assert len(seeded_prunes) > 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -611,5 +715,5 @@ def test_k7_generic_realizes_at_five_not_four():
     g, d = k7_generic()
     assert decide_realizable(g, d, 5).cover is not None
     out = decide_realizable(g, d, 4)
-    assert out.exhausted and out.nodes == 53_935
+    assert out.exhausted and out.nodes == 6_405
     assert out.prunes["forest"] > 0 and out.prunes["unit"] > 0
