@@ -3,7 +3,9 @@ low-dimensional max-norm space.
 
 The public names below load their submodule on first access (PEP 562), so
 a command that never searches or classifies never compiles `realizability`
-or `minors`."""
+or `minors`.  The records they return are plain classes on one shared
+base, with no methods generated at import, because every CLI process
+compiles and sets up the package afresh."""
 
 import importlib
 

@@ -78,6 +78,12 @@ def _cmd_realize(args) -> int:
     from .serialize import cover_to_obj, realization_to_obj, save_certificate
 
     g, d = _need_weights(args.instance)
+    enough = max(1, g.m)
+    if args.dim > enough:
+        raise InputError(
+            f"--dim {args.dim} is more than the {enough} dimensions that always suffice "
+            f"for {g.m} edges (one edge uv per part, with potential dist(u, x))"
+        )
     outcome = decide_realizable(
         g,
         d,

@@ -15,8 +15,8 @@ weight.
 from __future__ import annotations
 
 import math
+import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
@@ -77,8 +77,48 @@ def _printable(q) -> str:
                 f"{q.denominator.bit_length()}-bit denominator>")
 
 
-@dataclass(frozen=True)
-class Graph:
+_set = object.__setattr__  # how a record's __init__ stores its fields
+
+
+class _Record:
+    """Base of the package's immutable records.
+
+    A subclass lists its fields as annotations in its class body, which
+    make its `_fields` tuple, and stores each one in its own `__init__`
+    with `_set`.  Records of the same class are equal when their fields
+    are, hash by their fields, print as `Name(field=value, ...)` and
+    refuse assignment and deletion.  These methods are written once here,
+    not generated per class at import, because every CLI process compiles
+    and sets up the package afresh.  No `__slots__`, so that a record can
+    hold `cached_property` values."""
+
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)  # its own, not its bases'
+        # the field values, as a tuple for two or more fields
+        cls._values = operator.attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(_Record):
     """Immutable simple graph with stable, contiguous edge ids.
 
     `edges` is sorted lexicographically by endpoint keys; an edge's position
@@ -87,6 +127,10 @@ class Graph:
 
     vertices: tuple[VertexId, ...]
     edges: tuple[tuple[VertexId, VertexId], ...]
+
+    def __init__(self, vertices, edges):
+        _set(self, "vertices", vertices)
+        _set(self, "edges", edges)
 
     @classmethod
     def build(cls, vertices: Iterable[VertexId], edges: Iterable[tuple[VertexId, VertexId]]) -> "Graph":
@@ -188,8 +232,7 @@ class Graph:
         )
 
 
-@dataclass(frozen=True)
-class DistanceFunction:
+class DistanceFunction(_Record):
     """Edge weights for a fixed graph, indexed by edge id.  Nonnegative, exact.
 
     `scale` (the lcm of the denominators) and `integers` (each weight times
@@ -199,6 +242,9 @@ class DistanceFunction:
     Certificates are re-checked against `weights` in Fraction arithmetic."""
 
     weights: tuple[Fraction, ...]
+
+    def __init__(self, weights):
+        _set(self, "weights", weights)
 
     @cached_property
     def scale(self) -> int:
@@ -251,19 +297,26 @@ class DistanceFunction:
 # -- validation (each edge must be a shortest path) -------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """A strictly shorter path witnessing that an edge weight is too large."""
 
     edge: tuple[VertexId, VertexId]
     path: tuple[VertexId, ...]
     length: Fraction
 
+    def __init__(self, edge, path, length):
+        _set(self, "edge", edge)
+        _set(self, "path", path)
+        _set(self, "length", length)
 
-@dataclass(frozen=True)
-class ValidationReport:
+
+class ValidationReport(_Record):
     valid: bool
     violations: tuple[Violation, ...]
+
+    def __init__(self, valid, violations):
+        _set(self, "valid", valid)
+        _set(self, "violations", violations)
 
 
 def shortest_path_table(g: Graph, weights):
@@ -342,8 +395,7 @@ def validate_distance_function(g: Graph, d: DistanceFunction) -> ValidationRepor
 # -- genericity --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GenericityReport:
+class GenericityReport(_Record):
     """Outcome of the cycle-split search.
 
     status is 'generic', 'not_generic' (with the offending cycle and the edge
@@ -353,8 +405,14 @@ class GenericityReport:
 
     status: str
     pairs_checked: int
-    cycle: tuple[int, ...] | None = None
-    subset: frozenset | None = None
+    cycle: tuple[int, ...] | None
+    subset: frozenset | None
+
+    def __init__(self, status, pairs_checked, cycle=None, subset=None):
+        _set(self, "status", status)
+        _set(self, "pairs_checked", pairs_checked)
+        _set(self, "cycle", cycle)
+        _set(self, "subset", subset)
 
     def __bool__(self) -> bool:
         return self.status == "generic"

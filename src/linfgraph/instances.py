@@ -12,27 +12,31 @@ generic weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
 from .graph_core import (
     DistanceFunction,
     Graph,
+    _Record,
     _metric_closure,
     _perturb_valid,
+    _set,
     edge_key,
 )
 
 
-@dataclass(frozen=True)
-class Tree:
+class Tree(_Record):
     """A connected acyclic graph together with an edge ordering; the i-th
     edge (1-based) controls the weights its clique receives in
     tk4_instance."""
 
     graph: Graph
     edge_order: tuple
+
+    def __init__(self, graph, edge_order):
+        _set(self, "graph", graph)
+        _set(self, "edge_order", edge_order)
 
     @staticmethod
     def build(graph: Graph, edge_order=None) -> "Tree":

@@ -42,7 +42,6 @@ k = 2 search: f_1 > 2.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import permutations
 from typing import TYPE_CHECKING
 
@@ -50,6 +49,8 @@ from .errors import InputError
 from .graph_core import (
     DistanceFunction,
     Graph,
+    _Record,
+    _set,
     blocks,
     validate_distance_function,
     vertex_key,
@@ -64,8 +65,7 @@ _W4 = named_graph("W_4")
 _K4E = named_graph("K4eK4")
 
 
-@dataclass(frozen=True)
-class MinorEmbedding:
+class MinorEmbedding(_Record):
     """Branch sets in a host graph realizing a pattern as a minor.
 
     branch_sets maps each pattern vertex to a connected set of host
@@ -78,6 +78,11 @@ class MinorEmbedding:
     pattern: Graph
     branch_sets: dict
     edge_realization: dict
+
+    def __init__(self, pattern, branch_sets, edge_realization):
+        _set(self, "pattern", pattern)
+        _set(self, "branch_sets", branch_sets)
+        _set(self, "edge_realization", edge_realization)
 
     def check(self, g: Graph) -> bool:
         seen = set()
@@ -104,10 +109,13 @@ class MinorEmbedding:
         return True
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(_Record):
     verdict: str  # "dim_at_most_2" | "exceeds_2"
-    witness: MinorEmbedding | None = None
+    witness: MinorEmbedding | None
+
+    def __init__(self, verdict, witness=None):
+        _set(self, "verdict", verdict)
+        _set(self, "witness", witness)
 
 
 # -- exact minor containment ---------------------------------------------------

@@ -89,7 +89,6 @@ engine, not a separate one.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -98,7 +97,9 @@ from .graph_core import (
     DistanceFunction,
     Graph,
     VertexId,
+    _Record,
     _printable,
+    _set,
     _split_search,
     blocks,
     shortest_path_table,
@@ -114,11 +115,13 @@ _RULES = ("conflict", "infeasible", "lookahead", "unit", "forest")
 _PROGRESS_EVERY = 250_000
 
 
-@dataclass(frozen=True)
-class Orientation:
+class Orientation(_Record):
     """A choice of direction for a set of edges; at most one arc per edge."""
 
     arcs: tuple[tuple[VertexId, VertexId], ...]
+
+    def __init__(self, arcs):
+        _set(self, "arcs", arcs)
 
     @classmethod
     def of(cls, arcs: Iterable[tuple[VertexId, VertexId]]) -> "Orientation":
@@ -137,11 +140,13 @@ class Orientation:
         return len(self.arcs)
 
 
-@dataclass(frozen=True)
-class Potential:
+class Potential(_Record):
     """Vertex labels satisfying p(v) - p(u) <= length(u, v) on every arc."""
 
     values: dict
+
+    def __init__(self, values):
+        _set(self, "values", values)
 
     def __getitem__(self, v: VertexId) -> Fraction:
         return self.values[v]
@@ -163,13 +168,16 @@ def _part_certified(g: Graph, d: DistanceFunction, orientation: Orientation, pot
     return all(d.weights[g.edge_id(u, v)] == values[u] - values[v] for u, v in orientation.arcs)
 
 
-@dataclass(frozen=True)
-class Cover:
+class Cover(_Record):
     """k orientations whose edge sets jointly cover E, each certified by a
     potential that makes exactly its forced arcs tight."""
 
     parts: tuple[Orientation, ...]
     potentials: tuple[Potential, ...]
+
+    def __init__(self, parts, potentials):
+        _set(self, "parts", parts)
+        _set(self, "potentials", potentials)
 
     @property
     def k(self) -> int:
@@ -184,16 +192,18 @@ class Cover:
         return covered == set(range(g.m))
 
 
-@dataclass(frozen=True)
-class Realization:
+class Realization(_Record):
     """Exact coordinates, one per vertex, in k-dimensional space."""
 
     points: dict
     k: int
 
+    def __init__(self, points, k):
+        _set(self, "points", points)
+        _set(self, "k", k)
 
-@dataclass(frozen=True)
-class SearchOutcome:
+
+class SearchOutcome(_Record):
     """Either a certified Cover or a proof of exhaustion with node counts.
 
     Every child the search tries is one node, and is either pruned by the
@@ -207,23 +217,37 @@ class SearchOutcome:
     prunes: dict
     expanded: int
 
+    def __init__(self, cover, nodes, prunes, expanded):
+        _set(self, "cover", cover)
+        _set(self, "nodes", nodes)
+        _set(self, "prunes", prunes)
+        _set(self, "expanded", expanded)
+
     @property
     def exhausted(self) -> bool:
         return self.cover is None
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(_Record):
     ok: bool
-    edge: tuple | None = None
-    detail: str | None = None
+    edge: tuple | None
+    detail: str | None
+
+    def __init__(self, ok, edge=None, detail=None):
+        _set(self, "ok", ok)
+        _set(self, "edge", edge)
+        _set(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class FinfBounds:
+class FinfBounds(_Record):
     lower: int
     upper: int
     witness: DistanceFunction | None
+
+    def __init__(self, lower, upper, witness):
+        _set(self, "lower", lower)
+        _set(self, "upper", upper)
+        _set(self, "witness", witness)
 
 
 # -- internal search engine ---------------------------------------------------

@@ -315,6 +315,17 @@ def test_realize_and_verify_roundtrip(run, w4_file, tmp_path):
     assert code == 1 and json.loads(out)["ok"] is False
 
 
+def test_realize_rejects_more_dimensions_than_edges(run, w4_file):
+    # the witness has 8 edges: one per part always suffices, so a larger
+    # --dim is a usage error rather than a search padded to that many parts
+    code, out, err = run("realize", w4_file, "--dim", str(10**12))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "always suffice" in err
+    code, out, _ = run("realize", w4_file, "--dim", "8")
+    assert code == 0 and json.loads(out)["realizable"] is True
+    assert run("realize", w4_file, "--dim", "9")[0] == 2
+
+
 def test_min_dim(run, w4_file, tmp_path):
     code, out, _ = run("min-dim", w4_file)
     assert code == 0 and json.loads(out) == {"min_dimension": 3}

@@ -1,5 +1,6 @@
 """The package namespace loads submodules on first use, and each CLI
-subcommand imports only the modules it runs."""
+subcommand imports only the modules it runs, and no slow standard-library
+module a bare interpreter does not already have."""
 
 import importlib
 import json
@@ -44,8 +45,11 @@ import contextlib, io, json, sys
 import linfgraph.cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = linfgraph.cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "linfgraph")]))
+print(json.dumps([code, sorted(sys.modules)]))
 """
+
+# modules whose import costs a CLI process milliseconds it does not need
+_SLOW_STDLIB = ["dataclasses", "inspect"]
 
 _ALWAYS = ["cli", "errors", "graph_core", "serialize"]
 
@@ -62,18 +66,33 @@ _SUBCOMMANDS = [
 ]
 
 
+def _probe_env():
+    src = os.path.dirname(os.path.dirname(linfgraph.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+@pytest.fixture(scope="module")
+def bare_modules():
+    """The modules a bare `python -c pass` has loaded, in the probe's environment."""
+    p = subprocess.run([sys.executable, "-c", "import sys; print(*sys.modules)"],
+                       env=_probe_env(), capture_output=True, text=True, timeout=120)
+    assert p.returncode == 0, p.stderr
+    return set(p.stdout.split())
+
+
 @pytest.mark.parametrize("argv, code, extra", _SUBCOMMANDS, ids=[c[0][0] for c in _SUBCOMMANDS])
-def test_each_subcommand_imports_only_what_it_runs(tmp_path, argv, code, extra):
+def test_each_subcommand_imports_only_what_it_runs(tmp_path, bare_modules, argv, code, extra):
     w4 = tmp_path / "w4.json"
     save_instance(*w4_witness(), w4)
     cert = tmp_path / "cert.json"
     assert main(["realize", str(w4), "--dim", "3", "--certificate", str(cert)]) == 0
     files = {"W4": str(w4), "CERT": str(cert)}
-    src = os.path.dirname(os.path.dirname(linfgraph.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     p = subprocess.run([sys.executable, "-c", _PROBE, *(files.get(a, a) for a in argv)],
-                       cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+                       cwd=tmp_path, env=_probe_env(), capture_output=True, text=True, timeout=120)
     assert p.returncode == 0, p.stderr
-    assert json.loads(p.stdout) == [
-        code, ["linfgraph"] + [f"linfgraph.{m}" for m in sorted(_ALWAYS + extra)]]
+    got_code, modules = json.loads(p.stdout)
+    assert got_code == code
+    assert [m for m in modules if m.split(".")[0] == "linfgraph"] == [
+        "linfgraph"] + [f"linfgraph.{m}" for m in sorted(_ALWAYS + extra)]
+    assert set(_SLOW_STDLIB) & (set(modules) - bare_modules) == set()
