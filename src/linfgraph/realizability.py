@@ -14,20 +14,27 @@ part and `is_feasible_set` on its result.
 A weighted graph embeds in dimension k exactly when its edge set is the
 union of k feasible sets; each feasible set contributes one coordinate via
 the certifying potential.  `decide_realizable` runs a complete backtracking
-search over per-edge (part, direction) assignments, branching on edges in
-order of decreasing weight, with seven sound reductions: parts are first used
-in increasing order, the first edge of each part has a fixed direction
-(global reversal symmetry), a precomputed table of arc pairs whose joint
-forcing closes a negative walk rejects assignments before the full check
-runs, once all k parts are open every remaining edge must still fit some
-part without such a conflict (the lookahead), unit propagation, orphan
-seeding once k - 1 parts are open, and, for generic weights, the forest
-rule.
+search over per-edge (part, direction) assignments with seven sound
+reductions: parts are first used in increasing order, the first edge of
+each part has a fixed direction (global reversal symmetry), a precomputed
+table of arc pairs whose joint forcing closes a negative walk rejects
+assignments before the full check runs, once all k parts are open every
+remaining edge must still fit some part without such a conflict (the
+lookahead), unit propagation, orphan seeding once k - 1 parts are open,
+and, for generic weights, the forest rule.
+
+Each node branches on the edge left with the fewest (open part, arc)
+options that no conflict blocks: first an edge no open part can take,
+then one with one option, two, three or more, ties broken by decreasing
+weight, then edge id.  This is fail-first branching, as in Brelaz's
+DSATUR colouring (CACM 1979) and the search order of Haralick and Elliott
+(Artificial Intelligence 1980): an edge with few options either fails
+early or fixes much of what follows.
 
 Each part carries the bitmask of the arcs it blocks (the OR of the conflict
 table over its arcs), so the conflict check is one bit test and the
-lookahead is k big-integer operations against a precomputed mask of the
-remaining edges.  Feasibility of every attempted part is established over
+lookahead is k big-integer operations against the node's mask of the
+edges left.  Feasibility of every attempted part is established over
 integers obtained by clearing denominators: adding an arc t->h relaxes
 only from h, label-correcting in FIFO order, starting from the parent part's
 potential, and rejects the part as soon as t's label would drop, since any
@@ -43,9 +50,10 @@ can leave new units, so the rounds repeat to a fixpoint.  The node is
 pruned if two units of one part conflict, if an edge is left with no
 option at all, or if the memoized relaxation finds a part infeasible with
 its forced arcs.  The options are counted for all edges at once with a
-saturating ones/twos pair of bitmasks.  The grown parts only decide the
-prune: the child keeps its own parts, and the search still branches on
-the forced edges in order.
+saturating ones/twos pair of bitmasks.  A child that survives keeps the
+grown parts, and its edges left no longer include the units: each unit
+takes its one option in every completion of the child, so the search
+never branches on it.
 
 Orphan seeding, the same rule one part earlier.  Once k - 1 parts are
 open, a remaining edge whose arcs every open part blocks, an orphan, can
@@ -55,8 +63,8 @@ conflict table alike, so if the node has a completion it has one whose
 last part takes arc 2e of the lowest orphan e.  That completion also
 completes the node with its last part seeded by 2e alone and e placed, so
 unit propagation on the seeded node prunes only nodes with no completion.
-The seed, like the units, only decides the prune: the child's last part
-stays unopened, and the search opens it with its own fixed direction.
+The child is the seeded node, units and all: the branching rule would take
+an orphan next anyway, and only the last part can hold it.
 
 The forest rule.  With generic weights (no cycle splits into two halves of
 equal weight) every feasible part is a forest: a cycle inside one part
@@ -70,7 +78,8 @@ cover needs sum_i rank(F_i + E_i) >= the number of edges to cover, and a
 child that falls short is pruned (the forest-cover counting of
 Nash-Williams, J. LMS 1964, and Edmonds, J. Res. NBS 1965).  Each part
 carries a spanning forest of F_i + E_i, rebuilt only when it holds an edge
-the part just lost, so a rank is usually one popcount.  The rule applies
+the part lost and the edges it keeps leave the sum short, so a rank is
+usually one popcount.  The rule applies
 only when `_generic_gate` proves the weights generic: an O(m) 2-adic test,
 else `is_generic` under a small budget; otherwise it stays off.
 
@@ -78,8 +87,8 @@ A cover's potentials are the ones the search relaxed, divided by the scale
 factor; the cover is then re-verified in exact Fraction arithmetic before
 it is returned, so a positive answer is always certified.
 
-Nothing the search context holds depends on k: the relaxation cache and
-the forest cache are keyed by arc sets and positions.  `min_dimension`
+Nothing the search context holds depends on k: the relaxation, forest and
+rank caches are keyed by arc sets and masks of edges left.  `min_dimension`
 therefore scans k = 1, 2, ... on one context, and each k reuses what the
 smaller ones relaxed.  Feasibility of a single edge set is the same
 question with k = 1 over that set's edges: `is_feasible_set` runs this
@@ -258,8 +267,9 @@ _UNSEEN = object()  # cache miss marker; None caches an infeasible arc set
 class _Ctx:
     """Scaled integer view of the search problems of one (g, d), for every
     k: nothing it holds depends on the number of parts, so one context
-    serves a whole k-scan.  `order` lists the edge ids to cover in
-    branching order; by default every edge, by decreasing weight.
+    serves a whole k-scan.  `order` lists the edge ids to cover, by default
+    every edge by decreasing weight; the branching rule breaks its ties in
+    this order.
 
     Arc 2e runs along edge e as stored in g.edges, arc 2e + 1 against it.
     A part is a tuple (mask, dist, blocked, forest): the bitmask of its
@@ -267,15 +277,17 @@ class _Ctx:
     solution <= 0 of its difference constraints), the OR of `conflict` over
     its arcs, i.e. every arc that cannot join it, and, for the forest rule,
     a spanning forest (arc 2e for edge e) of the edges it can still hold.
+    A search node is (used, parts, rest): the open parts in order of first
+    use and the mask of arc 2e of every edge e still to place.
 
     `generic` turns the forest rule on or off; None decides it by
     `_generic_gate`.
 
     The caches are independent of k as well.  `cache` maps an arc set to
     the greatest solution <= 0 of its constraints (or None when it has
-    none), which depends on the mask alone; `forests[pos]` maps a part's
-    mask to its spanning forest at pos, and the mask determines what the
-    part blocks."""
+    none), which depends on the mask alone; `forests` maps a part's mask
+    and a node's rest to the part's spanning forest there, since the mask
+    determines what the part blocks, and `ranks` maps a rest to its rank."""
 
     def __init__(self, g: Graph, d: DistanceFunction, order=None, generic=None):
         if len(d.weights) != g.m:
@@ -308,26 +320,17 @@ class _Ctx:
         if order is None:
             order = sorted(range(m), key=lambda e: (-self.w[e], e))
         self.order = order
-        # rest[pos]: arc 2e of every edge e at positions pos.. of the order
-        self.rest = [0] * (len(order) + 1)
-        for pos in range(len(order) - 1, -1, -1):
-            self.rest[pos] = self.rest[pos + 1] | (1 << 2 * order[pos])
+        # arc 2e of each edge e to cover, in order: the root's rest
+        self.bits = [1 << 2 * e for e in order]
+        self.full = sum(self.bits)
         self.empty = (0, (0,) * n, 0, 0)
         self.cache: dict = {}
         self.progress: Callable | None = None
         self.generic = _generic_gate(g, self.w) if generic is None else generic
         if self.generic:
-            # rest_rank[pos]: rank of the edges at positions pos.., which an
-            # unused part can still hold; forests[pos]: part mask -> its
-            # spanning forest at pos
-            self.rest_rank = [0] * len(self.rest)
-            root = list(range(n))
-            for pos in range(len(order) - 1, -1, -1):
-                a = 2 * order[pos]
-                self.rest_rank[pos] = self.rest_rank[pos + 1] + _union(root, self.tail[a], self.head[a])
-            self.forests = [{} for _ in self.rest]
+            self.forests: dict = {}
+            self.ranks: dict = {}
             # (arc-2e bit, tail, head) of each edge e, in and against the order
-            self.even = int("01" * m, 2) if m else 0
             self.forward = [(1 << 2 * e, self.tail[2 * e], self.head[2 * e]) for e in order]
             self.backward = self.forward[::-1]
 
@@ -396,27 +399,35 @@ class _Ctx:
             return None
         return new_mask, dist, blocked0 | self.conflict[aid], forest
 
-    def refit(self, part, pos: int):
-        """The part with a spanning forest of what it can hold at position
-        pos: its own edges and the edges at positions pos.. whose arcs it
-        does not both block.  Built greedily from its own edges, then from
-        the last position backwards, so the edges the search assigns next
-        are the last ones the forest needs; memoized per (mask, pos), since
-        the mask determines what the part blocks."""
+    def rank(self, rest: int) -> int:
+        """The graphic-matroid rank of the edges in rest, which is what a
+        part not yet open can still hold; memoized per rest."""
+        r = self.ranks.get(rest)
+        if r is None:
+            root = list(range(self.n))
+            r = self.ranks[rest] = sum(_union(root, u, v) for bit, u, v in self.forward if rest & bit)
+        return r
+
+    def refit(self, part, rest: int):
+        """The part with a spanning forest of what it can hold at a node
+        whose edges left are rest: its own edges and the edges of rest
+        whose arcs it does not both block.  Built greedily from its own
+        edges, then from the end of the order backwards; memoized per
+        (mask, rest), since the mask determines what the part blocks."""
         mask, dist, blocked, _ = part
-        forests = self.forests[pos]
-        forest = forests.get(mask)
+        forest = self.forests.get((mask, rest))
         if forest is None:
             root = list(range(self.n))
             forest, size, full = 0, 0, self.n - 1
-            free = ((mask | mask >> 1) & self.even) | (self.rest[pos] & ~(blocked & blocked >> 1))
-            for bit, u, v in self.forward[:pos] + self.backward[:len(self.order) - pos]:
-                if size == full:
-                    break
-                if free & bit and _union(root, u, v):
-                    forest |= bit
-                    size += 1
-            forests[mask] = forest
+            # arc 2e of each edge e the part holds, then of each it can take
+            for free in (mask | mask >> 1, rest & ~(blocked & blocked >> 1)):
+                for bit, u, v in self.backward:
+                    if size == full:
+                        break
+                    if free & bit and _union(root, u, v):
+                        forest |= bit
+                        size += 1
+            self.forests[mask, rest] = forest
         return mask, dist, blocked, forest
 
 
@@ -453,25 +464,24 @@ def _generic_gate(g: Graph, w) -> bool:
     return _distinct_valuations(w) or _split_search(g, w, _GATE_BUDGET).status == "generic"
 
 
-def _propagate(ctx: _Ctx, pos: int, parts, placed: int = 0) -> int:
-    """Unit propagation at a node whose k parts are all open: the counter
+def _propagate(ctx: _Ctx, rest: int, parts):
+    """Unit propagation at a node whose k parts are all open and whose
+    edges left are rest: (slot, parts, rest), where slot is the counter
     slot of the rule that prunes the node, 3 (lookahead) or 4 (unit), or 0
-    when it survives.  placed holds arc 2e of each edge e at positions
-    pos.. that the parts already hold (a seeded orphan): it is not left.
+    when it survives, with the parts grown by every unit and the rest
+    without them.
 
-    Every other edge at positions pos.. must take an arc that its part does
-    not block.  The first round prunes the node when some edge has no such
-    (part, arc): the lookahead.  An edge with exactly one, a unit, must
-    take it, and its arc blocks more in its part (`try_add` ORs in the same
-    conflict mask), which can leave an edge with one option or none, so the
-    rounds repeat to a fixpoint.  The node is pruned as a unit if two units
-    of one part conflict, if a later round finds an edge with no option, or
-    if `try_add` finds a part infeasible with the arcs forced into it.
+    Every edge of rest must take an arc that its part does not block.  The
+    first round prunes the node when some edge has no such (part, arc):
+    the lookahead.  An edge with exactly one, a unit, must take it, and its
+    arc blocks more in its part (`try_add` ORs in the same conflict mask),
+    which can leave an edge with one option or none, so the rounds repeat
+    to a fixpoint.  The node is pruned as a unit if two units of one part
+    conflict, if a later round finds an edge with no option, or if
+    `try_add` finds a part infeasible with the arcs forced into it.
     Relaxing once at the fixpoint prunes exactly when relaxing arc by arc
     would, since a superset of an infeasible arc set is infeasible, and
-    spares the relaxation wherever the conflict table already prunes.  The
-    grown parts are dropped: the rule only prunes."""
-    rest = ctx.rest[pos] & ~placed
+    spares the relaxation wherever the conflict table already prunes."""
     blocked = [part[2] for part in parts]
     forced = [0] * len(parts)  # the arcs forced into each part
     slot = 3
@@ -486,7 +496,7 @@ def _propagate(ctx: _Ctx, pos: int, parts, placed: int = 0) -> int:
             twos |= ones & free
             ones |= free
         if rest & ~ones:
-            return slot
+            return slot, None, None
         units = ones & ~twos
         if not units:
             break
@@ -502,37 +512,92 @@ def _propagate(ctx: _Ctx, pos: int, parts, placed: int = 0) -> int:
                     b |= ctx.conflict[low.bit_length() - 1]
                 # two of the part's units conflict (the table is symmetric)
                 if forced[i] & b:
-                    return 4
+                    return 4, None, None
                 blocked[i] = b
-    for part, arcs in zip(parts, forced):
+    if slot == 3:
+        return 0, parts, rest
+    grown = list(parts)
+    for i, arcs in enumerate(forced):
+        part = parts[i]
         while arcs:
             low = arcs & -arcs
             arcs ^= low
             part = ctx.try_add(part, low.bit_length() - 1)
             if part is None:
-                return 4
-    return 0
+                return 4, None, None
+        grown[i] = part
+    return 0, grown, rest
 
 
-def _children(ctx: _Ctx, k: int, pos: int, used: int, parts: list, counter: list):
-    """Yield (label, direction, used, parts) for every child of a node at
-    position pos of a k-part search that survives the conflict check, the
-    feasibility check, unit propagation (the lookahead is its first round)
-    and the forest rule.  Propagation runs once all k parts are open, and
-    once k - 1 are open when an edge left is an orphan, which every open
-    part blocks both ways: then it runs on the k - 1 parts plus a last part
-    seeded with arc 2e of the lowest orphan e, with e placed.  counter holds
-    [nodes, one count per rule of _RULES, expanded]: each child tried is
-    one node, and counts once more, under the first rule that rejects it
-    or as expanded.
+def _pick(ctx: _Ctx, parts, rest: int) -> int:
+    """The edge a node branches on, fail first: the edge of rest with the
+    fewest (open part, arc) options that its part does not block, counted
+    to three with saturating bitmasks.  An edge with none, which only a new
+    part can take, comes first, then one, two, three or more; ties go to
+    the first edge in ctx.order."""
+    ones = twos = threes = 0
+    for part in parts:
+        b = part[2]
+        free = rest & ~b
+        threes |= twos & free
+        twos |= ones & free
+        ones |= free
+        free = rest & ~(b >> 1)
+        threes |= twos & free
+        twos |= ones & free
+        ones |= free
+    cand = rest & ~ones or ones & ~twos or twos & ~threes or rest
+    for bit in ctx.bits:
+        if cand & bit:
+            return bit.bit_length() >> 1
 
-    The parts of a node at pos carry spanning forests for pos.  A child's
-    parts keep them valid for pos + 1: an untouched part loses only the
-    edge at pos, and the part that takes it loses the edges it newly blocks
-    both ways, so a forest is rebuilt only when it held a lost edge."""
-    eid = ctx.order[pos]
-    nxt = pos + 1
-    kept = None  # the node's parts refitted for pos + 1, once needed
+
+def _short(ctx: _Ctx, k: int, used: int, parts: list, rest: int) -> bool:
+    """The forest rule at a node (used, parts, rest) of a k-part search:
+    whether the ranks of what its parts can hold, k - used unused parts
+    holding rank(rest) each, add up to fewer than the edges to cover.
+
+    What a part can hold only shrinks along a branch, so its forest still
+    spans it unless the forest is empty (the part just opened) or holds an
+    edge the part can no longer take.  The edges such a forest keeps are a
+    forest inside what the part can hold, so their count bounds its rank
+    from below; a part is refitted, in place, only while these bounds
+    leave the sum short."""
+    total = (k - used) * ctx.rank(rest) if used < k else 0
+    stale = []  # (index, edges kept) of each part whose forest may not span
+    for i, (mask, _, b, forest) in enumerate(parts):
+        kept = (forest & ((mask | mask >> 1) | rest & ~(b & b >> 1))).bit_count()
+        if not forest or kept < forest.bit_count():
+            stale.append((i, kept))
+        total += kept
+    need = len(ctx.order)
+    for i, kept in stale:
+        if total >= need:
+            break
+        parts[i] = part = ctx.refit(parts[i], rest)
+        total += part[3].bit_count() - kept
+    return total < need
+
+
+def _children(ctx: _Ctx, k: int, node, counter: list):
+    """Yield every child node of node = (used, parts, rest) in a k-part
+    search that survives the conflict check, the feasibility check, unit
+    propagation (the lookahead is its first round) and the forest rule.
+    The node branches on the edge `_pick` chooses, into each open part
+    either way and into the next part, unopened, along the edge.
+
+    Propagation runs once all k parts are open, and a child that survives
+    it keeps its units: every completion of the child places each unit
+    its one way, so the child's parts hold them and its rest drops them.
+    A child with k - 1 parts open and an orphan left, an edge that every
+    open part blocks both ways, opens its last part at once with arc 2e of
+    the lowest orphan e, and propagation runs on all k parts.  counter
+    holds [nodes, one count per rule of _RULES, expanded]: each child tried
+    is one node, and counts once more, under the first rule that rejects
+    it or as expanded."""
+    used, parts, rest = node
+    eid = _pick(ctx, parts, rest)
+    after = rest ^ 1 << 2 * eid
     for label in range(min(used + 1, k)):
         fresh = label == used
         part = ctx.empty if fresh else parts[label]
@@ -549,103 +614,90 @@ def _children(ctx: _Ctx, k: int, pos: int, used: int, parts: list, counter: list
             if added is None:
                 counter[2] += 1
                 continue
-            if ctx.generic and kept is None:
-                lost, after = 1 << 2 * eid, ctx.rest[nxt]
-                spare = ctx.rest_rank[nxt]
-                # len(order) minus the node's rank sum at pos + 1, unused
-                # parts included; a child whose part gains less is pruned
-                need = len(ctx.order) - (k - used) * spare
-                kept = list(parts)
-                for i, p in enumerate(parts):
-                    if p[3] & lost:
-                        kept[i] = p = ctx.refit(p, nxt)
-                    need -= p[3].bit_count()
-            new_parts = list(parts if kept is None else kept)
+            new_parts = list(parts)
             if fresh:
                 new_parts.append(added)
             else:
                 new_parts[label] = added
-            new_used = used + 1 if fresh else used
-            slot = 0
-            if new_used == k:
-                slot = _propagate(ctx, nxt, new_parts)
-            elif new_used == k - 1:
+            new_used, new_rest = used + fresh, after
+            if new_used == k - 1:
                 # orphans: edges left whose arcs every open part blocks
-                orphans = ctx.rest[nxt]
+                orphans = after
                 for p in new_parts:
                     orphans &= p[2] & p[2] >> 1
                 if orphans:
                     low = orphans & -orphans
-                    seeded = ctx.try_add(ctx.empty, low.bit_length() - 1)
-                    slot = _propagate(ctx, nxt, new_parts + [seeded], low)
+                    new_parts.append(ctx.try_add(ctx.empty, low.bit_length() - 1))
+                    new_used, new_rest = k, after ^ low
+            slot = 0
+            if new_used == k:
+                slot, new_parts, new_rest = _propagate(ctx, new_rest, new_parts)
             if slot:
                 counter[slot] += 1
                 continue
-            if ctx.generic:
-                blocked = added[2]
-                if fresh or added[3] & blocked & (blocked >> 1) & after:
-                    new_parts[label] = added = ctx.refit(added, nxt)
-                if added[3].bit_count() - (spare if fresh else kept[label][3].bit_count()) < need:
-                    counter[5] += 1
-                    continue
+            if ctx.generic and _short(ctx, k, new_used, new_parts, new_rest):
+                counter[5] += 1
+                continue
             counter[6] += 1
-            yield label, dr, new_used, new_parts
+            yield new_used, new_parts, new_rest
 
 
-def _dfs(ctx: _Ctx, k: int, pos: int, used: int, parts: list, counter: list):
-    """Returns the list of (label, direction) choices for positions pos..end
-    completing a k-part cover, or None when the subtree is exhausted."""
-    if pos == len(ctx.order):
-        return []
-    for label, dr, new_used, new_parts in _children(ctx, k, pos, used, parts, counter):
-        suffix = _dfs(ctx, k, pos + 1, new_used, new_parts, counter)
-        if suffix is not None:
-            return [(label, dr)] + suffix
+def _dfs(ctx: _Ctx, k: int, node, counter: list):
+    """The parts of a k-part cover below node, or None when the subtree is
+    exhausted."""
+    if not node[2]:
+        return node[1]
+    for child in _children(ctx, k, node, counter):
+        parts = _dfs(ctx, k, child, counter)
+        if parts is not None:
+            return parts
     return None
 
 
-def _replay(ctx: _Ctx, choices) -> tuple[int, list]:
-    """The parts a list of (label, direction) choices builds, from the
-    first position of the order."""
-    used, parts = 0, []
-    for p, (label, dr) in enumerate(choices):
-        fresh = label == used
-        added = ctx.try_add(ctx.empty if fresh else parts[label], 2 * ctx.order[p] + dr)
-        if added is None:
-            raise RuntimeError("a recorded choice is infeasible")
-        if fresh:
-            parts.append(added)
-            used += 1
-        else:
-            parts[label] = added
+def _root(ctx: _Ctx):
+    return 0, [], ctx.full
+
+
+def _replay(ctx: _Ctx, masks):
+    """The node whose open parts force the arc sets masks, in order: the
+    arcs of each are added one at a time, which relaxes every subset of a
+    feasible set on the way, and so yields the same potentials as the
+    search that found them."""
+    parts, rest = [], ctx.full
+    for mask in masks:
+        part, arcs = ctx.empty, mask
+        while arcs:
+            low = arcs & -arcs
+            arcs ^= low
+            part = ctx.try_add(part, low.bit_length() - 1)
+            if part is None:
+                raise RuntimeError("a recorded part is infeasible")
+        parts.append(part)
+        rest &= ~(mask | mask >> 1)
     if ctx.generic:
-        parts = [ctx.refit(p, len(choices)) for p in parts]
-    return used, parts
+        parts = [ctx.refit(p, rest) for p in parts]
+    return len(parts), parts, rest
 
 
 def _search_worker(payload):
-    vertices, edges, weights, k, generic, prefix = payload
+    vertices, edges, weights, k, generic, masks = payload
     g = Graph.build(vertices, edges)
     d = DistanceFunction(tuple(weights))
     ctx = _Ctx(g, d, generic=generic)
-    used, parts = _replay(ctx, prefix)
     counter = [0] * 7
-    suffix = _dfs(ctx, k, len(prefix), used, parts, counter)
-    if suffix is None:
-        return None, counter
-    return list(prefix) + suffix, counter
+    parts = _dfs(ctx, k, _replay(ctx, masks), counter)
+    return None if parts is None else [p[0] for p in parts], counter
 
 
 def _outcome(cover: Cover | None, counter: list) -> SearchOutcome:
     return SearchOutcome(cover, counter[0], dict(zip(_RULES, counter[1:6])), counter[6])
 
 
-def _certified_parts(ctx: _Ctx, k: int, choices):
-    """The k orientations a search assignment describes, each paired with
-    the potential the search relaxed for it, as exact rationals.  The
+def _certified_parts(ctx: _Ctx, k: int, parts):
+    """The k orientations the open parts of a cover describe, each paired
+    with the potential the search relaxed for it, as exact rationals.  The
     callers re-verify these in Fraction arithmetic."""
-    _, parts = _replay(ctx, choices)
-    parts += [ctx.empty] * (k - len(parts))
+    parts = list(parts) + [ctx.empty] * (k - len(parts))
     vs = ctx.g.vertices
     orientations, potentials = [], []
     for mask, dist, _, _ in parts:
@@ -659,8 +711,8 @@ def _certified_parts(ctx: _Ctx, k: int, choices):
     return tuple(orientations), tuple(potentials)
 
 
-def _assignment_to_cover(ctx: _Ctx, d: DistanceFunction, k: int, choices) -> Cover:
-    cover = Cover(*_certified_parts(ctx, k, choices))
+def _assignment_to_cover(ctx: _Ctx, d: DistanceFunction, k: int, parts) -> Cover:
+    cover = Cover(*_certified_parts(ctx, k, parts))
     if not cover.check(ctx.g, d):
         raise RuntimeError("assembled cover failed re-verification")
     return cover
@@ -671,18 +723,19 @@ def is_feasible_set(
 ) -> tuple[Orientation, Potential] | None:
     """Search all orientations of an edge set for a feasible one.
 
-    This is the cover search with k = 1, branching on the set's edges in
-    canonical edge-id order: the first edge's direction is fixed (reversing
-    every arc preserves feasibility), and the first feasible orientation in
-    that order is returned with its exact rational potential.  The weights
-    must be a valid distance function; InputError otherwise.
+    This is the cover search with k = 1 over the set's edges, ties broken
+    in canonical edge-id order: the first edge's direction is fixed
+    (reversing every arc preserves feasibility), and the first feasible
+    orientation the search reaches is returned with its exact rational
+    potential.  The weights must be a valid distance function; InputError
+    otherwise.
     """
     eids = sorted({g.edge_id(u, v) for u, v in edges})
     ctx = _Ctx(g, d, eids)
-    choices = _dfs(ctx, 1, 0, 0, [], [0] * 7)
-    if choices is None:
+    parts = _dfs(ctx, 1, _root(ctx), [0] * 7)
+    if parts is None:
         return None
-    (orientation,), (potential,) = _certified_parts(ctx, 1, choices)
+    (orientation,), (potential,) = _certified_parts(ctx, 1, parts)
     if not _part_certified(g, d, orientation, potential):
         raise RuntimeError("feasible orientation failed re-verification")
     return orientation, potential
@@ -710,43 +763,35 @@ def decide_realizable(
 def _search(ctx: _Ctx, d: DistanceFunction, k: int, threads: int) -> SearchOutcome:
     """The k-part cover search on ctx, in process for threads <= 1, else
     over a pool of `threads` workers."""
-    g = ctx.g
     counter = [0] * 7
-    if g.m == 0:
-        return _outcome(_assignment_to_cover(ctx, d, k, []), counter)
-
     if threads <= 1:
-        choices = _dfs(ctx, k, 0, 0, [], counter)
-        return _outcome(None if choices is None else _assignment_to_cover(ctx, d, k, choices), counter)
+        parts = _dfs(ctx, k, _root(ctx), counter)
+        return _outcome(None if parts is None else _assignment_to_cover(ctx, d, k, parts), counter)
 
-    # parallel mode: expand a prefix frontier, then farm subtrees out
-    frontier: list[tuple[int, list, list]] = [(0, [], [])]  # used, parts, choices
-    depth = 0
-    while frontier and depth < g.m and len(frontier) < threads * 4:
-        frontier = [
-            (new_used, new_parts, choices + [(label, dr)])
-            for used, parts, choices in frontier
-            for label, dr, new_used, new_parts in _children(ctx, k, depth, used, parts, counter)
-        ]
-        depth += 1
+    # parallel mode: expand a frontier of nodes, then farm subtrees out
+    frontier = [_root(ctx)]
+    while frontier and len(frontier) < threads * 4:
+        for used, parts, rest in frontier:
+            if not rest:
+                return _outcome(_assignment_to_cover(ctx, d, k, parts), counter)
+        frontier = [child for node in frontier for child in _children(ctx, k, node, counter)]
     if not frontier:
         return _outcome(None, counter)
-    if depth == g.m:
-        return _outcome(_assignment_to_cover(ctx, d, k, frontier[0][2]), counter)
 
     import multiprocessing as mp
 
-    payloads = [(g.vertices, g.edges, d.weights, k, ctx.generic, choices)
-                for _, _, choices in frontier]
+    g = ctx.g
+    payloads = [(g.vertices, g.edges, d.weights, k, ctx.generic, [p[0] for p in parts])
+                for _, parts, _ in frontier]
     winner = None
     with mp.Pool(processes=threads) as pool:
-        for choices, worker_counter in pool.imap_unordered(_search_worker, payloads):
+        for masks, worker_counter in pool.imap_unordered(_search_worker, payloads):
             counter = [a + b for a, b in zip(counter, worker_counter)]
-            if choices is not None:
-                winner = choices
+            if masks is not None:
+                winner = masks
                 pool.terminate()
                 break
-    return _outcome(None if winner is None else _assignment_to_cover(ctx, d, k, winner), counter)
+    return _outcome(None if winner is None else _assignment_to_cover(ctx, d, k, _replay(ctx, winner)[1]), counter)
 
 
 # -- realizations -------------------------------------------------------------

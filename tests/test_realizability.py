@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,7 @@ from linfgraph.realizability import (
     _generic_gate,
     _propagate,
     _replay,
+    _root,
 )
 
 from atlas import connected_graphs, connected_graphs_upto
@@ -75,7 +77,7 @@ def test_single_edge_realizes_in_one_dimension():
 def test_w4_witness_needs_three_dimensions():
     g, d = w4_witness()
     out = decide_realizable(g, d, 2)
-    assert out.exhausted and out.nodes == 46
+    assert out.exhausted and out.nodes == 32
     out = decide_realizable(g, d, 3)
     assert out.cover is not None
     assert out.cover.check(g, d)
@@ -84,7 +86,7 @@ def test_w4_witness_needs_three_dimensions():
 def test_k4ek4_witness_needs_three_dimensions():
     g, d = k4ek4_witness()
     out = decide_realizable(g, d, 2)
-    assert out.exhausted and out.nodes == 201
+    assert out.exhausted and out.nodes == 140
     assert decide_realizable(g, d, 3).cover is not None
 
 
@@ -92,8 +94,8 @@ def test_prune_counts_add_up_and_agree_across_threads():
     g, d = k4ek4_witness()
     serial = decide_realizable(g, d, 2)
     assert serial.prunes == {
-        "conflict": 103, "infeasible": 18, "lookahead": 3, "unit": 26, "forest": 0}
-    assert serial.expanded == 51
+        "conflict": 69, "infeasible": 27, "lookahead": 0, "unit": 8, "forest": 1}
+    assert serial.expanded == 35
     assert serial.nodes == sum(serial.prunes.values()) + serial.expanded
     parallel = decide_realizable(g, d, 2, threads=2)
     assert parallel.exhausted
@@ -153,8 +155,7 @@ def test_unit_propagation_prunes_what_the_lookahead_passes():
     # would make p(0) - p(1) = 3 + 2, not 4.
     g = Graph.build([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     ctx = _Ctx(g, DistanceFunction.from_values([4, 3, 5, 2, 4, 5]))
-    pos = 4
-    assert [g.edges[e] for e in ctx.order[pos:]] == [(0, 2), (1, 2)]
+    rest = _rest(g, [(0, 2), (1, 2)])
     star = ctx.empty
     for u in (0, 1, 2):
         star = ctx.try_add(star, _arc(g, u, 3))
@@ -162,7 +163,12 @@ def test_unit_propagation_prunes_what_the_lookahead_passes():
     options = {(u, v): [i for i, p in enumerate(parts) if not (p[2] >> _arc(g, u, v)) & 1]
                for u, v in [(0, 2), (2, 0), (1, 2), (2, 1)]}
     assert options == {(0, 2): [1], (2, 0): [], (1, 2): [], (2, 1): [1]}
-    assert _RULES[_propagate(ctx, pos, parts) - 1] == "unit"
+    assert _RULES[_propagate(ctx, rest, parts)[0] - 1] == "unit"
+
+
+def _rest(g, edges):
+    """A node's mask of edges left: arc 2e of each edge e."""
+    return sum(1 << 2 * g.edge_id(u, v) for u, v in edges)
 
 
 def _options(parts, eid):
@@ -170,22 +176,53 @@ def _options(parts, eid):
     return sum(not (p[2] >> a) & 1 for p in parts for a in (2 * eid, 2 * eid + 1))
 
 
+def _prefixes(ctx, cover):
+    """(edges left, node) for every prefix of ctx.order: the node whose
+    open parts are cover's parts (arc masks) cut to the prefix, the empty
+    ones left out."""
+    arcs = 0
+    for e in ctx.order:
+        arcs |= 3 << 2 * e
+        node = _replay(ctx, [mask for mask in (c & arcs for c in cover) if mask])
+        yield [e for e in ctx.order if node[2] >> 2 * e & 1], node
+
+
+def _reversed(mask):
+    """The arc set with every arc reversed."""
+    even = int("01" * (mask.bit_length() // 2 + 1), 2)
+    return (mask & even) << 1 | (mask >> 1) & even
+
+
+def _on_cover(cover, parts):
+    """Whether each part lies, as it is or reversed, in its own part of
+    cover (arc masks): the edge of its lowest arc names that part."""
+    seen = set()
+    for mask, _, _, _ in parts:
+        e = (mask & -mask).bit_length() - 1 >> 1
+        j = next(j for j, c in enumerate(cover) if c >> 2 * e & 3)
+        if j in seen or (mask & ~cover[j] and _reversed(mask) & ~cover[j]):
+            return False
+        seen.add(j)
+    return True
+
+
 @pytest.mark.parametrize("name, k", [("K_7", 4), ("W_8", 2)])
 def test_unit_propagation_keeps_every_state_on_a_cover(name, k):
     # every prefix of a cover with all k parts open has a completion, the
-    # rest of that cover, so propagation must let it through, units and all
+    # rest of that cover, so propagation must let it through, units and all,
+    # and every unit it forces takes the cover's (part, arc)
     g = named_graph(name)
     d = random_distance_function(g, 3)
     ctx = _Ctx(g, d)
-    choices = _dfs(ctx, k, 0, 0, [], [0] * 7)
-    assert choices is not None
+    cover = [p[0] for p in _dfs(ctx, k, _root(ctx), [0] * 7)]
     states = units = 0
-    for pos in range(len(choices)):
-        used, parts = _replay(ctx, choices[:pos])
+    for left, (used, parts, rest) in _prefixes(ctx, cover):
         if used == k:
-            assert _propagate(ctx, pos, parts) == 0, pos
+            slot, grown, rest_after = _propagate(ctx, rest, parts)
+            assert slot == 0, left
+            assert all(p[0] & ~c == 0 for p, c in zip(grown, cover))
             states += 1
-            units += sum(_options(parts, e) == 1 for e in ctx.order[pos:])
+            units += (rest ^ rest_after).bit_count()
     assert states >= 10 and units >= 20
 
 
@@ -219,43 +256,33 @@ def test_orphan_seeding_prunes_what_the_open_parts_pass():
     g = Graph.build([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     ctx = _Ctx(g, DistanceFunction.from_values([3, 2, 2, 2, 2, 2]))
     assert not ctx.generic  # 0-2-1-3 splits 2 + 2 = 2 + 2: no forest rule
-    pos = 3
-    assert [g.edges[e] for e in ctx.order[:pos]] == [(0, 1), (0, 2), (0, 3)]
+    rest = _rest(g, [(1, 2), (1, 3), (2, 3)])
     star = ctx.empty
     for v in (1, 2, 3):
         star = ctx.try_add(star, _arc(g, 0, v))
-    assert all(_options([star], e) == 0 for e in ctx.order[pos:])
-    assert _propagate(ctx, pos, [star, ctx.empty]) == 0
+    assert all(_options([star], g.edge_id(u, v)) == 0 for u, v in [(1, 2), (1, 3), (2, 3)])
+    assert _propagate(ctx, rest, [star, ctx.empty])[0] == 0
     seeded = ctx.try_add(ctx.empty, _arc(g, 1, 2))
     placed = 1 << _arc(g, 1, 2)
-    assert _RULES[_propagate(ctx, pos, [star, seeded], placed) - 1] == "unit"
-    # and the search prunes the child that completes the star, as a unit
+    assert _RULES[_propagate(ctx, rest & ~placed, [star, seeded])[0] - 1] == "unit"
+    # in the search, a child with k - 1 parts open and an orphan is the
+    # seeded node: the root's one child opens part 0 with 0->1, which
+    # leaves 2-3 an orphan, so part 1 opens with 2->3, units and all
     counter = [0] * 7
-    parent = [ctx.try_add(ctx.try_add(ctx.empty, _arc(g, 0, 1)), _arc(g, 0, 2))]
-    kids = [(label, dr) for label, dr, _, _ in _children(ctx, 2, pos - 1, 1, parent, counter)]
-    assert (0, 0) not in kids and counter[1 + _RULES.index("unit")] == 1
-
-
-def _path_to(ctx, arcs):
-    """The choices by which ctx's search reaches the cover that puts edge e
-    into part arcs[e][0] with direction arcs[e][1]: parts renumbered by
-    first use in ctx's order, and each reversed if needed so that its
-    first edge takes direction 0."""
-    label, flip, choices = {}, {}, []
-    for e in ctx.order:
-        part, dr = arcs[e]
-        if part not in label:
-            label[part], flip[part] = len(label), dr
-        choices.append((label[part], dr ^ flip[part]))
-    return choices
+    (used, parts, _), = _children(ctx, 2, _root(ctx), counter)
+    assert used == 2 and counter == [1, 0, 0, 0, 0, 0, 1]
+    assert parts[0][0] == 1 << _arc(g, 0, 1) and parts[1][0] >> _arc(g, 2, 3) & 1
 
 
 def test_orphan_seeding_keeps_every_state_on_a_cover():
-    # covers found in shuffled branching orders, replayed in the default
-    # one: every prefix has a completion, the rest of that cover, so the
-    # search must yield each next step.  Where k - 1 parts are open, the
-    # cover's last part holds the lowest orphan one way or the other, and
-    # reversing that part gives either arc, so both seeds must pass
+    # covers found with shuffled tie-break orders, followed from the root of
+    # the default search: each node has a completion, the rest of that
+    # cover, so exactly one child, the one that places the picked edge (and
+    # its units) as the cover does, up to reversing a part, must survive
+    # every rule.  Where a prefix of either order leaves k - 1 of the
+    # cover's parts open, its last part holds the lowest orphan one way or
+    # the other, and reversing that part gives either arc, so both seeds
+    # must pass
     steps = states = 0
     for name, k in [("K_5", 3), ("K_7", 4), ("W_10", 2), ("W_12", 2)]:
         g = named_graph(name)
@@ -264,37 +291,42 @@ def test_orphan_seeding_keeps_every_state_on_a_cover():
             ctx = _Ctx(g, d)
             rng = random.Random(seed)
             for _ in range(3):
-                order = rng.sample(ctx.order, len(ctx.order))
-                found = _dfs(_Ctx(g, d, order), k, 0, 0, [], [0] * 7)
-                assert found is not None
-                choices = _path_to(ctx, dict(zip(order, found)))
-                for pos, step in enumerate(choices):
-                    used, parts = _replay(ctx, choices[:pos])
-                    kids = _children(ctx, k, pos, used, parts, [0] * 7)
-                    assert step in [(label, dr) for label, dr, _, _ in kids], (name, seed, pos)
+                shuffled = _Ctx(g, d, rng.sample(ctx.order, len(ctx.order)))
+                cover = [p[0] for p in _dfs(shuffled, k, _root(shuffled), [0] * 7)]
+                node = _root(ctx)
+                while node[2]:
+                    kids = [c for c in _children(ctx, k, node, [0] * 7) if _on_cover(cover, c[1])]
+                    assert len(kids) == 1, (name, seed, node[2])
+                    node = kids[0]
                     steps += 1
-                    used, parts = _replay(ctx, choices[:pos + 1])
-                    left = [e for e in ctx.order[pos + 1:] if _options(parts, e) == 0]
-                    if used != k - 1 or not left:
-                        continue
-                    e = min(left)
-                    for arc in (2 * e, 2 * e + 1):
-                        seeded = ctx.try_add(ctx.empty, arc)
-                        assert _propagate(ctx, pos + 1, parts + [seeded], 1 << 2 * e) == 0
-                    states += 1
-    assert steps == 675 and states >= 30
+                for c in (ctx, shuffled):
+                    for left, (used, parts, rest) in _prefixes(c, cover):
+                        orphans = [e for e in left if _options(parts, e) == 0]
+                        if used != k - 1 or not orphans:
+                            continue
+                        e = min(orphans)
+                        for arc in (2 * e, 2 * e + 1):
+                            seeded = c.try_add(c.empty, arc)
+                            assert _propagate(c, rest & ~(1 << 2 * e), parts + [seeded])[0] == 0
+                        states += 1
+    assert steps == 457 and states >= 30
 
 
 def test_search_matches_brute_force_with_orphan_seeding(monkeypatch):
     # the sweep of the unit rule's test at k = 2, 3 and 4, counting the
-    # nodes that only the seeded propagation prunes
+    # seeded nodes that propagation prunes: their last part holds one arc,
+    # of an edge that every other part blocks both ways.  A part opened by
+    # branching starts on an edge that some open part could take, since a
+    # node with k - 1 parts open and an orphan is seeded instead
     seeded_prunes = []
 
-    def counting(ctx, pos, parts, placed=0):
-        slot = _propagate(ctx, pos, parts, placed)
-        if placed and slot:
-            seeded_prunes.append(slot)
-        return slot
+    def counting(ctx, rest, parts):
+        out = _propagate(ctx, rest, parts)
+        last = parts[-1][0]
+        if out[0] and last & last - 1 == 0 and all(
+                p[2] >> (last.bit_length() - 1 & ~1) & 3 == 3 for p in parts[:-1]):
+            seeded_prunes.append(out[0])
+        return out
 
     monkeypatch.setattr(realizability, "_propagate", counting)
     rng = random.Random(1515)
@@ -715,5 +747,35 @@ def test_k7_generic_realizes_at_five_not_four():
     g, d = k7_generic()
     assert decide_realizable(g, d, 5).cover is not None
     out = decide_realizable(g, d, 4)
-    assert out.exhausted and out.nodes == 6_405
-    assert out.prunes["forest"] > 0 and out.prunes["unit"] > 0
+    assert out.exhausted and out.nodes == 48
+    assert out.prunes["unit"] > 0
+
+
+def test_forest_rule_prunes_a_generic_cycle_on_a_line():
+    # a cycle is no forest, so with generic weights one part cannot hold
+    # it: the rule prunes the root's one child, where the other rules
+    # would search on
+    g = named_graph("C_12")
+    d = DistanceFunction.from_values([2**12 + 2**i for i in range(12)])
+    out = decide_realizable(g, d, 1)
+    assert out.exhausted and out.nodes == 1 and out.prunes["forest"] == 1
+
+
+def _clique_generic(n):
+    """K_n with weights 2^m + 2^rank, as k7_generic: rank m down to 1 along
+    the edges ordered by endpoints."""
+    g = named_graph(f"K_{n}")
+    return g, DistanceFunction.from_values([2**g.m + 2**(g.m - i) for i in range(g.m)])
+
+
+@pytest.mark.parametrize("n, k, nodes, found", [(8, 5, 127, True), (8, 4, 17, False), (9, 6, 192, True)])
+def test_cliques_search_without_a_heavy_tail(n, k, nodes, found):
+    # branching in the fixed order of decreasing weight takes over a
+    # million nodes, and seconds, on K_8 at k = 5 and K_9 at k = 6; the
+    # pinned counts and the time bound guard against that tail
+    g, d = _clique_generic(n)
+    start = time.perf_counter()
+    out = decide_realizable(g, d, k)
+    assert time.perf_counter() - start < 0.5
+    assert out.nodes == nodes and (out.cover is not None) == found
+    assert out.cover is None or out.cover.check(g, d)
