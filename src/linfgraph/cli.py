@@ -84,13 +84,7 @@ def _cmd_realize(args) -> int:
             f"--dim {args.dim} is more than the {enough} dimensions that always suffice "
             f"for {g.m} edges (one edge uv per part, with potential dist(u, x))"
         )
-    outcome = decide_realizable(
-        g,
-        d,
-        args.dim,
-        threads=args.threads,
-        progress=_progress("search"),
-    )
+    outcome = decide_realizable(g, d, args.dim, progress=_progress("search"))
     print(f"search finished after {outcome.nodes} nodes", file=sys.stderr)
     if outcome.cover is None:
         _emit({"realizable": False, "k": args.dim, "nodes": outcome.nodes})
@@ -108,7 +102,7 @@ def _cmd_min_dim(args) -> int:
     from .realizability import min_dimension
 
     g, d = _need_weights(args.instance)
-    k = min_dimension(g, d, threads=args.threads)
+    k = min_dimension(g, d)
     _emit({"min_dimension": k})
     return 0
 
@@ -336,11 +330,9 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("instance")
     sp.add_argument("--dim", type=int, required=True)
     sp.add_argument("--certificate", help="write the cover and realization here")
-    sp.add_argument("--threads", type=_at_least(1), default=1)
 
     sp = cmd("min-dim", _cmd_min_dim, help="smallest dimension admitting a realization")
     sp.add_argument("instance")
-    sp.add_argument("--threads", type=_at_least(1), default=1)
 
     sp = cmd("bounds", _cmd_bounds, help="sandwich the worst-case dimension of a graph")
     sp.add_argument("instance")

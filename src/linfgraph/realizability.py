@@ -218,8 +218,7 @@ class SearchOutcome(_Record):
     Every child the search tries is one node, and is either pruned by the
     first rule that rejects it or expanded: `prunes` maps each rule
     ('conflict', 'infeasible', 'lookahead', 'unit', 'forest') to the
-    children it rejected, so nodes == sum(prunes.values()) + expanded.
-    Parallel runs sum the counts over the frontier and every worker."""
+    children it rejected, so nodes == sum(prunes.values()) + expanded."""
 
     cover: Cover | None
     nodes: int
@@ -280,16 +279,13 @@ class _Ctx:
     A search node is (used, parts, rest): the open parts in order of first
     use and the mask of arc 2e of every edge e still to place.
 
-    `generic` turns the forest rule on or off; None decides it by
-    `_generic_gate`.
-
     The caches are independent of k as well.  `cache` maps an arc set to
     the greatest solution <= 0 of its constraints (or None when it has
     none), which depends on the mask alone; `forests` maps a part's mask
     and a node's rest to the part's spanning forest there, since the mask
     determines what the part blocks, and `ranks` maps a rest to its rank."""
 
-    def __init__(self, g: Graph, d: DistanceFunction, order=None, generic=None):
+    def __init__(self, g: Graph, d: DistanceFunction, order=None):
         if len(d.weights) != g.m:
             raise InputError("weight count does not match the graph")
         self.g = g
@@ -326,7 +322,7 @@ class _Ctx:
         self.empty = (0, (0,) * n, 0, 0)
         self.cache: dict = {}
         self.progress: Callable | None = None
-        self.generic = _generic_gate(g, self.w) if generic is None else generic
+        self.generic = _generic_gate(g, self.w)
         if self.generic:
             self.forests: dict = {}
             self.ranks: dict = {}
@@ -658,41 +654,6 @@ def _root(ctx: _Ctx):
     return 0, [], ctx.full
 
 
-def _replay(ctx: _Ctx, masks):
-    """The node whose open parts force the arc sets masks, in order: the
-    arcs of each are added one at a time, which relaxes every subset of a
-    feasible set on the way, and so yields the same potentials as the
-    search that found them."""
-    parts, rest = [], ctx.full
-    for mask in masks:
-        part, arcs = ctx.empty, mask
-        while arcs:
-            low = arcs & -arcs
-            arcs ^= low
-            part = ctx.try_add(part, low.bit_length() - 1)
-            if part is None:
-                raise RuntimeError("a recorded part is infeasible")
-        parts.append(part)
-        rest &= ~(mask | mask >> 1)
-    if ctx.generic:
-        parts = [ctx.refit(p, rest) for p in parts]
-    return len(parts), parts, rest
-
-
-def _search_worker(payload):
-    vertices, edges, weights, k, generic, masks = payload
-    g = Graph.build(vertices, edges)
-    d = DistanceFunction(tuple(weights))
-    ctx = _Ctx(g, d, generic=generic)
-    counter = [0] * 7
-    parts = _dfs(ctx, k, _replay(ctx, masks), counter)
-    return None if parts is None else [p[0] for p in parts], counter
-
-
-def _outcome(cover: Cover | None, counter: list) -> SearchOutcome:
-    return SearchOutcome(cover, counter[0], dict(zip(_RULES, counter[1:6])), counter[6])
-
-
 def _certified_parts(ctx: _Ctx, k: int, parts):
     """The k orientations the open parts of a cover describe, each paired
     with the potential the search relaxed for it, as exact rationals.  The
@@ -746,52 +707,25 @@ def decide_realizable(
     d: DistanceFunction,
     k: int,
     *,
-    threads: int = 1,
     progress: Callable | None = None,
 ) -> SearchOutcome:
-    """Complete search for a k-part cover of (g, d); exact and deterministic
-    for threads=1.  Returns a certified Cover or an exhaustion outcome.
+    """Complete search for a k-part cover of (g, d); exact and
+    deterministic.  Returns a certified Cover or an exhaustion outcome.
     `progress`, if given, is called with the node count every
-    _PROGRESS_EVERY nodes of the serial search."""
+    _PROGRESS_EVERY nodes."""
     if k <= 0:
         raise InputError(f"dimension must be positive, got {k}")
     ctx = _Ctx(g, d)
     ctx.progress = progress
-    return _search(ctx, d, k, threads)
+    return _search(ctx, d, k)
 
 
-def _search(ctx: _Ctx, d: DistanceFunction, k: int, threads: int) -> SearchOutcome:
-    """The k-part cover search on ctx, in process for threads <= 1, else
-    over a pool of `threads` workers."""
+def _search(ctx: _Ctx, d: DistanceFunction, k: int) -> SearchOutcome:
+    """The k-part cover search on ctx, its cover re-verified."""
     counter = [0] * 7
-    if threads <= 1:
-        parts = _dfs(ctx, k, _root(ctx), counter)
-        return _outcome(None if parts is None else _assignment_to_cover(ctx, d, k, parts), counter)
-
-    # parallel mode: expand a frontier of nodes, then farm subtrees out
-    frontier = [_root(ctx)]
-    while frontier and len(frontier) < threads * 4:
-        for used, parts, rest in frontier:
-            if not rest:
-                return _outcome(_assignment_to_cover(ctx, d, k, parts), counter)
-        frontier = [child for node in frontier for child in _children(ctx, k, node, counter)]
-    if not frontier:
-        return _outcome(None, counter)
-
-    import multiprocessing as mp
-
-    g = ctx.g
-    payloads = [(g.vertices, g.edges, d.weights, k, ctx.generic, [p[0] for p in parts])
-                for _, parts, _ in frontier]
-    winner = None
-    with mp.Pool(processes=threads) as pool:
-        for masks, worker_counter in pool.imap_unordered(_search_worker, payloads):
-            counter = [a + b for a, b in zip(counter, worker_counter)]
-            if masks is not None:
-                winner = masks
-                pool.terminate()
-                break
-    return _outcome(None if winner is None else _assignment_to_cover(ctx, d, k, _replay(ctx, winner)[1]), counter)
+    parts = _dfs(ctx, k, _root(ctx), counter)
+    cover = None if parts is None else _assignment_to_cover(ctx, d, k, parts)
+    return SearchOutcome(cover, counter[0], dict(zip(_RULES, counter[1:6])), counter[6])
 
 
 # -- realizations -------------------------------------------------------------
@@ -894,12 +828,7 @@ def _block_density(g: Graph) -> int:
     return max((-(-b.m // (b.n - 1)) for b in blocks(g)), default=0)
 
 
-def min_dimension(
-    g: Graph,
-    d: DistanceFunction,
-    *,
-    threads: int = 1,
-) -> int:
+def min_dimension(g: Graph, d: DistanceFunction) -> int:
     """Least k admitting a realization: the cover search for k = 1, 2, ...
     on one search context, until a k has a cover.  Every k below the answer
     is an exhausted search, and the answer's cover is re-verified in
@@ -911,7 +840,7 @@ def min_dimension(
     weights must be a valid distance function; InputError otherwise."""
     ctx = _Ctx(g, d)
     k = 1
-    while _search(ctx, d, k, threads).cover is None:
+    while _search(ctx, d, k).cover is None:
         k += 1
     return k
 

@@ -281,3 +281,62 @@ def brute_has_minor(g: Graph, h: Graph) -> bool:
         ):
             return True
     return False
+
+
+def _connected(nodes, links) -> bool:
+    """Whether the links (pairs of nodes) join the nonempty set nodes."""
+    nodes = set(nodes)
+    start = next(iter(nodes))
+    seen, stack = {start}, [start]
+    while stack:
+        x = stack.pop()
+        for a, b in links:
+            for p, q in ((a, b), (b, a)):
+                if p == x and q in nodes and q not in seen:
+                    seen.add(q)
+                    stack.append(q)
+    return seen == nodes
+
+
+def is_tree_decomposition(g: Graph, bags, links) -> bool:
+    """Whether bags (vertex sets) joined by links (pairs of bag indices)
+    form a tree decomposition of g: the links form a tree on the bags,
+    every vertex and every edge of g lies in some bag, and the bags that
+    hold a vertex are connected in that tree (running intersection)."""
+    nodes = range(len(bags))
+    if not bags or len(links) != len(bags) - 1 or not _connected(nodes, links):
+        return False
+    for v in g.vertices:
+        holding = [i for i in nodes if v in bags[i]]
+        if not holding or not _connected(holding, links):
+            return False
+    return all(any(u in b and v in b for b in bags) for u, v in g.edges)
+
+
+def is_planar_rotation(g: Graph, rotation) -> bool:
+    """Whether rotation, a cyclic order of its neighbours at each vertex of
+    the connected graph g, embeds g in the sphere: its faces, traced as
+    orbits of darts (u, v) -> (v, the neighbour after u around v), number
+    F with V - E + F = 2 (Euler), as they do for exactly the planar
+    rotation systems."""
+    nbrs = {v: set() for v in g.vertices}
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    if any(len(rotation[v]) != len(nbrs[v]) or set(rotation[v]) != nbrs[v] for v in g.vertices):
+        return False
+    if not _connected(g.vertices, g.edges):
+        return False
+    after = {(v, x): rotation[v][(i + 1) % len(rotation[v])] for v in g.vertices
+             for i, x in enumerate(rotation[v])}
+    darts = {(u, v) for u, v in g.edges} | {(v, u) for u, v in g.edges}
+    faces = 0
+    while darts:
+        faces += 1
+        u, v = dart = darts.pop()
+        while True:
+            u, v = v, after[(v, u)]
+            if (u, v) == dart:
+                break
+            darts.remove((u, v))
+    return g.n - g.m + faces == 2

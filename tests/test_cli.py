@@ -92,14 +92,19 @@ def test_gen_into_a_directory_exits_2(run, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["realize", "--dim", "2", "--threads", "0"],
-    ["min-dim", "--threads", "-3"],
     ["generic-check", "--budget", "-1"],
     ["bounds", "--samples", "-1"],
 ])
 def test_out_of_range_numbers_are_usage_errors(run, w4_file, argv):
     code, out, err = run(argv[0], w4_file, *argv[1:])
     assert code == 2 and out == "" and "must be at least" in err
+
+
+@pytest.mark.parametrize("argv", [["realize", "--dim", "2", "--threads", "2"], ["min-dim", "--threads", "2"]])
+def test_threads_option_is_a_usage_error(run, w4_file, argv):
+    # the search runs in one process, so there is no --threads option
+    code, out, err = run(argv[0], w4_file, *argv[1:])
+    assert code == 2 and out == "" and "--threads" in err
 
 
 def test_verify_rejects_malformed_certificates(run, w4_file, tmp_path):

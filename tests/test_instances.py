@@ -24,6 +24,8 @@ from linfgraph import (
 from linfgraph import graph_core
 from linfgraph.graph_core import format_fraction
 
+from oracles import is_planar_rotation, is_tree_decomposition
+
 
 # -- named graphs -----------------------------------------------------------
 
@@ -148,6 +150,67 @@ def test_tk4_integer_scaling():
     assert all(w.denominator == 1 for w in d.weights)
     _, d0 = tk4_instance(t)
     assert tuple(w * 4 for w in d0.weights) == d.weights
+
+
+def _tk4_decomposition(t):
+    """The doubled tree's tree decomposition: a bag {v+, v-, w+, w-} per
+    tree edge vw.  With the tree rooted at its first vertex, the bag of the
+    edge from c up to its parent hangs off the bag of the edge above it,
+    and the bags of the root's edges off the first of them."""
+    g = t.graph
+    root = g.vertices[0]
+    parent, order = {root: None}, [root]
+    for v in order:
+        for w in g.neighbors(v):
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    below = order[1:]
+    index = {c: i for i, c in enumerate(below)}
+    bags = [frozenset({f"{c}+", f"{c}-", f"{parent[c]}+", f"{parent[c]}-"}) for c in below]
+    links = [(index[c], 0 if parent[c] == root else index[parent[c]]) for c in below[1:]]
+    return bags, links
+
+
+def _tk4_rotation(t, reverse=True):
+    """A rotation system of the doubled tree: around v+ the spine v+v-,
+    then w-, w+ for each tree neighbour w in turn; around v- the spine,
+    then w+, w- for each w in reverse.  Each clique on the spine v+v- then
+    lies in a face of the clique before it, so the rotation is planar."""
+    rotation = {}
+    for v in t.graph.vertices:
+        ws = list(t.graph.neighbors(v))
+        rotation[f"{v}+"] = [f"{v}-"] + [x for w in ws for x in (f"{w}-", f"{w}+")]
+        rotation[f"{v}-"] = [f"{v}+"] + [x for w in (ws[::-1] if reverse else ws) for x in (f"{w}+", f"{w}-")]
+    return rotation
+
+
+@pytest.mark.parametrize("tree", ["path_2", "path_4", "path_6", "star_4"])
+def test_doubled_trees_have_tree_width_three_and_are_planar(tree):
+    # the paper's third claim, f_inf unbounded on planar graphs and on
+    # graphs of tree-width 3, rests on the doubled trees being both
+    t = Tree.build(named_graph(tree))
+    g, _ = tk4_instance(t)
+    bags, links = _tk4_decomposition(t)
+    assert is_tree_decomposition(g, bags, links)
+    assert max(len(b) for b in bags) - 1 == 3
+    assert is_planar_rotation(g, _tk4_rotation(t))
+
+
+def test_structural_oracles_reject_what_they_should():
+    t = Tree.build(named_graph("path_4"))
+    g, _ = tk4_instance(t)
+    bags, links = _tk4_decomposition(t)
+    # 3+ and 3- sit in the second and third bags only, which these links do not join
+    assert not is_tree_decomposition(g, bags, [(1, 0), (2, 0)])
+    assert not is_tree_decomposition(g, bags[:1] + [bags[1] - {"3-"}] + bags[2:], links)
+    assert not is_tree_decomposition(g, bags, links[:1])
+    # the same order around v- as around v+ glues the hub's cliques wrongly
+    star = Tree.build(named_graph("star_4"))
+    assert not is_planar_rotation(tk4_instance(star)[0], _tk4_rotation(star, reverse=False))
+    for name in ("K_5", "K_6"):
+        k = named_graph(name)
+        assert not is_planar_rotation(k, {v: list(k.neighbors(v)) for v in k.vertices})
 
 
 def test_tk4_name_collisions_are_rejected():

@@ -44,7 +44,6 @@ from linfgraph.realizability import (
     _distinct_valuations,
     _generic_gate,
     _propagate,
-    _replay,
     _root,
 )
 
@@ -90,17 +89,21 @@ def test_k4ek4_witness_needs_three_dimensions():
     assert decide_realizable(g, d, 3).cover is not None
 
 
-def test_prune_counts_add_up_and_agree_across_threads():
+def test_prune_counts_add_up():
     g, d = k4ek4_witness()
-    serial = decide_realizable(g, d, 2)
-    assert serial.prunes == {
+    out = decide_realizable(g, d, 2)
+    assert out.prunes == {
         "conflict": 69, "infeasible": 27, "lookahead": 0, "unit": 8, "forest": 1}
-    assert serial.expanded == 35
-    assert serial.nodes == sum(serial.prunes.values()) + serial.expanded
-    parallel = decide_realizable(g, d, 2, threads=2)
-    assert parallel.exhausted
-    assert (parallel.nodes, parallel.prunes, parallel.expanded) == (
-        serial.nodes, serial.prunes, serial.expanded)
+    assert out.expanded == 35
+    assert out.nodes == sum(out.prunes.values()) + out.expanded
+
+
+def test_threads_keyword_is_gone():
+    g, d = w4_witness()
+    with pytest.raises(TypeError):
+        decide_realizable(g, d, 2, threads=2)
+    with pytest.raises(TypeError):
+        min_dimension(g, d, threads=2)
 
 
 def _closure(g, raw):
@@ -174,6 +177,27 @@ def _rest(g, edges):
 def _options(parts, eid):
     """How many (part, arc) pairs of edge eid no part blocks."""
     return sum(not (p[2] >> a) & 1 for p in parts for a in (2 * eid, 2 * eid + 1))
+
+
+def _replay(ctx, masks):
+    """The node whose open parts force the arc sets masks, in order: the
+    arcs of each are added one at a time, which relaxes every subset of a
+    feasible set on the way, and so yields the same potentials as the
+    search that found them."""
+    parts, rest = [], ctx.full
+    for mask in masks:
+        part, arcs = ctx.empty, mask
+        while arcs:
+            low = arcs & -arcs
+            arcs ^= low
+            part = ctx.try_add(part, low.bit_length() - 1)
+            if part is None:
+                raise RuntimeError("a recorded part is infeasible")
+        parts.append(part)
+        rest &= ~(mask | mask >> 1)
+    if ctx.generic:
+        parts = [ctx.refit(p, rest) for p in parts]
+    return len(parts), parts, rest
 
 
 def _prefixes(ctx, cover):
@@ -392,16 +416,6 @@ def test_edge_orders_and_pruning_agree_on_verdicts():
             out = decide_realizable(g, d, k)
             assert out.exhausted == (not brute_realizable(g, d, k, family=family))
             assert out.exhausted == (k == 2)
-
-
-def test_threads_agree_with_single_threaded_verdict():
-    g, d = w4_witness()
-    assert decide_realizable(g, d, 2, threads=2).exhausted
-    out = decide_realizable(g, d, 3, threads=2)
-    assert out.cover is not None and out.cover.check(g, d)
-    g, d = k4ek4_witness()
-    out = decide_realizable(g, d, 3, threads=2)
-    assert out.cover is not None and out.cover.check(g, d)
 
 
 def test_failed_re_verification_raises(monkeypatch):
@@ -656,8 +670,6 @@ def test_min_dimension_builds_one_context(monkeypatch):
     monkeypatch.setattr(_Ctx, "__init__", counting)
     assert min_dimension(g, d) == 4
     assert len(built) == 1
-    monkeypatch.undo()
-    assert min_dimension(g, d, threads=2) == 4
 
 
 def test_min_dimension_runs_no_genericity_search(monkeypatch):
@@ -779,3 +791,16 @@ def test_cliques_search_without_a_heavy_tail(n, k, nodes, found):
     assert time.perf_counter() - start < 0.5
     assert out.nodes == nodes and (out.cover is not None) == found
     assert out.cover is None or out.cover.check(g, d)
+
+
+@pytest.mark.parametrize("name, k, found", [("K_8", 5, True), ("K4eK4", 2, False)])
+def test_search_is_deterministic(name, k, found):
+    # two runs, each on a fresh context, take the same nodes and prunes and
+    # return the same cover, orientations and potentials alike
+    g, d = _clique_generic(8) if name == "K_8" else k4ek4_witness()
+    first, second = decide_realizable(g, d, k), decide_realizable(g, d, k)
+    assert (first.nodes, first.prunes, first.expanded) == (second.nodes, second.prunes, second.expanded)
+    assert (first.cover is not None) == (second.cover is not None) == found
+    if found:
+        assert first.cover.parts == second.cover.parts
+        assert first.cover.potentials == second.cover.potentials
