@@ -328,7 +328,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = cmd("realize", _cmd_realize, help="decide realizability in a given dimension")
     sp.add_argument("instance")
-    sp.add_argument("--dim", type=int, required=True)
+    sp.add_argument("--dim", type=_at_least(1), required=True)
     sp.add_argument("--certificate", help="write the cover and realization here")
 
     sp = cmd("min-dim", _cmd_min_dim, help="smallest dimension admitting a realization")

@@ -92,6 +92,8 @@ def test_gen_into_a_directory_exits_2(run, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ["realize", "--dim", "0"],
+    ["realize", "--dim", "-3"],
     ["generic-check", "--budget", "-1"],
     ["bounds", "--samples", "-1"],
 ])
