@@ -6,10 +6,12 @@ the decision procedures is exact.  Inside, shortest paths and the
 genericity search run on integers: a `DistanceFunction` clears its
 denominators once (`scale`, `integers`), which preserves every sum and
 comparison exactly, and values leave the package as Fractions again.
-Certificates are re-checked in Fraction arithmetic.  A weight function is
-*valid* when each edge is a shortest path between its endpoints, and
-*generic* when no cycle can be split into two edge sets of equal total
-weight.
+Certificates are re-checked exactly over a common denominator that each
+check takes from the certificate's own Fractions and the weights, with
+`_clear`, the one clearing routine, independently of the search.  A weight
+function is *valid* when each edge is a shortest path between its
+endpoints, and *generic* when no cycle can be split into two edge sets of
+equal total weight.
 """
 
 from __future__ import annotations
@@ -75,6 +77,17 @@ def _printable(q) -> str:
     except ValueError:
         return (f"<rational too long to print: {q.numerator.bit_length()}-bit numerator, "
                 f"{q.denominator.bit_length()}-bit denominator>")
+
+
+def _clear(values, scale: int = 1) -> tuple[int, tuple[int, ...]]:
+    """Exact rationals (ints or Fractions) over one common denominator:
+    (scale, integers), where the new scale is the lcm of the given one and
+    the values' denominators and each integer is its value times it.  Sums,
+    differences and comparisons of the integers are those of the values,
+    multiplied by the scale, so exact checks can run on them."""
+    ratios = [x.as_integer_ratio() for x in values]
+    scale = math.lcm(scale, *[q for _, q in ratios])
+    return scale, tuple([p * (scale // q) for p, q in ratios])
 
 
 _set = object.__setattr__  # how a record's __init__ stores its fields
@@ -236,10 +249,12 @@ class DistanceFunction(_Record):
     """Edge weights for a fixed graph, indexed by edge id.  Nonnegative, exact.
 
     `scale` (the lcm of the denominators) and `integers` (each weight times
-    `scale`) are the one cached clearing of denominators: shortest paths,
-    validation and the genericity search run on `integers`, and a value
-    that leaves the package is divided by `scale` back into a Fraction.
-    Certificates are re-checked against `weights` in Fraction arithmetic."""
+    `scale`) are the cached clearing of denominators by `_clear`: shortest
+    paths, validation and the genericity search run on `integers`, and a
+    value that leaves the package is divided by `scale` back into a
+    Fraction.  Certificate checks read neither: each clears `weights`
+    together with the certificate's own Fractions, so a certificate is
+    re-checked exactly and independently of the search."""
 
     weights: tuple[Fraction, ...]
 
@@ -247,13 +262,16 @@ class DistanceFunction(_Record):
         _set(self, "weights", weights)
 
     @cached_property
-    def scale(self) -> int:
-        return math.lcm(*(q.denominator for q in self.weights))
+    def _cleared(self) -> tuple[int, tuple[int, ...]]:
+        return _clear(self.weights)
 
-    @cached_property
+    @property
+    def scale(self) -> int:
+        return self._cleared[0]
+
+    @property
     def integers(self) -> tuple[int, ...]:
-        scale = self.scale
-        return tuple(q.numerator * (scale // q.denominator) for q in self.weights)
+        return self._cleared[1]
 
     @classmethod
     def from_map(cls, g: Graph, mapping: Mapping) -> "DistanceFunction":

@@ -11,7 +11,6 @@ generic weights.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import InputError
@@ -19,6 +18,7 @@ from .graph_core import (
     DistanceFunction,
     Graph,
     _Record,
+    _clear,
     _metric_closure,
     _perturb_valid,
     _set,
@@ -113,8 +113,9 @@ _WITNESS_POINTS = {
 def _l1_weights(g: Graph, points) -> DistanceFunction:
     """The sum-norm distances between the ends of each edge, summed over
     integers on the points' cleared denominators."""
-    scale = math.lcm(*(x.denominator for p in points.values() for x in p))
-    cleared = {v: [x.numerator * (scale // x.denominator) for x in p] for v, p in points.items()}
+    k = len(next(iter(points.values())))
+    scale, flat = _clear([x for p in points.values() for x in p])
+    cleared = {v: flat[i * k:(i + 1) * k] for i, v in enumerate(points)}
     return DistanceFunction(tuple(
         Fraction(sum(abs(a - b) for a, b in zip(cleared[u], cleared[v])), scale)
         for u, v in g.edges

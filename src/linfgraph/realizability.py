@@ -8,8 +8,9 @@ from the higher potential to the lower.  A set of edges is *feasible* when
 some orientation of it can be forced while a potential still exists, which
 happens exactly when no directed cycle of negative total length appears.
 One check, `_part_certified`, decides whether a given potential certifies
-a given orientation, in Fraction arithmetic; `Cover.check` runs it on every
-part and `is_feasible_set` on its result.
+a given orientation, exactly over a common denominator that it takes from
+the potential's Fractions and the weights, independently of the search;
+`Cover.check` runs it on every part and `is_feasible_set` on its result.
 
 A weighted graph embeds in dimension k exactly when its edge set is the
 union of k feasible sets; each feasible set contributes one coordinate via
@@ -84,8 +85,9 @@ only when `_generic_gate` proves the weights generic: an O(m) 2-adic test,
 else `is_generic` under a small budget; otherwise it stays off.
 
 A cover's potentials are the ones the search relaxed, divided by the scale
-factor; the cover is then re-verified in exact Fraction arithmetic before
-it is returned, so a positive answer is always certified.
+factor; the cover is then re-verified before it is returned, exactly over a
+common denominator taken from its own Fractions and the weights, not from
+the search's integers, so a positive answer is always certified.
 
 Nothing the search context holds depends on k: the relaxation, forest and
 rank caches are keyed by arc sets and masks of edges left.  `min_dimension`
@@ -107,6 +109,7 @@ from .graph_core import (
     Graph,
     VertexId,
     _Record,
+    _clear,
     _printable,
     _set,
     _split_search,
@@ -161,20 +164,33 @@ class Potential(_Record):
         return self.values[v]
 
 
-def _part_certified(g: Graph, d: DistanceFunction, orientation: Orientation, potential: Potential) -> bool:
+def _part_certified(g: Graph, d: DistanceFunction, orientation: Orientation, potential: Potential,
+                    weights=None) -> bool:
     """Whether potential certifies orientation on (g, d): every vertex has a
     label, no edge's gap exceeds its weight in either direction, and every
     forced arc is tight.  This is the potential condition on the forced arc
     system: a forced arc of length -w and its reverse of length w pin the
-    gap to exactly w."""
+    gap to exactly w.
+
+    The labels and weights are compared as integers over one common
+    denominator that `_clear` takes from them, the same predicate exactly,
+    and nothing of the search is read.  `weights`, if given, is
+    `_clear(d.weights)`, so that a caller checking many parts clears the
+    weights once."""
     values = potential.values
-    if any(v not in values for v in g.vertices):
+    vs = g.vertices
+    if any(v not in values for v in vs):
         return False
-    for eid, (u, v) in enumerate(g.edges):
-        if abs(values[u] - values[v]) > d.weights[eid]:
+    base, w = _clear(d.weights) if weights is None else weights
+    scale, labels = _clear([values[v] for v in vs], base)
+    if scale != base:
+        w = [x * (scale // base) for x in w]
+    label = dict(zip(vs, labels))
+    for (u, v), x in zip(g.edges, w):
+        if abs(label[u] - label[v]) > x:
             return False
     # edge_id first: an arc that is no edge of g raises InputError
-    return all(d.weights[g.edge_id(u, v)] == values[u] - values[v] for u, v in orientation.arcs)
+    return all(w[g.edge_id(u, v)] == label[u] - label[v] for u, v in orientation.arcs)
 
 
 class Cover(_Record):
@@ -195,7 +211,8 @@ class Cover(_Record):
     def check(self, g: Graph, d: DistanceFunction) -> bool:
         if len(self.parts) != len(self.potentials):
             return False
-        if not all(_part_certified(g, d, o, p) for o, p in zip(self.parts, self.potentials)):
+        weights = _clear(d.weights)
+        if not all(_part_certified(g, d, o, p, weights) for o, p in zip(self.parts, self.potentials)):
             return False
         covered = {g.edge_id(u, v) for o in self.parts for u, v in o.arcs}
         return covered == set(range(g.m))
@@ -332,21 +349,30 @@ class _Ctx:
 
     def _conflicts(self):
         # arcs a=(ta,ha), b=(tb,hb) in one part close the walk
-        # ta->ha ~> tb->hb ~> ta; it is negative iff sp(ha,tb)+sp(hb,ta) < wa+wb
-        m2 = 2 * self.m
-        masks = [0] * m2
-        for a in range(m2):
-            wa, ta, ha = self.w[a >> 1], self.tail[a], self.head[a]
-            for b in range(a + 1, m2):
-                if (a >> 1) == (b >> 1):
+        # ta->ha ~> tb->hb ~> ta; it is negative iff sp(ha,tb)+sp(hb,ta) < wa+wb.
+        # sp is symmetric, so reversing both arcs walks the same closed walk
+        # backwards: (a, b) conflicts exactly when (a^1, b^1) does, and each
+        # edge pair e < f takes two tests, (2e, 2f) and (2e, 2f+1).
+        sp, w, tail, head = self.sp, self.w, self.tail, self.head
+        masks = [0] * (2 * self.m)
+        for e in range(self.m):
+            su, sv = sp[tail[2 * e]], sp[head[2 * e]]  # arc 2e is u->v
+            we = w[e]
+            for f in range(e + 1, self.m):
+                x, y = tail[2 * f], head[2 * f]  # arc 2f is x->y
+                if sv[x] is None:  # e and f lie in different components
                     continue
-                s1 = self.sp[ha][self.tail[b]]
-                s2 = self.sp[self.head[b]][ta]
-                if s1 is None or s2 is None:
-                    continue
-                if s1 + s2 < wa + self.w[b >> 1]:
-                    masks[a] |= 1 << b
-                    masks[b] |= 1 << a
+                limit = we + w[f]
+                if sv[x] + su[y] < limit:  # 2e with 2f, so 2e+1 with 2f+1
+                    masks[2 * e] |= 1 << 2 * f
+                    masks[2 * f] |= 1 << 2 * e
+                    masks[2 * e + 1] |= 2 << 2 * f
+                    masks[2 * f + 1] |= 2 << 2 * e
+                if sv[y] + su[x] < limit:  # 2e with 2f+1, so 2e+1 with 2f
+                    masks[2 * e] |= 2 << 2 * f
+                    masks[2 * f + 1] |= 1 << 2 * e
+                    masks[2 * e + 1] |= 1 << 2 * f
+                    masks[2 * f] |= 2 << 2 * e
         return masks
 
     def bf(self, mask: int, dist0, new_aid: int):
@@ -657,8 +683,8 @@ def _root(ctx: _Ctx):
 def _certified_parts(ctx: _Ctx, k: int, parts):
     """The k orientations the open parts of a cover describe, each paired
     with the potential the search relaxed for it, as exact rationals.  The
-    callers re-verify these in Fraction arithmetic."""
-    parts = list(parts) + [ctx.empty] * (k - len(parts))
+    parts left unopened share one empty orientation and one zero
+    potential.  The callers re-verify these exactly."""
     vs = ctx.g.vertices
     orientations, potentials = [], []
     for mask, dist, _, _ in parts:
@@ -669,6 +695,9 @@ def _certified_parts(ctx: _Ctx, k: int, parts):
         potentials.append(Potential(
             {v: Fraction(dist[i], ctx.scale) for i, v in enumerate(vs)}
         ))
+    unopened = k - len(parts)
+    orientations += [Orientation(())] * unopened
+    potentials += [Potential(dict.fromkeys(vs, Fraction(0)))] * unopened
     return tuple(orientations), tuple(potentials)
 
 
@@ -755,7 +784,11 @@ _MISMATCH = {
 def verify_realization(g: Graph, d: DistanceFunction, points, norm="inf") -> VerifyResult:
     """Exact check that every edge's endpoint distance equals its weight
     under the requested norm (1, 2, or 'inf'; 2 compares squares).  Accepts
-    a Realization or a plain vertex-to-vector mapping."""
+    a Realization or a plain vertex-to-vector mapping.
+
+    The coordinates and weights are compared as integers over one common
+    denominator that `_clear` takes from them; a mismatch is reported as
+    the rationals they stand for."""
     if norm not in (1, 2, "inf"):
         raise InputError(f"unsupported norm {norm!r}")
     if isinstance(points, Realization):
@@ -767,19 +800,27 @@ def verify_realization(g: Graph, d: DistanceFunction, points, norm="inf") -> Ver
             raise InputError(f"no coordinates for vertex {v!r}")
         if len(points[v]) != k:
             raise InputError(f"vertex {v!r} has {len(points[v])} coordinates, expected {k}")
+    vs = g.vertices
+    base, w = _clear(d.weights)
+    scale, flat = _clear([x for v in vs for x in points[v]], base)
+    if scale != base:
+        w = [x * (scale // base) for x in w]
+    cleared = {v: flat[i * k:(i + 1) * k] for i, v in enumerate(vs)}
     for eid, (u, v) in enumerate(g.edges):
-        pu, pv = points[u], points[v]
-        # equal points (a part of a pulled-back witness) have no gaps to add
-        gaps = () if pu == pv else (abs(a - b) for a, b in zip(pu, pv))
-        w = d.weights[eid]
+        gaps = [abs(a - b) for a, b in zip(cleared[u], cleared[v])]
         if norm == "inf":
-            got, want = max(gaps, default=0), w
+            got, want = max(gaps, default=0), w[eid]
         elif norm == 1:
-            got, want = sum(gaps), w
+            got, want = sum(gaps), w[eid]
         else:
-            got, want = sum(x * x for x in gaps), w * w
+            got, want = sum(x * x for x in gaps), w[eid] ** 2
         if got != want:
-            detail = _MISMATCH[norm].format(_printable(got), _printable(want))
+            q = d.weights[eid]
+            if norm == 2:
+                got, q = Fraction(got, scale * scale), q * q
+            else:
+                got = Fraction(got, scale)
+            detail = _MISMATCH[norm].format(_printable(got), _printable(q))
             return VerifyResult(False, (u, v), detail)
     return VerifyResult(True)
 
@@ -831,10 +872,10 @@ def _block_density(g: Graph) -> int:
 def min_dimension(g: Graph, d: DistanceFunction) -> int:
     """Least k admitting a realization: the cover search for k = 1, 2, ...
     on one search context, until a k has a cover.  Every k below the answer
-    is an exhausted search, and the answer's cover is re-verified in
-    Fraction arithmetic.  The small k cost little: with weights the gate
-    proves generic, the forest rule prunes every k with k * rank(g) < m at
-    the root, and otherwise the conflict table and the lookahead exhaust
+    is an exhausted search, and the answer's cover is re-verified exactly,
+    independently of the search.  The small k cost little: with weights the
+    gate proves generic, the forest rule prunes every k with k * rank(g) < m
+    at the root, and otherwise the conflict table and the lookahead exhaust
     them quickly.  The scan ends by the vertex cover number at the latest,
     where the stars around a minimum vertex cover realize any weights.  The
     weights must be a valid distance function; InputError otherwise."""

@@ -3,14 +3,18 @@
 Everything here is written the slow, obviously-correct way and shares no
 code with the library: plain Bellman-Ford off an edge list, exhaustive
 subset and orientation enumeration, exhaustive vertex assignments for
-minors.  Unit and acceptance tests compare the library's answers against
+minors, certificate checks in Fraction arithmetic, and the conflict table
+over every pair of arcs.  (The certificate checks return the library's
+result record and print rationals as it does, so that results compare
+equal.)  Unit and acceptance tests compare the library's answers against
 these on small inputs.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
-from linfgraph import DistanceFunction, Graph
+from linfgraph import DistanceFunction, Graph, InputError, Realization, VerifyResult
+from linfgraph.graph_core import _printable
 
 
 def bellman_ford_potential(vertices, arcs):
@@ -340,3 +344,81 @@ def is_planar_rotation(g: Graph, rotation) -> bool:
                 break
             darts.remove((u, v))
     return g.n - g.m + faces == 2
+
+
+def fraction_part_certified(g: Graph, d: DistanceFunction, orientation, potential) -> bool:
+    """The part check in Fraction arithmetic: every vertex has a label, no
+    edge's gap exceeds its weight, and every forced arc is tight.  An arc
+    that is no edge of g raises InputError."""
+    values = potential.values
+    if any(v not in values for v in g.vertices):
+        return False
+    for eid, (u, v) in enumerate(g.edges):
+        if abs(values[u] - values[v]) > d.weights[eid]:
+            return False
+    return all(d.weights[g.edge_id(u, v)] == values[u] - values[v] for u, v in orientation.arcs)
+
+
+def fraction_cover_check(g: Graph, d: DistanceFunction, cover) -> bool:
+    """A cover checks when each part is certified and the parts' arcs cover E."""
+    if len(cover.parts) != len(cover.potentials):
+        return False
+    if not all(fraction_part_certified(g, d, o, p) for o, p in zip(cover.parts, cover.potentials)):
+        return False
+    return {g.edge_id(u, v) for o in cover.parts for u, v in o.arcs} == set(range(g.m))
+
+
+_MISMATCH = {
+    "inf": "max-norm distance {} != weight {}",
+    1: "sum-norm distance {} != weight {}",
+    2: "squared distance {} != squared weight {}",
+}
+
+
+def fraction_verify_realization(g: Graph, d: DistanceFunction, points, norm="inf") -> VerifyResult:
+    """Each edge's endpoint distance under the norm (1, 2 by squares, or
+    'inf') against its weight, in Fraction arithmetic; the first mismatch
+    is reported with its edge and both values."""
+    if norm not in (1, 2, "inf"):
+        raise InputError(f"unsupported norm {norm!r}")
+    if isinstance(points, Realization):
+        k, points = points.k, points.points
+    else:
+        k = len(next(iter(points.values()))) if points else 0
+    for v in g.vertices:
+        if v not in points:
+            raise InputError(f"no coordinates for vertex {v!r}")
+        if len(points[v]) != k:
+            raise InputError(f"vertex {v!r} has {len(points[v])} coordinates, expected {k}")
+    for eid, (u, v) in enumerate(g.edges):
+        gaps = [abs(a - b) for a, b in zip(points[u], points[v])]
+        w = d.weights[eid]
+        if norm == "inf":
+            got, want = max(gaps, default=0), w
+        elif norm == 1:
+            got, want = sum(gaps), w
+        else:
+            got, want = sum(x * x for x in gaps), w * w
+        if got != want:
+            detail = _MISMATCH[norm].format(_printable(got), _printable(want))
+            return VerifyResult(False, (u, v), detail)
+    return VerifyResult(True)
+
+
+def all_pairs_conflicts(g: Graph, d: DistanceFunction):
+    """The conflict table over every pair of arcs of distinct edges, arc 2e
+    along edge e as stored in g.edges and arc 2e + 1 against it: arcs a =
+    (ta, ha) and b = (tb, hb) conflict when the closed walk ta -> ha ~> tb
+    -> hb ~> ta is negative with both forced, i.e. when sp(ha, tb) +
+    sp(hb, ta) < w(a) + w(b) over Fraction shortest paths.  One bitmask of
+    conflicting arcs per arc."""
+    sp = sp_by_relaxation(g, d)
+    arcs = [(u, v, w) for (a, b), w in zip(g.edges, d.weights) for u, v in ((a, b), (b, a))]
+    masks = [0] * len(arcs)
+    for a, (ta, ha, wa) in enumerate(arcs):
+        for b, (tb, hb, wb) in enumerate(arcs):
+            if a >> 1 == b >> 1 or sp[ha][tb] is None or sp[hb][ta] is None:
+                continue
+            if sp[ha][tb] + sp[hb][ta] < wa + wb:
+                masks[a] |= 1 << b
+    return masks
