@@ -228,11 +228,6 @@ def test_conflict_table_matches_all_arc_pairs(g, d):
     assert all(conflict[a] >> b & 1 == conflict[a ^ 1] >> (b ^ 1) & 1 for a in arcs for b in arcs)
 
 
-def test_a_disconnected_graph_has_no_conflicts_across_components():
-    g = Graph.build(range(4), [(0, 1), (2, 3)])
-    assert _Ctx(g, DistanceFunction.from_values([1, 1])).conflict == [0, 0, 0, 0]
-
-
 # -- padding a cover to k parts -------------------------------------------------------
 
 
