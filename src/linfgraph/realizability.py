@@ -77,22 +77,22 @@ most rank(F_i + E_i) edges, where rank is the graphic-matroid rank (n minus
 the number of components); an unused part can hold any remaining edge.  A
 cover needs sum_i rank(F_i + E_i) >= the number of edges to cover, and a
 child that falls short is pruned (the forest-cover counting of
-Nash-Williams, J. LMS 1964, and Edmonds, J. Res. NBS 1965).  Each part
-carries a spanning forest of F_i + E_i, rebuilt only when it holds an edge
-the part lost and the edges it keeps leave the sum short, so a rank is
-usually one popcount.  The rule applies
-only when `_generic_gate` proves the weights generic: an O(m) 2-adic test,
-else `is_generic` under a small budget; otherwise it stays off.
+Nash-Williams, J. LMS 1964, and Edmonds, J. Res. NBS 1965).  A rank is
+a union-find pass over an edge mask, memoized per mask, so the parts carry
+nothing for the rule and a rank met before costs one lookup.  The rule
+applies only when `_generic_gate` proves the weights generic: an O(m)
+2-adic test, else `is_generic` under a small budget; otherwise it stays
+off.
 
 A cover's potentials are the ones the search relaxed, divided by the scale
 factor; the cover is then re-verified before it is returned, exactly over a
 common denominator taken from its own Fractions and the weights, not from
 the search's integers, so a positive answer is always certified.
 
-Nothing the search context holds depends on k: the relaxation, forest and
-rank caches are keyed by arc sets and masks of edges left.  `min_dimension`
-therefore scans k = 1, 2, ... on one context, and each k reuses what the
-smaller ones relaxed.  Feasibility of a single edge set is the same
+Nothing the search context holds depends on k: the relaxation and rank
+caches are keyed by arc sets and edge masks.  `min_dimension` therefore
+scans k = 1, 2, ... on one context, and each k reuses what the smaller
+ones relaxed.  Feasibility of a single edge set is the same
 question with k = 1 over that set's edges: `is_feasible_set` runs this
 engine, not a separate one.
 """
@@ -288,19 +288,18 @@ class _Ctx:
     this order.
 
     Arc 2e runs along edge e as stored in g.edges, arc 2e + 1 against it.
-    A part is a tuple (mask, dist, blocked, forest): the bitmask of its
-    forced arcs, its potential as integers over `scale` (the greatest
-    solution <= 0 of its difference constraints), the OR of `conflict` over
-    its arcs, i.e. every arc that cannot join it, and, for the forest rule,
-    a spanning forest (arc 2e for edge e) of the edges it can still hold.
-    A search node is (used, parts, rest): the open parts in order of first
-    use and the mask of arc 2e of every edge e still to place.
+    A part is a triple (mask, dist, blocked): the bitmask of its forced
+    arcs, its potential as integers over `scale` (the greatest solution
+    <= 0 of its difference constraints), and the OR of `conflict` over its
+    arcs, i.e. every arc that cannot join it.  A search node is (used,
+    parts, rest): the open parts in order of first use and the mask of arc
+    2e of every edge e still to place.
 
     The caches are independent of k as well.  `cache` maps an arc set to
     the greatest solution <= 0 of its constraints (or None when it has
-    none), which depends on the mask alone; `forests` maps a part's mask
-    and a node's rest to the part's spanning forest there, since the mask
-    determines what the part blocks, and `ranks` maps a rest to its rank."""
+    none), which depends on the mask alone, and `ranks`, for the forest
+    rule, maps an edge mask (arc 2e for edge e) to its graphic-matroid
+    rank."""
 
     def __init__(self, g: Graph, d: DistanceFunction, order=None):
         if len(d.weights) != g.m:
@@ -336,16 +335,14 @@ class _Ctx:
         # arc 2e of each edge e to cover, in order: the root's rest
         self.bits = [1 << 2 * e for e in order]
         self.full = sum(self.bits)
-        self.empty = (0, (0,) * n, 0, 0)
+        self.empty = (0, (0,) * n, 0)
         self.cache: dict = {}
         self.progress: Callable | None = None
         self.generic = _generic_gate(g, self.w)
         if self.generic:
-            self.forests: dict = {}
             self.ranks: dict = {}
-            # (arc-2e bit, tail, head) of each edge e, in and against the order
+            # (arc-2e bit, tail, head) of each edge e, in order
             self.forward = [(1 << 2 * e, self.tail[2 * e], self.head[2 * e]) for e in order]
-            self.backward = self.forward[::-1]
 
     def _conflicts(self):
         # arcs a=(ta,ha), b=(tb,hb) in one part close the walk
@@ -410,47 +407,32 @@ class _Ctx:
 
     def try_add(self, part, aid: int):
         """The part with arc aid forced, or None when that is infeasible;
-        relaxation results are memoized per arc set.  The forest is the
-        parent part's, to be checked by the caller."""
-        mask0, dist0, blocked0, forest = part
+        relaxation results are memoized per arc set."""
+        mask0, dist0, blocked0 = part
         new_mask = mask0 | (1 << aid)
         dist = self.cache.get(new_mask, _UNSEEN)
         if dist is _UNSEEN:
             dist = self.cache[new_mask] = self.bf(new_mask, dist0, aid)
         if dist is None:
             return None
-        return new_mask, dist, blocked0 | self.conflict[aid], forest
+        return new_mask, dist, blocked0 | self.conflict[aid]
 
-    def rank(self, rest: int) -> int:
-        """The graphic-matroid rank of the edges in rest, which is what a
-        part not yet open can still hold; memoized per rest."""
-        r = self.ranks.get(rest)
+    def rank(self, edges: int) -> int:
+        """The graphic-matroid rank of an edge mask (arc 2e for edge e):
+        n minus the number of components of the spanning subgraph it
+        forms; memoized per mask.  The count stops at n - 1, a spanning
+        tree, since no further edge can raise it."""
+        r = self.ranks.get(edges)
         if r is None:
             root = list(range(self.n))
-            r = self.ranks[rest] = sum(_union(root, u, v) for bit, u, v in self.forward if rest & bit)
+            r, full = 0, self.n - 1
+            for bit, u, v in self.forward:
+                if r == full:
+                    break
+                if edges & bit:
+                    r += _union(root, u, v)
+            self.ranks[edges] = r
         return r
-
-    def refit(self, part, rest: int):
-        """The part with a spanning forest of what it can hold at a node
-        whose edges left are rest: its own edges and the edges of rest
-        whose arcs it does not both block.  Built greedily from its own
-        edges, then from the end of the order backwards; memoized per
-        (mask, rest), since the mask determines what the part blocks."""
-        mask, dist, blocked, _ = part
-        forest = self.forests.get((mask, rest))
-        if forest is None:
-            root = list(range(self.n))
-            forest, size, full = 0, 0, self.n - 1
-            # arc 2e of each edge e the part holds, then of each it can take
-            for free in (mask | mask >> 1, rest & ~(blocked & blocked >> 1)):
-                for bit, u, v in self.backward:
-                    if size == full:
-                        break
-                    if free & bit and _union(root, u, v):
-                        forest |= bit
-                        size += 1
-            self.forests[mask, rest] = forest
-        return mask, dist, blocked, forest
 
 
 def _union(root: list, u: int, v: int) -> int:
@@ -574,31 +556,16 @@ def _pick(ctx: _Ctx, parts, rest: int) -> int:
             return bit.bit_length() >> 1
 
 
-def _short(ctx: _Ctx, k: int, used: int, parts: list, rest: int) -> bool:
+def _short(ctx: _Ctx, k: int, used: int, parts, rest: int) -> bool:
     """The forest rule at a node (used, parts, rest) of a k-part search:
-    whether the ranks of what its parts can hold, k - used unused parts
-    holding rank(rest) each, add up to fewer than the edges to cover.
-
-    What a part can hold only shrinks along a branch, so its forest still
-    spans it unless the forest is empty (the part just opened) or holds an
-    edge the part can no longer take.  The edges such a forest keeps are a
-    forest inside what the part can hold, so their count bounds its rank
-    from below; a part is refitted, in place, only while these bounds
-    leave the sum short."""
+    whether the ranks of what its parts can hold, its own edges and the
+    edges of rest whose arcs it does not both block, plus k - used unused
+    parts holding rank(rest) each, add up to fewer than the edges to
+    cover."""
     total = (k - used) * ctx.rank(rest) if used < k else 0
-    stale = []  # (index, edges kept) of each part whose forest may not span
-    for i, (mask, _, b, forest) in enumerate(parts):
-        kept = (forest & ((mask | mask >> 1) | rest & ~(b & b >> 1))).bit_count()
-        if not forest or kept < forest.bit_count():
-            stale.append((i, kept))
-        total += kept
-    need = len(ctx.order)
-    for i, kept in stale:
-        if total >= need:
-            break
-        parts[i] = part = ctx.refit(parts[i], rest)
-        total += part[3].bit_count() - kept
-    return total < need
+    for mask, _, b in parts:
+        total += ctx.rank((mask | mask >> 1 | rest & ~(b & b >> 1)) & ctx.full)
+    return total < len(ctx.order)
 
 
 def _children(ctx: _Ctx, k: int, node, counter: list):
@@ -687,7 +654,7 @@ def _certified_parts(ctx: _Ctx, k: int, parts):
     potential.  The callers re-verify these exactly."""
     vs = ctx.g.vertices
     orientations, potentials = [], []
-    for mask, dist, _, _ in parts:
+    for mask, dist, _ in parts:
         orientations.append(Orientation.of(
             (vs[ctx.tail[aid]], vs[ctx.head[aid]])
             for aid in range(2 * ctx.m) if (mask >> aid) & 1

@@ -219,6 +219,30 @@ def brute_vertex_cover(g: Graph) -> int:
     raise AssertionError("all vertices always cover")
 
 
+def brute_rank(g: Graph, eids) -> int:
+    """Graphic-matroid rank of the edges eids: n minus the number of
+    components of the spanning subgraph they form, counted by breadth-first
+    search."""
+    nbrs = {v: [] for v in g.vertices}
+    for e in eids:
+        u, v = g.edges[e]
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    seen, components = set(), 0
+    for s in g.vertices:
+        if s in seen:
+            continue
+        components += 1
+        seen.add(s)
+        queue = [s]
+        for x in queue:
+            for y in nbrs[x]:
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+    return g.n - components
+
+
 def brute_arboricity(g: Graph) -> int:
     """Smallest j admitting a partition of E into j forests, by direct
     backtracking with per-forest cycle checks (union-find)."""

@@ -45,6 +45,7 @@ from linfgraph.realizability import (
     _generic_gate,
     _propagate,
     _root,
+    _short,
 )
 
 from atlas import connected_graphs, connected_graphs_upto
@@ -52,6 +53,7 @@ from oracles import (
     bellman_ford_potential,
     brute_is_generic,
     brute_min_dimension,
+    brute_rank,
     brute_realizable,
     brute_vertex_cover,
     edge_set_feasible,
@@ -195,8 +197,6 @@ def _replay(ctx, masks):
                 raise RuntimeError("a recorded part is infeasible")
         parts.append(part)
         rest &= ~(mask | mask >> 1)
-    if ctx.generic:
-        parts = [ctx.refit(p, rest) for p in parts]
     return len(parts), parts, rest
 
 
@@ -221,7 +221,7 @@ def _on_cover(cover, parts):
     """Whether each part lies, as it is or reversed, in its own part of
     cover (arc masks): the edge of its lowest arc names that part."""
     seen = set()
-    for mask, _, _, _ in parts:
+    for mask, _, _ in parts:
         e = (mask & -mask).bit_length() - 1 >> 1
         j = next(j for j, c in enumerate(cover) if c >> 2 * e & 3)
         if j in seen or (mask & ~cover[j] and _reversed(mask) & ~cover[j]):
@@ -382,6 +382,65 @@ def test_distinct_valuations_open_the_gate(data):
     assert _distinct_valuations(w) and _generic_gate(g, w)
 
 
+@st.composite
+def _distinct_valuation_weighted(draw):
+    # weights 2^m + 2^i, i a permutation of 0..m-1: distinct valuations,
+    # and within a factor 2, so every edge is a shortest path
+    n = draw(st.integers(min_value=2, max_value=6))
+    pool = list(itertools.combinations(range(n), 2))
+    g = Graph.build(range(n), draw(st.lists(st.sampled_from(pool), unique=True, min_size=1, max_size=10)))
+    exps = draw(st.permutations(range(g.m)))
+    return g, DistanceFunction.from_values([2**g.m + 2**i for i in exps])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_distinct_valuation_weighted(), st.data())
+def test_rank_matches_brute_rank(gd, data):
+    # a mask's odd bits (reverse arcs) name no edge, and the edges left
+    # once the rank reaches n - 1 cannot raise it: the count stops there
+    g, d = gd
+    ctx = _Ctx(g, d)
+    assert ctx.generic
+    masks = data.draw(st.lists(st.integers(0, 4**g.m - 1), min_size=1, max_size=8))
+    every_arc = ctx.full | ctx.full << 1
+    spanned = 0
+    for mask in masks + [ctx.full, every_arc]:
+        r = brute_rank(g, [e for e in range(g.m) if mask >> 2 * e & 1])
+        assert ctx.rank(mask) == r, (g.edges, mask)
+        spanned += r == g.n - 1
+    assert ctx.rank(every_arc) == ctx.rank(ctx.full)
+    assert spanned or brute_rank(g, range(g.m)) < g.n - 1
+
+
+@pytest.mark.parametrize("name, k", [("K_5", 3), ("K_7", 4), ("W_8", 2)])
+def test_forest_rule_matches_brute_ranks_on_cover_prefixes(name, k):
+    # every prefix node of a found cover, judged as a node of a j-part
+    # search for each j from its open parts to k: _short prunes exactly when
+    # the brute ranks of what each part can hold (its own edges and the
+    # edges left that it does not block both ways), with rank(rest) for
+    # each unused part, fall short of the edges to cover.  At j = k the
+    # cover completes the node, so neither prunes.  _short reads its parts
+    # and changes none of them
+    g = named_graph(name)
+    ctx = _Ctx(g, random_distance_function(g, 3))
+    assert ctx.generic
+    cover = [p[0] for p in _dfs(ctx, k, _root(ctx), [0] * 7)]
+    verdicts = []
+    for left, (used, parts, rest) in _prefixes(ctx, cover):
+        held = []
+        for mask, _, b in parts:
+            own = [e for e in range(g.m) if mask >> 2 * e & 3]
+            free = [e for e in left if b >> 2 * e & 3 != 3]
+            held.append(brute_rank(g, own + free))
+        before = list(parts)
+        for j in range(used, k + 1):
+            short = sum(held) + (j - used) * brute_rank(g, left) < len(ctx.order)
+            assert _short(ctx, j, used, parts, rest) == short, (name, left, j)
+            assert len(parts) == len(before) and all(p is q for p, q in zip(parts, before))
+            verdicts.append((j == k, short))
+    assert (True, True) not in verdicts and (False, True) in verdicts
+
+
 def test_edgeless_graph_realizes_immediately():
     g = Graph.build([1, 2, 3], [])
     d = DistanceFunction.from_values([])
@@ -506,7 +565,7 @@ def test_relaxation_matches_find_potential(gd, data):
             assert ref is None
             return
         assert ref is not None
-        _, dist, part_blocked, _ = part
+        _, dist, part_blocked = part
         assert part_blocked == blocked
         for i, x in enumerate(g.vertices):
             assert dist[i] == ref[x] * ctx.scale
