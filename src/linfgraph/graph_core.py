@@ -502,11 +502,7 @@ def is_generic(g: Graph, d: DistanceFunction, budget: int = 10**6) -> Genericity
     """
     if len(d.weights) != g.m:
         raise InputError("weight count does not match the graph")
-    return _split_search(g, d.integers, budget)
-
-
-def _split_search(g: Graph, w, budget: int) -> GenericityReport:
-    """`is_generic` over integer weights w, indexed by edge id."""
+    w = d.integers
     checked = 0
     for cycle in _simple_cycles(g):
         ws = [w[e] for e in cycle]
@@ -534,12 +530,7 @@ def _metric_closure(g: Graph, d: DistanceFunction) -> DistanceFunction:
     return DistanceFunction(tuple(Fraction(dist[vi[u]][vi[v]], d.scale) for u, v in g.edges))
 
 
-def perturb_to_generic(
-    g: Graph,
-    d: DistanceFunction,
-    seed: int = 0,
-    budget: int = 10**6,
-) -> DistanceFunction:
+def perturb_to_generic(g: Graph, d: DistanceFunction, seed: int = 0) -> DistanceFunction:
     """Nudge a valid weight function into a generic one; a generic input is
     returned unchanged.
 
@@ -576,18 +567,18 @@ def perturb_to_generic(
     blend is no longer a convex combination: a metric closure restores
     validity, and the result is checked once with `is_generic`.  Ties
     forced by zero-weight edges cannot be perturbed away and raise
-    PerturbationFailed; a check that runs out of `budget` returns the
-    result unverified.  Deterministic for a fixed seed.
+    PerturbationFailed; a check that runs out of `is_generic`'s default
+    budget returns the result unverified.  Deterministic for a fixed seed.
     """
     if not validate_distance_function(g, d).valid:
         raise InputError("input weights are not a valid distance function")
-    return _perturb_valid(g, d, seed, budget)
+    return _perturb_valid(g, d, seed)
 
 
-def _perturb_valid(g: Graph, d: DistanceFunction, seed: int, budget: int = 10**6) -> DistanceFunction:
+def _perturb_valid(g: Graph, d: DistanceFunction, seed: int) -> DistanceFunction:
     """`perturb_to_generic` on weights the caller knows to be valid, such
     as a metric closure; skips the validation pass."""
-    if is_generic(g, d, budget):
+    if is_generic(g, d):
         return d
     m = g.m
     low = min((w for w in d.weights if w > 0), default=Fraction(0))
@@ -603,7 +594,7 @@ def _perturb_valid(g: Graph, d: DistanceFunction, seed: int, budget: int = 10**6
     )
     if 0 in d.weights:
         out = _metric_closure(g, out)
-        if is_generic(g, out, budget).status == "not_generic":
+        if is_generic(g, out).status == "not_generic":
             raise PerturbationFailed(
                 "ties forced by zero-weight edges cannot be perturbed away", out
             )

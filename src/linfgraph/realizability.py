@@ -80,9 +80,9 @@ child that falls short is pruned (the forest-cover counting of
 Nash-Williams, J. LMS 1964, and Edmonds, J. Res. NBS 1965).  A rank is
 a union-find pass over an edge mask, memoized per mask, so the parts carry
 nothing for the rule and a rank met before costs one lookup.  The rule
-applies only when `_generic_gate` proves the weights generic: an O(m)
-2-adic test, else `is_generic` under a small budget; otherwise it stays
-off.
+applies only when the weights are proven generic by the O(m) 2-adic test
+`_distinct_valuations`; otherwise it stays off, and the search runs no
+cycle enumeration.
 
 A cover's potentials are the ones the search relaxed, divided by the scale
 factor; the cover is then re-verified before it is returned, exactly over a
@@ -112,15 +112,12 @@ from .graph_core import (
     _clear,
     _printable,
     _set,
-    _split_search,
     blocks,
     shortest_path_table,
     vertex_key,
 )
 
 VERTEX_COVER_CAP = 32
-# half-sums `is_generic` may spend deciding whether the forest rule applies
-_GATE_BUDGET = 500
 # the prune rules of `_children`, in the order they are tried
 _RULES = ("conflict", "infeasible", "lookahead", "unit", "forest")
 # nodes between two calls of a search's progress callback
@@ -338,7 +335,7 @@ class _Ctx:
         self.empty = (0, (0,) * n, 0)
         self.cache: dict = {}
         self.progress: Callable | None = None
-        self.generic = _generic_gate(g, self.w)
+        self.generic = _distinct_valuations(self.w)
         if self.generic:
             self.ranks: dict = {}
             # (arc-2e bit, tail, head) of each edge e, in order
@@ -456,16 +453,6 @@ def _distinct_valuations(w) -> bool:
     splits into two halves of equal weight."""
     lowest = {x & -x for x in w}  # 2**valuation, 0 for a zero weight
     return 0 not in lowest and len(lowest) == len(w)
-
-
-def _generic_gate(g: Graph, w) -> bool:
-    """Whether the integer weights w on g are known to be generic, so that
-    the forest rule is sound; decided cheaply, and False when in doubt.
-
-    Check 1, O(m): `_distinct_valuations`.  Check 2, otherwise:
-    `is_generic` on w with the small budget _GATE_BUDGET; 'not_generic'
-    and 'budget_exceeded' both leave the rule off."""
-    return _distinct_valuations(w) or _split_search(g, w, _GATE_BUDGET).status == "generic"
 
 
 def _propagate(ctx: _Ctx, rest: int, parts):
@@ -840,12 +827,13 @@ def min_dimension(g: Graph, d: DistanceFunction) -> int:
     """Least k admitting a realization: the cover search for k = 1, 2, ...
     on one search context, until a k has a cover.  Every k below the answer
     is an exhausted search, and the answer's cover is re-verified exactly,
-    independently of the search.  The small k cost little: with weights the
-    gate proves generic, the forest rule prunes every k with k * rank(g) < m
-    at the root, and otherwise the conflict table and the lookahead exhaust
-    them quickly.  The scan ends by the vertex cover number at the latest,
-    where the stars around a minimum vertex cover realize any weights.  The
-    weights must be a valid distance function; InputError otherwise."""
+    independently of the search.  The small k cost little: with weights
+    whose 2-adic valuations are distinct (`_distinct_valuations`), the
+    forest rule prunes every k with k * rank(g) < m at the root, and
+    otherwise the conflict table and the lookahead exhaust them quickly.
+    The scan ends by the vertex cover number at the latest, where the stars
+    around a minimum vertex cover realize any weights.  The weights must be
+    a valid distance function; InputError otherwise."""
     ctx = _Ctx(g, d)
     k = 1
     while _search(ctx, d, k).cover is None:

@@ -276,6 +276,14 @@ def test_perturb_returns_generic_input_unchanged():
     assert perturb_to_generic(g, d) is d
 
 
+def test_perturb_budget_keyword_is_gone():
+    # perturbation checks genericity under `is_generic`'s default budget
+    g = Graph.build([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
+    d = DistanceFunction.from_values([3, 4, 5])
+    with pytest.raises(TypeError):
+        perturb_to_generic(g, d, budget=5)
+
+
 def test_perturb_cannot_fix_zero_cycle():
     g = Graph.build([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
     d = DistanceFunction.from_values([0, 0, 0])

@@ -22,6 +22,7 @@ from linfgraph import (
     decide_realizable,
     finf_bounds,
     is_feasible_set,
+    is_generic,
     k4ek4_witness,
     k7_generic,
     min_dimension,
@@ -42,7 +43,6 @@ from linfgraph.realizability import (
     _children,
     _dfs,
     _distinct_valuations,
-    _generic_gate,
     _propagate,
     _root,
     _short,
@@ -87,7 +87,7 @@ def test_w4_witness_needs_three_dimensions():
 def test_k4ek4_witness_needs_three_dimensions():
     g, d = k4ek4_witness()
     out = decide_realizable(g, d, 2)
-    assert out.exhausted and out.nodes == 140
+    assert out.exhausted and out.nodes == 152
     assert decide_realizable(g, d, 3).cover is not None
 
 
@@ -95,8 +95,8 @@ def test_prune_counts_add_up():
     g, d = k4ek4_witness()
     out = decide_realizable(g, d, 2)
     assert out.prunes == {
-        "conflict": 69, "infeasible": 27, "lookahead": 0, "unit": 8, "forest": 1}
-    assert out.expanded == 35
+        "conflict": 75, "infeasible": 29, "lookahead": 0, "unit": 10, "forest": 0}
+    assert out.expanded == 38
     assert out.nodes == sum(out.prunes.values()) + out.expanded
 
 
@@ -369,17 +369,19 @@ def test_search_matches_brute_force_with_orphan_seeding(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_distinct_valuations_open_the_gate(data):
-    # weights odd * 2**v with pairwise distinct v, v possibly negative
+    # weights 2**20 + odd * 2**v with pairwise distinct v, v possibly
+    # negative: the odd * 2**v part is below 2**14, so each weight has the
+    # valuation v, and every edge is shorter than any path of two edges
     g = data.draw(st.sampled_from(connected_graphs_upto(5)[3:]))
     exps = data.draw(st.lists(st.integers(-6, 8), min_size=g.m, max_size=g.m, unique=True))
     odds = data.draw(st.lists(st.integers(0, 20), min_size=g.m, max_size=g.m))
     d = DistanceFunction.from_values(
-        [(2 * o + 1) * Fraction(2) ** v for o, v in zip(odds, exps)])
+        [2**20 + (2 * o + 1) * Fraction(2) ** v for o, v in zip(odds, exps)])
     assert brute_is_generic(g, d)
     scale = math.lcm(*(q.denominator for q in d.weights))
     w = [int(q * scale) for q in d.weights]
     assert list(d.integers) == w
-    assert _distinct_valuations(w) and _generic_gate(g, w)
+    assert _distinct_valuations(w) and _Ctx(g, d).generic
 
 
 @st.composite
@@ -735,13 +737,22 @@ def test_min_dimension_runs_no_genericity_search(monkeypatch):
     # 5, 6, 4 have 2-adic valuations 0, 1, 2, so the gate needs no cycle
     # search, and the scan itself asks no genericity question
     def refuse(*args, **kwargs):
-        raise AssertionError("min_dimension ran a genericity search or a start bound")
+        raise AssertionError("ran a genericity search, a cycle enumeration or a start bound")
 
+    c3 = named_graph("C_3")
+    assert is_generic(c3, DistanceFunction.from_values([3, 5, 7])).status == "generic"
     monkeypatch.setattr(graph_core, "is_generic", refuse)
+    monkeypatch.setattr(graph_core, "_simple_cycles", refuse)
     monkeypatch.setattr(realizability, "is_generic", refuse, raising=False)
-    monkeypatch.setattr(realizability, "_split_search", refuse)
     monkeypatch.setattr(realizability, "_block_density", refuse)
-    assert min_dimension(named_graph("C_3"), DistanceFunction.from_values([5, 6, 4])) == 2
+    assert min_dimension(c3, DistanceFunction.from_values([5, 6, 4])) == 2
+    # the witnesses' weights share valuations: the forest rule stays off
+    # and nothing tries to prove them generic
+    for witness, nodes in ((w4_witness, 32), (k4ek4_witness, 152)):
+        out = decide_realizable(*witness(), 2)
+        assert out.exhausted and out.nodes == nodes and out.prunes["forest"] == 0
+    # generic weights whose valuations collide leave the rule off too
+    assert not _Ctx(c3, DistanceFunction.from_values([3, 5, 7])).generic
 
 
 def test_min_dimension_rejects_invalid_weights():
