@@ -2,10 +2,11 @@
 
 Vertex ids are ints or strings.  Edge weights are `fractions.Fraction` at
 every boundary; floats are rejected on input so every comparison made by
-the decision procedures is exact.  Inside, shortest paths and the
-genericity search run on integers: a `DistanceFunction` clears its
-denominators once (`scale`, `integers`), which preserves every sum and
-comparison exactly, and values leave the package as Fractions again.
+the decision procedures is exact.  Inside, shortest paths, the
+genericity search and the perturbation run on integers: a
+`DistanceFunction` clears its denominators once (`scale`, `integers`),
+which preserves every sum and comparison exactly, and values leave the
+package as Fractions again.
 Certificates are re-checked exactly over a common denominator that each
 check takes from the certificate's own Fractions and the weights, with
 `_clear`, the one clearing routine, independently of the search.  A weight
@@ -524,10 +525,39 @@ def is_generic(g: Graph, d: DistanceFunction, budget: int = 10**6) -> Genericity
 # -- perturbation -------------------------------------------------------------
 
 
-def _metric_closure(g: Graph, d: DistanceFunction) -> DistanceFunction:
-    _, dist, _ = shortest_path_table(g, d.integers)
+def _closure(g: Graph, w) -> tuple[int, ...]:
+    """The shortest-path distance between each edge's ends, under integer
+    weights `w` indexed by edge id: valid by construction."""
+    _, dist, _ = shortest_path_table(g, w)
     vi = g.vertex_index
-    return DistanceFunction(tuple(Fraction(dist[vi[u]][vi[v]], d.scale) for u, v in g.edges))
+    return tuple([dist[vi[u]][vi[v]] for u, v in g.edges])
+
+
+def _metric_closure(g: Graph, d: DistanceFunction) -> DistanceFunction:
+    return DistanceFunction(tuple(Fraction(x, d.scale) for x in _closure(g, d.integers)))
+
+
+def _blend(w, scale: int, seed: int) -> DistanceFunction:
+    """`perturb_to_generic`'s blend of the weights w_i/D, for integers `w`
+    over the lcm D = `scale` of the weights' denominators, computed on
+    integers: with L the least positive w_i and T the exponent of t, the
+    result is N_i / (D * 2**(T+m+3)) with
+
+        N_i = (2**T - 1) * 2**(m+3) * w_i + L * (2**(m+2) + 2**s(i)),
+
+    one Fraction per weight, and zero weights stay 0."""
+    m = len(w)
+    low = min((x for x in w if x > 0), default=0)
+    t_exp = max(20, (low * m).bit_length() + 1)
+    keep = ((1 << t_exp) - 1) << (m + 3)
+    den = scale << (t_exp + m + 3)
+    base = 1 << (m + 2)
+    exponents = list(range(1, m + 1))
+    random.Random(seed).shuffle(exponents)
+    return DistanceFunction(tuple([
+        Fraction(keep * x + low * (base + (1 << e)), den) if x else Fraction(0)
+        for x, e in zip(w, exponents)
+    ]))
 
 
 def perturb_to_generic(g: Graph, d: DistanceFunction, seed: int = 0) -> DistanceFunction:
@@ -539,11 +569,14 @@ def perturb_to_generic(g: Graph, d: DistanceFunction, seed: int = 0) -> Distance
     least positive weight `low` and a seeded permutation s of 1..m,
 
         r_i = low/2**(m+3) * (2**(m+2) + 2**s(i)),   low/2 < r_i <= 5*low/8,
-        t = 2**-max(20, (D*low*m).bit_length() + 1),
+        t = 2**-T,   T = max(20, (D*low*m).bit_length() + 1),
 
-    where D is the lcm of the input's denominators.  The proof below is for
-    inputs whose weights are all positive; then the result is generic by
-    construction and is returned without a further check.
+    where D is the lcm of the input's denominators.  The blend runs on the
+    integers x_i = D*d_i and L = D*low (`_blend`): result_i is the integer
+    (2**T - 1) * 2**(m+3) * x_i + L * (2**(m+2) + 2**s(i)) over the
+    denominator D * 2**(T+m+3).  The proof below is for inputs whose
+    weights are all positive; then the result is generic by construction
+    and is returned without a further check.
 
     Close: 0 < r_i < d_i, so |result_i - d_i| = t*(d_i - r_i) < t*d_i, a
     relative deviation below t <= 2**-20.
@@ -572,26 +605,9 @@ def perturb_to_generic(g: Graph, d: DistanceFunction, seed: int = 0) -> Distance
     """
     if not validate_distance_function(g, d).valid:
         raise InputError("input weights are not a valid distance function")
-    return _perturb_valid(g, d, seed)
-
-
-def _perturb_valid(g: Graph, d: DistanceFunction, seed: int) -> DistanceFunction:
-    """`perturb_to_generic` on weights the caller knows to be valid, such
-    as a metric closure; skips the validation pass."""
     if is_generic(g, d):
         return d
-    m = g.m
-    low = min((w for w in d.weights if w > 0), default=Fraction(0))
-    t = Fraction(1, 2 ** max(20, (int(d.scale * low) * m).bit_length() + 1))
-    scale = low / 2 ** (m + 3)
-    exponents = list(range(1, m + 1))
-    random.Random(seed).shuffle(exponents)
-    out = DistanceFunction(
-        tuple(
-            w if w == 0 else (1 - t) * w + t * scale * (2 ** (m + 2) + 2 ** exponents[i])
-            for i, w in enumerate(d.weights)
-        )
-    )
+    out = _blend(d.integers, d.scale, seed)
     if 0 in d.weights:
         out = _metric_closure(g, out)
         if is_generic(g, out).status == "not_generic":

@@ -11,6 +11,7 @@ generic weights.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 from .errors import InputError
@@ -18,9 +19,9 @@ from .graph_core import (
     DistanceFunction,
     Graph,
     _Record,
+    _blend,
     _clear,
-    _metric_closure,
-    _perturb_valid,
+    _closure,
     _set,
     edge_key,
 )
@@ -204,16 +205,14 @@ def linf2_to_l1_2(points) -> dict:
 
 def random_distance_function(g: Graph, seed: int = 0) -> DistanceFunction:
     """Seeded valid generic weights: uniform integers in [1, 2^16], replaced
-    by their shortest-path closure (restoring validity), then perturbed by a
-    relative deviation below 2**-20.  The closure is valid by construction,
-    so it goes to `perturb_to_generic` without a second validation pass;
-    the weights are positive, so the perturbation makes them generic by
-    construction and the result needs no further check.  Deterministic per
-    (g, seed)."""
-    import random
-
+    by their shortest-path closure (restoring validity), then always blended
+    as `perturb_to_generic` blends, by a relative deviation below 2**-20.
+    Every step runs on integers, and each weight becomes a Fraction once at
+    the end.  The closure is valid by construction and its weights are
+    positive, so the blend is valid and generic by construction (the proof
+    is `perturb_to_generic`'s): no validation pass and no genericity search
+    runs.  Deterministic per (g, seed)."""
     if not g.is_connected():
         raise InputError("random weights need a connected graph")
     rng = random.Random(seed)
-    raw = DistanceFunction(tuple(Fraction(rng.randint(1, 2**16)) for _ in range(g.m)))
-    return _perturb_valid(g, _metric_closure(g, raw), seed)
+    return _blend(_closure(g, [rng.randint(1, 2**16) for _ in range(g.m)]), 1, seed)

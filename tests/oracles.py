@@ -10,6 +10,8 @@ equal.)  Unit and acceptance tests compare the library's answers against
 these on small inputs.
 """
 
+import math
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -153,6 +155,24 @@ def brute_is_generic(g: Graph, d: DistanceFunction) -> bool:
                 if d.weights[first] + sum((d.weights[e] for e in others), Fraction(0)) == half:
                     return False
     return True
+
+
+def fraction_blend(weights, seed: int) -> tuple:
+    """The perturbation's blend as first written, in Fraction arithmetic:
+    (1-t)*w + t*r_i for each positive weight w, zeros kept, with the least
+    positive weight `low`, the lcm D of the weights' denominators and the
+    seeded permutation of 1..m."""
+    m = len(weights)
+    denominator = math.lcm(*(Fraction(w).denominator for w in weights))
+    low = min((w for w in weights if w > 0), default=Fraction(0))
+    t = Fraction(1, 2 ** max(20, (int(denominator * low) * m).bit_length() + 1))
+    scale = low / 2 ** (m + 3)
+    exponents = list(range(1, m + 1))
+    random.Random(seed).shuffle(exponents)
+    return tuple(
+        w if w == 0 else (1 - t) * w + t * scale * (2 ** (m + 2) + 2 ** exponents[i])
+        for i, w in enumerate(weights)
+    )
 
 
 def sp_by_relaxation(g: Graph, d: DistanceFunction):

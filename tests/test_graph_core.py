@@ -14,7 +14,7 @@ from linfgraph import (
     shortest_path_table,
     validate_distance_function,
 )
-from linfgraph.graph_core import _metric_closure, _simple_cycles, to_fraction
+from linfgraph.graph_core import _blend, _metric_closure, _simple_cycles, to_fraction
 from linfgraph.minors import _three_connected_pieces
 
 from atlas import connected_graphs_upto
@@ -22,6 +22,7 @@ from oracles import (
     brute_cycles,
     brute_is_generic,
     copying_simple_cycles,
+    fraction_blend,
     fraction_floyd_warshall,
     sp_by_relaxation,
 )
@@ -289,6 +290,17 @@ def test_perturb_cannot_fix_zero_cycle():
     d = DistanceFunction.from_values([0, 0, 0])
     with pytest.raises(PerturbationFailed):
         perturb_to_generic(g, d)
+
+
+# wide values with large denominators push the blend's exponent past 20
+_WIDE = st.builds(Fraction, st.integers(0, 2**40), st.integers(1, 2**12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(_MIXED, _WIDE), max_size=12), st.integers(0, 2**32))
+def test_blend_matches_the_fraction_oracle(ws, seed):
+    d = DistanceFunction(tuple(ws))
+    assert _blend(d.integers, d.scale, seed).weights == fraction_blend(ws, seed)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """The named graphs and benchmark weight generators."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,8 @@ from linfgraph import (
     w4_witness,
 )
 from linfgraph import graph_core
-from linfgraph.graph_core import format_fraction
+from linfgraph.graph_core import _closure, format_fraction
+from linfgraph.realizability import _distinct_valuations
 
 from oracles import is_planar_rotation, is_tree_decomposition
 
@@ -258,8 +260,9 @@ def test_random_distance_function_is_deterministic_valid_and_generic():
     assert is_generic(g, d1).status == "generic"
 
 
-# random_distance_function(named_graph(name), seed), exactly; every draw here
-# is perturbed, so the pins cover the closure, the genericity check and the blend
+# random_distance_function(named_graph(name), seed), exactly; every draw is
+# blended, so the pins cover the closure and the blend (no genericity check
+# runs).  The closure of ("petersen", 3) is already generic.
 _RANDOM_PINS = {
     ("C_14", 62): [
         "380490127971/16777216", "573109185627/67108864", "2144732856943611/68719476736",
@@ -282,6 +285,14 @@ _RANDOM_PINS = {
         "87973735100889/4294967296", "50001969324505/8589934592", "32958817441/8388608",
         "618944493145/33554432", "34716223465/2097152", "4063037125081/2147483648",
     ],
+    ("petersen", 3): [
+        "523297659871/16777216", "1147224992095/67108864", "52066766017375/1073741824",
+        "2084936226879/33554432", "36024847015/4194304", "118609760289631/68719476736",
+        "264157420188511/4294967296", "1168058220151647/34359738368",
+        "16489974778719/536870912", "210830691567/8388608", "132368620110687/2147483648",
+        "1072658483413855/17179869184", "13973126122591/268435456",
+        "2649723970527/134217728", "261125179704159/8589934592",
+    ],
 }
 
 
@@ -289,6 +300,42 @@ _RANDOM_PINS = {
 def test_random_distance_function_is_pinned(name, seed):
     d = random_distance_function(named_graph(name), seed)
     assert [format_fraction(w) for w in d.weights] == _RANDOM_PINS[name, seed]
+
+
+def test_random_distance_function_blends_a_generic_closure():
+    # the integer closure of this draw is generic already, and it is
+    # blended all the same
+    g = named_graph("petersen")
+    rng = random.Random(3)
+    closure = DistanceFunction.from_values(
+        _closure(g, [rng.randint(1, 2**16) for _ in range(g.m)]))
+    assert is_generic(g, closure).status == "generic"
+    d = random_distance_function(g, 3)
+    assert d.weights != closure.weights
+    assert validate_distance_function(g, d).valid
+    assert is_generic(g, d).status == "generic"
+    for w, c in zip(d.weights, closure.weights):
+        assert abs(w - c) < c * Fraction(1, 2**20)
+
+
+def test_random_distance_function_runs_no_genericity_search(monkeypatch):
+    # the blend of a closure is generic by construction, so nothing asks
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran a genericity search or a cycle enumeration")
+
+    graphs = {name: named_graph(name) for name in ("petersen", "K_9", "C_30", "W_16")}
+    monkeypatch.setattr(graph_core, "is_generic", refuse)
+    monkeypatch.setattr(graph_core, "_simple_cycles", refuse)
+    drawn = {name: random_distance_function(g, seed=5) for name, g in graphs.items()}
+    monkeypatch.undo()
+    for name, d in drawn.items():
+        g = graphs[name]
+        assert validate_distance_function(g, d).valid
+        # distinct 2-adic valuations prove genericity in O(m); on K_9 the
+        # cycle search runs out of its budget before it decides
+        assert _distinct_valuations(d.integers)
+        if name != "K_9":
+            assert is_generic(g, d).status == "generic"
 
 
 def test_random_distance_function_runs_one_shortest_path_table(monkeypatch):
