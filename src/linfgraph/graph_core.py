@@ -136,7 +136,10 @@ class Graph(_Record):
     """Immutable simple graph with stable, contiguous edge ids.
 
     `edges` is sorted lexicographically by endpoint keys; an edge's position
-    in that tuple is its id.  Build instances through `Graph.build`.
+    in that tuple is its id.  Build instances through `Graph.build`.  A
+    subgraph whose vertices and edges are taken in a canonical graph's own
+    order is canonical already, and is built directly with `Graph(...)`
+    (as `blocks` does).
     """
 
     vertices: tuple[VertexId, ...]
@@ -482,17 +485,33 @@ def _signed_sums(ws, first: int, stop: int, start: dict) -> dict:
     return sums
 
 
+def _distinct_valuations(w) -> bool:
+    """Whether the integer weights w (denominators cleared) are nonzero
+    with pairwise distinct 2-adic valuations, an O(m) certificate that
+    they are generic.  Then every nonempty signed sum of them is nonzero:
+    its term of least valuation v is not divisible by 2**(v + 1) while
+    every other term is, so the sum is not either.  In particular no cycle
+    splits into two halves of equal weight."""
+    lowest = {x & -x for x in w}  # 2**valuation, 0 for a zero weight
+    return 0 not in lowest and len(lowest) == len(w)
+
+
 def is_generic(g: Graph, d: DistanceFunction, budget: int = 10**6) -> GenericityReport:
     """Search every cycle for an equal-weight split of its edges.
 
-    A cycle with weights w_0..w_{L-1} splits evenly exactly when some signed
-    sum of its weights is zero.  Fixing w_0 to `+` counts each unordered
-    split once.  The search is a meet in the middle (Horowitz and Sahni,
-    JACM 1974): over integers with the denominators cleared, it lists the
-    distinct signed sums of the first half of the cycle (w_0 signed `+`) and
-    of the second half, and reports a tie when a second-half sum's negation
-    is a first-half sum.  A cycle of length L costs about 2 * 2**(L/2)
-    half-sums instead of 2**(L-1) subsets.
+    Weights whose 2-adic valuations are pairwise distinct are generic by
+    an O(m) proof (`_distinct_valuations`), tried first: they are reported
+    'generic' with `pairs_checked` 0, whatever the budget.
+
+    Otherwise the cycles are searched.  A cycle with weights w_0..w_{L-1}
+    splits evenly exactly when some signed sum of its weights is zero.
+    Fixing w_0 to `+` counts each unordered split once.  The search is a
+    meet in the middle (Horowitz and Sahni, JACM 1974): over integers with
+    the denominators cleared, it lists the distinct signed sums of the
+    first half of the cycle (w_0 signed `+`) and of the second half, and
+    reports a tie when a second-half sum's negation is a first-half sum.
+    A cycle of length L costs about 2 * 2**(L/2) half-sums instead of
+    2**(L-1) subsets.
 
     Work is metered in half-sums, reported as `pairs_checked`: a cycle is
     charged the most sums its two halves can have, 2**(h-1) + 2**(L-h) for
@@ -504,6 +523,8 @@ def is_generic(g: Graph, d: DistanceFunction, budget: int = 10**6) -> Genericity
     if len(d.weights) != g.m:
         raise InputError("weight count does not match the graph")
     w = d.integers
+    if _distinct_valuations(w):
+        return GenericityReport("generic", 0)
     checked = 0
     for cycle in _simple_cycles(g):
         ws = [w[e] for e in cycle]
@@ -623,23 +644,30 @@ def perturb_to_generic(g: Graph, d: DistanceFunction, seed: int = 0) -> Distance
 def blocks(g: Graph) -> list[Graph]:
     """2-connected blocks (bridges come out as single-edge blocks).
 
-    The blocks partition E(g); isolated vertices do not appear.
+    The blocks partition E(g); isolated vertices do not appear.  Each block
+    keeps g's order: its vertices and edges are subsequences of g's, so it
+    equals `Graph.build` of its own vertices and edges and is built
+    directly, with no sort or check.
     """
     index = {}
     low = {}
     counter = [0]
-    edge_stack: list[tuple[VertexId, VertexId]] = []
+    edge_stack: list[int] = []
     out: list[Graph] = []
+    edges = g.edges
+    order = g.vertex_index.__getitem__
 
-    def collect(limit: tuple[VertexId, VertexId]):
+    def collect(limit: int):
         comp = []
         while True:
             e = edge_stack.pop()
             comp.append(e)
             if e == limit:
                 break
-        vs = {x for e in comp for x in e}
-        out.append(Graph.build(vs, comp))
+        comp.sort()
+        es = tuple([edges[e] for e in comp])
+        vs = sorted({x for e in es for x in e}, key=order)
+        out.append(Graph(tuple(vs), es))
 
     for root in g.vertices:
         if root in index:
@@ -655,14 +683,14 @@ def blocks(g: Graph) -> list[Graph]:
                 if eid == peid:
                     continue
                 if y not in index:
-                    edge_stack.append((x, y))
+                    edge_stack.append(eid)
                     index[y] = low[y] = counter[0]
                     counter[0] += 1
                     stack.append((y, eid, iter(g.adjacency[y])))
                     advanced = True
                     break
                 if index[y] < index[x]:
-                    edge_stack.append((x, y))
+                    edge_stack.append(eid)
                     if index[y] < low[x]:
                         low[x] = index[y]
             if advanced:
@@ -673,5 +701,5 @@ def blocks(g: Graph) -> list[Graph]:
                 if low[x] < low[px]:
                     low[px] = low[x]
                 if low[x] >= index[px]:
-                    collect((px, x))
+                    collect(peid)
     return out

@@ -110,6 +110,7 @@ from .graph_core import (
     VertexId,
     _Record,
     _clear,
+    _distinct_valuations,
     _printable,
     _set,
     blocks,
@@ -442,17 +443,6 @@ def _union(root: list, u: int, v: int) -> int:
         return 0
     root[u] = v
     return 1
-
-
-def _distinct_valuations(w) -> bool:
-    """Whether the integer weights w (denominators cleared) are nonzero
-    with pairwise distinct 2-adic valuations, an O(m) certificate that
-    they are generic.  Then every nonempty signed sum of them is nonzero:
-    its term of least valuation v is not divisible by 2**(v + 1) while
-    every other term is, so the sum is not either.  In particular no cycle
-    splits into two halves of equal weight."""
-    lowest = {x & -x for x in w}  # 2**valuation, 0 for a zero weight
-    return 0 not in lowest and len(lowest) == len(w)
 
 
 def _propagate(ctx: _Ctx, rest: int, parts):

@@ -13,7 +13,7 @@ these on small inputs.
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from linfgraph import DistanceFunction, Graph, InputError, Realization, VerifyResult
 from linfgraph.graph_core import _printable
@@ -142,6 +142,34 @@ def brute_cycles(g: Graph):
             if len(reach) == len(deg):
                 out.append(frozenset(eids))
     return out
+
+
+def brute_blocks(g: Graph) -> set:
+    """The edge classes of g's blocks, as frozensets of edge tuples: two
+    edges share a block iff they are equal or some simple cycle holds
+    both.  The cycles are every vertex sequence of three or more distinct
+    vertices that starts at its least vertex index and closes with edges;
+    so at most 7 vertices."""
+    if g.n > 7:
+        raise ValueError("brute_blocks enumerates vertex sequences on at most 7 vertices")
+    together = {e: {e} for e in g.edges}
+    for size in range(3, g.n + 1):
+        for seq in permutations(range(g.n), size):
+            if seq[0] != min(seq) or seq[1] > seq[-1]:
+                continue
+            vs = [g.vertices[i] for i in seq]
+            cycle = []
+            for a, b in zip(vs, vs[1:] + vs[:1]):
+                if (a, b) in together:
+                    cycle.append((a, b))
+                elif (b, a) in together:
+                    cycle.append((b, a))
+                else:
+                    break
+            else:
+                for e in cycle:
+                    together[e].update(cycle)
+    return {frozenset(c) for c in together.values()}
 
 
 def brute_is_generic(g: Graph, d: DistanceFunction) -> bool:

@@ -19,6 +19,7 @@ from linfgraph.minors import _three_connected_pieces
 
 from atlas import connected_graphs_upto
 from oracles import (
+    brute_blocks,
     brute_cycles,
     brute_is_generic,
     copying_simple_cycles,
@@ -216,14 +217,24 @@ def test_forest_is_vacuously_generic():
 
 
 def test_generic_budget_exceeded():
+    # odd weights share their 2-adic valuation, so the cycle is searched
     g = Graph.build(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
-    report = is_generic(g, DistanceFunction.from_values([1, 2, 4, 8]), budget=2)
+    report = is_generic(g, DistanceFunction.from_values([3, 5, 7, 11]), budget=2)
     assert report.status == "budget_exceeded"
     # the one 4-cycle is charged 2**1 + 2**2 half-sums
-    report = is_generic(g, DistanceFunction.from_values([1, 2, 4, 8]), budget=5)
+    report = is_generic(g, DistanceFunction.from_values([3, 5, 7, 11]), budget=5)
     assert report.status == "budget_exceeded" and report.pairs_checked == 0
-    report = is_generic(g, DistanceFunction.from_values([1, 2, 4, 8]), budget=6)
+    report = is_generic(g, DistanceFunction.from_values([3, 5, 7, 11]), budget=6)
     assert report.status == "generic" and report.pairs_checked == 6
+
+
+def test_distinct_valuations_prove_genericity_without_a_search():
+    g = Graph.build(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
+    report = is_generic(g, DistanceFunction.from_values([1, 2, 4, 8]), budget=0)
+    assert report.status == "generic" and report.pairs_checked == 0
+    # over a common denominator: 1/3, 2/3, 4/3, 8/3 clear to 1, 2, 4, 8
+    d = DistanceFunction.from_values(["1/3", "2/3", "4/3", "8/3"])
+    assert is_generic(g, d, budget=0).status == "generic"
 
 
 @st.composite
@@ -356,6 +367,30 @@ def test_blocks_partition_edges(g):
         (frozenset(e) for e in g.edges), key=sorted
     )
     assert len(set(seen)) == len(seen) == g.m
+
+
+@st.composite
+def mixed_id_graph(draw, max_n=7):
+    """Up to 7 vertices with int and str ids (3 and "3" are distinct), and
+    any edge set: isolated vertices, bridges and several components."""
+    ids = draw(st.lists(st.sampled_from([0, 1, 3, 10, -2, "0", "3", "a", "b", "x1"]),
+                        unique=True, max_size=max_n))
+    pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
+    picks = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    return Graph.build(ids, [e if draw(st.booleans()) else e[::-1] for e in picks])
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_id_graph())
+def test_blocks_match_the_cycle_oracle(g):
+    bs = blocks(g)
+    assert {frozenset(b.edges) for b in bs} == brute_blocks(g)
+    assert sum(b.m for b in bs) == g.m
+    edges = set(g.edges)
+    for b in bs:
+        # built directly in g's order, yet exactly what Graph.build gives
+        assert b == Graph.build(b.vertices, b.edges)
+        assert set(b.edges) <= edges
 
 
 # degree-2 suppression now happens inside the 3-connected splitter: a piece is

@@ -12,6 +12,7 @@ from linfgraph import (
     InputError,
     MinorEmbedding,
     Tree,
+    blocks,
     certificate_exceeds_2,
     classify_dim2,
     contains_minor,
@@ -237,6 +238,27 @@ def test_classifier_works_per_block():
     k4b = [(4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7)]
     glued = Graph.build(range(1, 8), k4a + k4b)
     assert classify_dim2(glued).verdict == "dim_at_most_2"
+
+
+def test_blocks_and_harmless_classification_build_no_graph(monkeypatch):
+    # blocks are subsequences of a canonical graph, built without
+    # Graph.build; the witness check builds graphs through Graph.induced,
+    # so only graphs with no exceeds-2 witness can run under this guard
+    graphs = {
+        "tree": Graph.build([1, "a", 2, "b", 3], [(1, "a"), ("a", 2), ("a", "b"), ("b", 3)]),
+        "C_6": named_graph("C_6"),
+        "K_4": named_graph("K_4"),
+        "bowtie": Graph.build(range(5), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]),
+        "K_4 with one edge subdivided": _subdivide_edges(named_graph("K_4"), [(1, 2)]),
+    }
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("Graph.build was called")
+
+    monkeypatch.setattr(Graph, "build", no_build)
+    for name, g in graphs.items():
+        assert sum(b.m for b in blocks(g)) == g.m, name
+        assert classify_dim2(g).verdict == "dim_at_most_2", name
 
 
 def test_classifier_agrees_with_brute_minors_on_small_graphs():
