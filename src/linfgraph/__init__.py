@@ -12,16 +12,15 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "errors": ("CapExceeded", "InputError", "PerturbationFailed"),
+    "errors": ("CapExceeded", "InputError"),
     "graph_core": (
         "DistanceFunction", "GenericityReport", "Graph", "ValidationReport", "Violation",
-        "blocks", "is_generic", "perturb_to_generic", "shortest_path_table",
-        "validate_distance_function",
+        "blocks", "is_generic", "shortest_path_table", "validate_distance_function",
     ),
     "realizability": (
         "Cover", "FinfBounds", "Orientation", "Potential", "Realization", "SearchOutcome",
         "VerifyResult", "build_realization", "decide_realizable", "finf_bounds",
-        "is_feasible_set", "min_dimension", "verify_realization", "vertex_cover_number",
+        "min_dimension", "verify_realization", "vertex_cover_number",
     ),
     "minors": (
         "Classification", "MinorEmbedding", "certificate_exceeds_2", "classify_dim2",

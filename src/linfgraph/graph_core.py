@@ -3,7 +3,7 @@
 Vertex ids are ints or strings.  Edge weights are `fractions.Fraction` at
 every boundary; floats are rejected on input so every comparison made by
 the decision procedures is exact.  Inside, shortest paths, the
-genericity search and the perturbation run on integers: a
+genericity search and the generic blend run on integers: a
 `DistanceFunction` clears its denominators once (`scale`, `integers`),
 which preserves every sum and comparison exactly, and values leave the
 package as Fractions again.
@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
-from .errors import InputError, PerturbationFailed
+from .errors import InputError
 
 VertexId = int | str
 
@@ -213,12 +213,6 @@ class Graph(_Record):
     def degree(self, v: VertexId) -> int:
         return len(self.adjacency[v])
 
-    # -- derived graphs ----------------------------------------------------
-
-    def induced(self, keep: Iterable[VertexId]) -> "Graph":
-        ks = set(keep)
-        return Graph.build(ks, [(u, v) for u, v in self.edges if u in ks and v in ks])
-
     # -- connectivity ------------------------------------------------------
 
     def components(self) -> list[frozenset]:
@@ -241,12 +235,6 @@ class Graph(_Record):
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
-
-    def is_forest(self) -> bool:
-        return all(
-            sum(1 for u, v in self.edges if u in comp) == len(comp) - 1
-            for comp in self.components()
-        )
 
 
 class DistanceFunction(_Record):
@@ -418,11 +406,12 @@ def validate_distance_function(g: Graph, d: DistanceFunction) -> ValidationRepor
 
 
 class GenericityReport(_Record):
-    """Outcome of the cycle-split search.
-
-    status is 'generic', 'not_generic' (with the offending cycle and the edge
-    subset whose total is exactly half the cycle weight), or 'budget_exceeded'.
-    `pairs_checked` counts the half-sums charged by `is_generic`.
+    """Outcome of `is_generic`, read through `status`: 'generic',
+    'not_generic' (with the offending cycle and the edge subset whose total
+    is exactly half the cycle weight), or 'budget_exceeded'.
+    `pairs_checked` counts the half-sums charged by the cycle search, 0
+    when the 2-adic proof answers.  A report has no truth value of its
+    own: 'budget_exceeded' is neither answer.
     """
 
     status: str
@@ -435,9 +424,6 @@ class GenericityReport(_Record):
         _set(self, "pairs_checked", pairs_checked)
         _set(self, "cycle", cycle)
         _set(self, "subset", subset)
-
-    def __bool__(self) -> bool:
-        return self.status == "generic"
 
 
 def _simple_cycles(g: Graph) -> Iterator[tuple[int, ...]]:
@@ -543,7 +529,7 @@ def is_generic(g: Graph, d: DistanceFunction, budget: int = 10**6) -> Genericity
     return GenericityReport("generic", checked)
 
 
-# -- perturbation -------------------------------------------------------------
+# -- generic blend --------------------------------------------------------------
 
 
 def _closure(g: Graph, w) -> tuple[int, ...]:
@@ -554,50 +540,22 @@ def _closure(g: Graph, w) -> tuple[int, ...]:
     return tuple([dist[vi[u]][vi[v]] for u, v in g.edges])
 
 
-def _metric_closure(g: Graph, d: DistanceFunction) -> DistanceFunction:
-    return DistanceFunction(tuple(Fraction(x, d.scale) for x in _closure(g, d.integers)))
-
-
 def _blend(w, scale: int, seed: int) -> DistanceFunction:
-    """`perturb_to_generic`'s blend of the weights w_i/D, for integers `w`
-    over the lcm D = `scale` of the weights' denominators, computed on
-    integers: with L the least positive w_i and T the exponent of t, the
-    result is N_i / (D * 2**(T+m+3)) with
+    """Generic weights close to the valid positive weights d_i = w_i/D,
+    given as integers `w` over the lcm D = `scale` of their denominators.
+    The result is valid and generic by construction, as proven below, so
+    no check runs after it.  Deterministic for a fixed seed.
 
-        N_i = (2**T - 1) * 2**(m+3) * w_i + L * (2**(m+2) + 2**s(i)),
-
-    one Fraction per weight, and zero weights stay 0."""
-    m = len(w)
-    low = min((x for x in w if x > 0), default=0)
-    t_exp = max(20, (low * m).bit_length() + 1)
-    keep = ((1 << t_exp) - 1) << (m + 3)
-    den = scale << (t_exp + m + 3)
-    base = 1 << (m + 2)
-    exponents = list(range(1, m + 1))
-    random.Random(seed).shuffle(exponents)
-    return DistanceFunction(tuple([
-        Fraction(keep * x + low * (base + (1 << e)), den) if x else Fraction(0)
-        for x, e in zip(w, exponents)
-    ]))
-
-
-def perturb_to_generic(g: Graph, d: DistanceFunction, seed: int = 0) -> DistanceFunction:
-    """Nudge a valid weight function into a generic one; a generic input is
-    returned unchanged.
-
-    The result blends each positive weight toward a reference function r,
-    (1-t)*d_i + t*r_i, and keeps zero weights at zero.  With m edges, the
-    least positive weight `low` and a seeded permutation s of 1..m,
+    Each weight is blended toward a reference function r,
+    (1-t)*d_i + t*r_i.  With m edges, the least weight `low` and a seeded
+    permutation s of 1..m,
 
         r_i = low/2**(m+3) * (2**(m+2) + 2**s(i)),   low/2 < r_i <= 5*low/8,
-        t = 2**-T,   T = max(20, (D*low*m).bit_length() + 1),
+        t = 2**-T,   T = max(20, (D*low*m).bit_length() + 1).
 
-    where D is the lcm of the input's denominators.  The blend runs on the
-    integers x_i = D*d_i and L = D*low (`_blend`): result_i is the integer
-    (2**T - 1) * 2**(m+3) * x_i + L * (2**(m+2) + 2**s(i)) over the
-    denominator D * 2**(T+m+3).  The proof below is for inputs whose
-    weights are all positive; then the result is generic by construction
-    and is returned without a further check.
+    The blend runs on the integers w_i and L = D*low: result_i is the
+    integer (2**T - 1) * 2**(m+3) * w_i + L * (2**(m+2) + 2**s(i)) over
+    the denominator D * 2**(T+m+3), one Fraction per weight.
 
     Close: 0 < r_i < d_i, so |result_i - d_i| = t*(d_i - r_i) < t*d_i, a
     relative deviation below t <= 2**-20.
@@ -616,26 +574,18 @@ def perturb_to_generic(g: Graph, d: DistanceFunction, seed: int = 0) -> Distance
     while t*|R| < t*m*low < 1/(2D) because D*low*m < 2**b for
     b = (D*low*m).bit_length(); the sum is again nonzero.  So no cycle
     splits into two halves of equal weight.
-
-    Zero weights stay pinned (the deviation bound is relative), so the
-    blend is no longer a convex combination: a metric closure restores
-    validity, and the result is checked once with `is_generic`.  Ties
-    forced by zero-weight edges cannot be perturbed away and raise
-    PerturbationFailed; a check that runs out of `is_generic`'s default
-    budget returns the result unverified.  Deterministic for a fixed seed.
     """
-    if not validate_distance_function(g, d).valid:
-        raise InputError("input weights are not a valid distance function")
-    if is_generic(g, d):
-        return d
-    out = _blend(d.integers, d.scale, seed)
-    if 0 in d.weights:
-        out = _metric_closure(g, out)
-        if is_generic(g, out).status == "not_generic":
-            raise PerturbationFailed(
-                "ties forced by zero-weight edges cannot be perturbed away", out
-            )
-    return out
+    m = len(w)
+    low = min(w, default=0)
+    t_exp = max(20, (low * m).bit_length() + 1)
+    keep = ((1 << t_exp) - 1) << (m + 3)
+    den = scale << (t_exp + m + 3)
+    base = 1 << (m + 2)
+    exponents = list(range(1, m + 1))
+    random.Random(seed).shuffle(exponents)
+    return DistanceFunction(tuple([
+        Fraction(keep * x + low * (base + (1 << e)), den) for x, e in zip(w, exponents)
+    ]))
 
 
 # -- block decomposition ------------------------------------------------------

@@ -41,7 +41,8 @@ class Tree(_Record):
 
     @staticmethod
     def build(graph: Graph, edge_order=None) -> "Tree":
-        if not graph.is_connected() or not graph.is_forest() or graph.n == 0:
+        # a connected graph on n vertices is a tree iff it has n - 1 edges
+        if graph.n == 0 or graph.m != graph.n - 1 or not graph.is_connected():
             raise InputError("tree must be connected and acyclic")
         if edge_order is None:
             order = graph.edges
@@ -206,12 +207,12 @@ def linf2_to_l1_2(points) -> dict:
 def random_distance_function(g: Graph, seed: int = 0) -> DistanceFunction:
     """Seeded valid generic weights: uniform integers in [1, 2^16], replaced
     by their shortest-path closure (restoring validity), then always blended
-    as `perturb_to_generic` blends, by a relative deviation below 2**-20.
-    Every step runs on integers, and each weight becomes a Fraction once at
-    the end.  The closure is valid by construction and its weights are
+    by `graph_core._blend`, by a relative deviation below 2**-20.  Every
+    step runs on integers, and each weight becomes a Fraction once at the
+    end.  The closure is valid by construction and its weights are
     positive, so the blend is valid and generic by construction (the proof
-    is `perturb_to_generic`'s): no validation pass and no genericity search
-    runs.  Deterministic per (g, seed)."""
+    is in `_blend`'s docstring): no validation pass and no genericity
+    search runs.  Deterministic per (g, seed)."""
     if not g.is_connected():
         raise InputError("random weights need a connected graph")
     rng = random.Random(seed)

@@ -85,17 +85,25 @@ class MinorEmbedding(_Record):
         _set(self, "edge_realization", edge_realization)
 
     def check(self, g: Graph) -> bool:
+        adjacency = g.adjacency
         seen = set()
         for pv in self.pattern.vertices:
             bs = self.branch_sets.get(pv)
             if not bs:
                 return False
-            if not all(v in g.vertex_index for v in bs):
+            members = set(bs)
+            if not members <= adjacency.keys() or not seen.isdisjoint(members):
                 return False
-            if seen & set(bs):
-                return False
-            seen |= set(bs)
-            if not g.induced(bs).is_connected():
+            seen |= members
+            # connected: a stack search of g from one member reaches them all
+            start = next(iter(members))
+            reached, stack = {start}, [start]
+            while stack:
+                for y, _ in adjacency[stack.pop()]:
+                    if y in members and y not in reached:
+                        reached.add(y)
+                        stack.append(y)
+            if len(reached) != len(members):
                 return False
         for pu, pv in self.pattern.edges:
             real = self.edge_realization.get((pu, pv))

@@ -10,7 +10,7 @@ happens exactly when no directed cycle of negative total length appears.
 One check, `_part_certified`, decides whether a given potential certifies
 a given orientation, exactly over a common denominator that it takes from
 the potential's Fractions and the weights, independently of the search;
-`Cover.check` runs it on every part and `is_feasible_set` on its result.
+`Cover.check` runs it on every part.
 
 A weighted graph embeds in dimension k exactly when its edge set is the
 union of k feasible sets; each feasible set contributes one coordinate via
@@ -92,9 +92,7 @@ the search's integers, so a positive answer is always certified.
 Nothing the search context holds depends on k: the relaxation and rank
 caches are keyed by arc sets and edge masks.  `min_dimension` therefore
 scans k = 1, 2, ... on one context, and each k reuses what the smaller
-ones relaxed.  Feasibility of a single edge set is the same
-question with k = 1 over that set's edges: `is_feasible_set` runs this
-engine, not a separate one.
+ones relaxed.
 """
 
 from __future__ import annotations
@@ -163,7 +161,7 @@ class Potential(_Record):
 
 
 def _part_certified(g: Graph, d: DistanceFunction, orientation: Orientation, potential: Potential,
-                    weights=None) -> bool:
+                    weights) -> bool:
     """Whether potential certifies orientation on (g, d): every vertex has a
     label, no edge's gap exceeds its weight in either direction, and every
     forced arc is tight.  This is the potential condition on the forced arc
@@ -172,14 +170,13 @@ def _part_certified(g: Graph, d: DistanceFunction, orientation: Orientation, pot
 
     The labels and weights are compared as integers over one common
     denominator that `_clear` takes from them, the same predicate exactly,
-    and nothing of the search is read.  `weights`, if given, is
-    `_clear(d.weights)`, so that a caller checking many parts clears the
-    weights once."""
+    and nothing of the search is read.  `weights` is `_clear(d.weights)`,
+    so that a caller checking many parts clears the weights once."""
     values = potential.values
     vs = g.vertices
     if any(v not in values for v in vs):
         return False
-    base, w = _clear(d.weights) if weights is None else weights
+    base, w = weights
     scale, labels = _clear([values[v] for v in vs], base)
     if scale != base:
         w = [x * (scale // base) for x in w]
@@ -281,9 +278,9 @@ _UNSEEN = object()  # cache miss marker; None caches an infeasible arc set
 class _Ctx:
     """Scaled integer view of the search problems of one (g, d), for every
     k: nothing it holds depends on the number of parts, so one context
-    serves a whole k-scan.  `order` lists the edge ids to cover, by default
-    every edge by decreasing weight; the branching rule breaks its ties in
-    this order.
+    serves a whole k-scan.  Every edge is to be covered, and the branching
+    rule breaks its ties by decreasing weight, then edge id: the order of
+    `bits`.
 
     Arc 2e runs along edge e as stored in g.edges, arc 2e + 1 against it.
     A part is a triple (mask, dist, blocked): the bitmask of its forced
@@ -299,7 +296,7 @@ class _Ctx:
     rule, maps an edge mask (arc 2e for edge e) to its graphic-matroid
     rank."""
 
-    def __init__(self, g: Graph, d: DistanceFunction, order=None):
+    def __init__(self, g: Graph, d: DistanceFunction):
         if len(d.weights) != g.m:
             raise InputError("weight count does not match the graph")
         self.g = g
@@ -327,10 +324,8 @@ class _Ctx:
                     "is longer than a path between its endpoints"
                 )
         self.conflict = self._conflicts()
-        if order is None:
-            order = sorted(range(m), key=lambda e: (-self.w[e], e))
-        self.order = order
-        # arc 2e of each edge e to cover, in order: the root's rest
+        order = sorted(range(m), key=lambda e: (-self.w[e], e))
+        # arc 2e of each edge e, in order: the root's rest
         self.bits = [1 << 2 * e for e in order]
         self.full = sum(self.bits)
         self.empty = (0, (0,) * n, 0)
@@ -515,7 +510,7 @@ def _pick(ctx: _Ctx, parts, rest: int) -> int:
     fewest (open part, arc) options that its part does not block, counted
     to three with saturating bitmasks.  An edge with none, which only a new
     part can take, comes first, then one, two, three or more; ties go to
-    the first edge in ctx.order."""
+    the first edge in ctx.bits."""
     ones = twos = threes = 0
     for part in parts:
         b = part[2]
@@ -542,7 +537,7 @@ def _short(ctx: _Ctx, k: int, used: int, parts, rest: int) -> bool:
     total = (k - used) * ctx.rank(rest) if used < k else 0
     for mask, _, b in parts:
         total += ctx.rank((mask | mask >> 1 | rest & ~(b & b >> 1)) & ctx.full)
-    return total < len(ctx.order)
+    return total < ctx.m
 
 
 def _children(ctx: _Ctx, k: int, node, counter: list):
@@ -650,29 +645,6 @@ def _assignment_to_cover(ctx: _Ctx, d: DistanceFunction, k: int, parts) -> Cover
     if not cover.check(ctx.g, d):
         raise RuntimeError("assembled cover failed re-verification")
     return cover
-
-
-def is_feasible_set(
-    g: Graph, d: DistanceFunction, edges: Iterable[tuple[VertexId, VertexId]]
-) -> tuple[Orientation, Potential] | None:
-    """Search all orientations of an edge set for a feasible one.
-
-    This is the cover search with k = 1 over the set's edges, ties broken
-    in canonical edge-id order: the first edge's direction is fixed
-    (reversing every arc preserves feasibility), and the first feasible
-    orientation the search reaches is returned with its exact rational
-    potential.  The weights must be a valid distance function; InputError
-    otherwise.
-    """
-    eids = sorted({g.edge_id(u, v) for u, v in edges})
-    ctx = _Ctx(g, d, eids)
-    parts = _dfs(ctx, 1, _root(ctx), [0] * 7)
-    if parts is None:
-        return None
-    (orientation,), (potential,) = _certified_parts(ctx, 1, parts)
-    if not _part_certified(g, d, orientation, potential):
-        raise RuntimeError("feasible orientation failed re-verification")
-    return orientation, potential
 
 
 def decide_realizable(
@@ -831,12 +803,7 @@ def min_dimension(g: Graph, d: DistanceFunction) -> int:
     return k
 
 
-def finf_bounds(
-    g: Graph,
-    samples: int = 5,
-    seed: int = 0,
-    extra: Iterable[DistanceFunction] = (),
-) -> FinfBounds:
+def finf_bounds(g: Graph, samples: int = 5, seed: int = 0) -> FinfBounds:
     """Bounds on the largest min_dimension over all valid weight functions.
 
     Upper bound: a vertex cover, since the stars around it realize any
@@ -844,10 +811,10 @@ def finf_bounds(
     vertices, the endpoints of a greedy maximal matching above.  Lower
     bound: the block density, the largest ceil(m_B / (n_B - 1)) over the
     blocks B of g, which is at most the arboricity, improved by the best
-    min_dimension seen over `samples` seeded random weight functions plus
-    any caller-supplied ones; the maximizing weights are returned as
-    witness.  The random samples are generic, so their min_dimension is at
-    least the arboricity, and with samples >= 1 so is the lower bound.
+    min_dimension seen over `samples` seeded random weight functions; the
+    maximizing weights are returned as witness.  The random samples are
+    generic, so their min_dimension is at least the arboricity, and with
+    samples >= 1 so is the lower bound.
     """
     from .instances import random_distance_function
 
@@ -865,9 +832,8 @@ def finf_bounds(
         upper = len(matched)
     lower = _block_density(g)
     witness = None
-    pool = [random_distance_function(g, seed * 1_000_003 + i) for i in range(samples)]
-    pool.extend(extra)
-    for cand in pool:
+    for i in range(samples):
+        cand = random_distance_function(g, seed * 1_000_003 + i)
         k = min_dimension(g, cand)
         if k > lower:
             lower = k

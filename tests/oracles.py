@@ -186,19 +186,19 @@ def brute_is_generic(g: Graph, d: DistanceFunction) -> bool:
 
 
 def fraction_blend(weights, seed: int) -> tuple:
-    """The perturbation's blend as first written, in Fraction arithmetic:
-    (1-t)*w + t*r_i for each positive weight w, zeros kept, with the least
-    positive weight `low`, the lcm D of the weights' denominators and the
-    seeded permutation of 1..m."""
+    """The generic blend as first written, in Fraction arithmetic:
+    (1-t)*w + t*r_i for each weight w (all positive), with the least
+    weight `low`, the lcm D of the weights' denominators and the seeded
+    permutation of 1..m."""
     m = len(weights)
     denominator = math.lcm(*(Fraction(w).denominator for w in weights))
-    low = min((w for w in weights if w > 0), default=Fraction(0))
+    low = min(weights, default=Fraction(0))
     t = Fraction(1, 2 ** max(20, (int(denominator * low) * m).bit_length() + 1))
     scale = low / 2 ** (m + 3)
     exponents = list(range(1, m + 1))
     random.Random(seed).shuffle(exponents)
     return tuple(
-        w if w == 0 else (1 - t) * w + t * scale * (2 ** (m + 2) + 2 ** exponents[i])
+        (1 - t) * w + t * scale * (2 ** (m + 2) + 2 ** exponents[i])
         for i, w in enumerate(weights)
     )
 
@@ -372,6 +372,34 @@ def _connected(nodes, links) -> bool:
                     seen.add(q)
                     stack.append(q)
     return seen == nodes
+
+
+def is_minor_model(g: Graph, emb) -> bool:
+    """Whether emb's branch sets and realizing edges model its pattern in g,
+    the plain way: every pattern vertex has a nonempty set of vertices of
+    g, the sets are pairwise disjoint, the edges of g inside each set join
+    it (`_connected`), and every pattern edge is realized by an edge of g
+    from its first end's set to its second end's."""
+    sets = [emb.branch_sets.get(pv) for pv in emb.pattern.vertices]
+    if not all(sets):
+        return False
+    sets = [set(s) for s in sets]
+    if not all(s <= set(g.vertices) for s in sets):
+        return False
+    if len(set().union(*sets)) != sum(len(s) for s in sets):
+        return False
+    if not all(_connected(s, g.edges) for s in sets):
+        return False
+    of = dict(zip(emb.pattern.vertices, sets))
+    host = {frozenset(e) for e in g.edges}
+    for pu, pv in emb.pattern.edges:
+        real = emb.edge_realization.get((pu, pv))
+        if real is None or frozenset(real) not in host:
+            return False
+        a, b = real
+        if a not in of[pu] or b not in of[pv]:
+            return False
+    return True
 
 
 def is_tree_decomposition(g: Graph, bags, links) -> bool:

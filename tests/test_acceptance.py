@@ -20,7 +20,6 @@ from linfgraph import (
     certificate_exceeds_2,
     classify_dim2,
     decide_realizable,
-    is_feasible_set,
     k4ek4_witness,
     k7_generic,
     linf2_to_l1_2,
@@ -39,7 +38,7 @@ from linfgraph.cli import main
 from linfgraph.graph_core import vertex_key
 
 from atlas import connected_graphs_upto
-from oracles import brute_arboricity, brute_realizable, feasible_family
+from oracles import brute_arboricity, brute_realizable, edge_set_feasible, feasible_family
 
 SAMPLES_PER_GRAPH = 20
 
@@ -166,13 +165,13 @@ def test_criterion_5_tree_of_cliques():
         g, d = tk4_instance(Tree.build(tg))
         assert validate_distance_function(g, d).valid
         assert min_dimension(g, d) == tg.n
-        spines = [(f"{v}+", f"{v}-") for v in tg.vertices]
+        spines = [g.edge_id(f"{v}+", f"{v}-") for v in tg.vertices]
         for e1, e2 in itertools.combinations(spines, 2):
             # no feasible set can hold two spine edges at once
-            assert is_feasible_set(g, d, [e1, e2]) is None
+            assert not edge_set_feasible(g, d, [e1, e2])
             pairs_refuted += 1
         for spine in spines:
-            assert is_feasible_set(g, d, [spine]) is not None
+            assert edge_set_feasible(g, d, [spine])
 
     g3, d3 = tk4_instance(Tree.build(named_graph("path_3")))
     outcome = decide_realizable(g3, d3, 2)

@@ -106,6 +106,11 @@ def test_tree_build_validation():
         Tree.build(named_graph("C_3"))  # cyclic
     with pytest.raises(InputError):
         Tree.build(Graph.build([1, 2, 3], [(1, 2)]))  # disconnected
+    with pytest.raises(InputError):
+        # n - 1 edges, but a triangle and an isolated vertex
+        Tree.build(Graph.build([1, 2, 3, 4], [(1, 2), (2, 3), (1, 3)]))
+    with pytest.raises(InputError):
+        Tree.build(Graph.build([], []))  # empty
     t = Tree.build(named_graph("path_3"), edge_order=[(3, 2), (1, 2)])
     assert t.edge_order == ((2, 3), (1, 2))
     with pytest.raises(InputError):

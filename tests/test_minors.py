@@ -30,7 +30,7 @@ from linfgraph import minors
 from linfgraph.minors import _minor_search, _three_connected_pieces, _wheel_at_five
 
 from atlas import connected_graphs_upto
-from oracles import brute_has_minor
+from oracles import _connected, brute_has_minor, is_minor_model
 
 W4 = named_graph("W_4")
 K4E = named_graph("K4eK4")
@@ -242,8 +242,13 @@ def test_classifier_works_per_block():
 
 def test_blocks_and_harmless_classification_build_no_graph(monkeypatch):
     # blocks are subsequences of a canonical graph, built without
-    # Graph.build; the witness check builds graphs through Graph.induced,
-    # so only graphs with no exceeds-2 witness can run under this guard
+    # Graph.build, and the witness check searches g itself; only a W4
+    # witness writes its five-vertex wheel down with Graph.build, so K4eK4
+    # witnesses, glued from two K4 pieces, run under this guard too
+    exceeding = {
+        "K4eK4": K4E,
+        "doubled path_3": tk4_instance(Tree.build(named_graph("path_3")))[0],
+    }
     graphs = {
         "tree": Graph.build([1, "a", 2, "b", 3], [(1, "a"), ("a", 2), ("a", "b"), ("b", 3)]),
         "C_6": named_graph("C_6"),
@@ -259,6 +264,49 @@ def test_blocks_and_harmless_classification_build_no_graph(monkeypatch):
     for name, g in graphs.items():
         assert sum(b.m for b in blocks(g)) == g.m, name
         assert classify_dim2(g).verdict == "dim_at_most_2", name
+    for name, g in exceeding.items():
+        c = classify_dim2(g)
+        assert c.verdict == "exceeds_2" and c.witness.pattern == K4E, name
+
+
+def _model_mutations(g: Graph, emb: MinorEmbedding):
+    """(kind, embedding) for emb's mutations: each branch set with a vertex
+    of g not adjacent to it added ('apart'), with one member removed
+    ('removed', which splits the set in two where that member is a cut
+    vertex of it) and with a vertex not in g added ('absent')."""
+    adjacent = {v: set(g.neighbors(v)) for v in g.vertices}
+    for pv, bs in emb.branch_sets.items():
+        near = set(bs).union(*(adjacent[x] for x in bs))
+        apart = next((v for v in g.vertices if v not in near), None)
+        changed = [("absent", bs | {"not-in-g"})]
+        if apart is not None:
+            changed.append(("apart", bs | {apart}))
+        if len(bs) > 1:
+            changed += [("removed", bs - {x}) for x in bs]
+        for kind, new in changed:
+            yield kind, MinorEmbedding(emb.pattern, {**emb.branch_sets, pv: new},
+                                       emb.edge_realization)
+
+
+def test_witness_check_matches_the_reference_on_mutated_witnesses():
+    graphs = [g for g in connected_graphs_upto(6) if classify_dim2(g).verdict == "exceeds_2"]
+    graphs += [_subdivide_all(W4), _subdivide_all(K4E),
+               tk4_instance(Tree.build(named_graph("path_3")))[0]]
+    kinds = dict.fromkeys(("apart", "absent", "removed", "split"), 0)
+    for g in graphs:
+        emb = classify_dim2(g).witness
+        assert emb.check(g) and is_minor_model(g, emb)
+        for kind, mutant in _model_mutations(g, emb):
+            ok = mutant.check(g)
+            assert ok == is_minor_model(g, mutant), (g.edges, kind, mutant.branch_sets)
+            if kind != "removed":
+                assert not ok
+            kinds[kind] += 1
+            if kind == "removed" and not all(_connected(bs, g.edges)
+                                             for bs in mutant.branch_sets.values()):
+                assert not ok
+                kinds["split"] += 1
+    assert len(graphs) == 37 + 3 and all(kinds.values()), kinds
 
 
 def test_classifier_agrees_with_brute_minors_on_small_graphs():

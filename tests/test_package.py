@@ -31,6 +31,14 @@ def test_dir_lists_all_public_names():
     assert set(linfgraph.__all__) <= set(dir(linfgraph))
 
 
+def test_public_names():
+    # 51 names; the edge-subset feasibility search, the checked
+    # perturbation and its error are not among them
+    assert len(linfgraph.__all__) == 51
+    for name in ("is_feasible_set", "perturb_to_generic", "PerturbationFailed"):
+        assert not hasattr(linfgraph, name)
+
+
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         linfgraph.no_such_name

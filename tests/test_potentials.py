@@ -10,15 +10,15 @@ from linfgraph import (
     InputError,
     Orientation,
     Potential,
-    is_feasible_set,
-    k4ek4_witness,
+    decide_realizable,
     named_graph,
     random_distance_function,
     w4_witness,
 )
+from linfgraph.graph_core import _clear
 from linfgraph.realizability import _Ctx, _part_certified
 
-from oracles import orientation_feasible, potential_fits
+from oracles import orientation_feasible
 
 
 def _triangle(w12=1, w23=1, w13=1):
@@ -37,19 +37,21 @@ def test_orientation_rejects_both_arcs_of_an_edge():
 def test_single_forced_edge_pins_the_gap():
     g = Graph.build(["u", "v"], [("u", "v")])
     d = DistanceFunction.from_values([7])
-    orientation, potential = is_feasible_set(g, d, [("u", "v")])
+    w = _clear(d.weights)
+    cover = decide_realizable(g, d, 1).cover
+    (orientation,), (potential,) = cover.parts, cover.potentials
     assert orientation.arcs == (("u", "v"),)
     assert potential.values == {"u": Fraction(0), "v": Fraction(-7)}
     # the part check accepts exactly the gap 7 along the forced arc
     for gap in (6, 7, 8, -7):
         p = Potential({"u": Fraction(gap), "v": Fraction(0)})
-        assert _part_certified(g, d, orientation, p) == (gap == 7)
+        assert _part_certified(g, d, orientation, p, w) == (gap == 7)
     # an unforced edge only bounds the gap
-    assert _part_certified(g, d, Orientation.of([]), Potential({"u": 3, "v": -4}))
-    assert not _part_certified(g, d, Orientation.of([]), Potential({"u": 0}))
+    assert _part_certified(g, d, Orientation.of([]), Potential({"u": 3, "v": -4}), w)
+    assert not _part_certified(g, d, Orientation.of([]), Potential({"u": 0}), w)
     # an arc that is no edge of g is an input error, not a failed check
     with pytest.raises(InputError):
-        _part_certified(g, d, Orientation.of([("v", "w")]), potential)
+        _part_certified(g, d, Orientation.of([("v", "w")]), potential, w)
 
 
 def test_cyclically_forced_triangle_is_negative():
@@ -79,7 +81,7 @@ def test_feasibility_matches_oracle_on_triangles():
         assert (part is not None) == orientation_feasible(g, d, forced)
         if part is not None:
             potential = Potential({v: Fraction(x) for v, x in zip(g.vertices, part[1])})
-            assert _part_certified(g, d, Orientation.of(forced), potential)
+            assert _part_certified(g, d, Orientation.of(forced), potential, _clear(d.weights))
 
 
 @settings(max_examples=80, deadline=None)
@@ -99,42 +101,46 @@ def test_reversal_symmetry(data):
     assert orientation_feasible(g, d, arcs) == orientation_feasible(g, d, [(v, u) for u, v in arcs])
 
 
+def _arc(g, u, v):
+    """The search's id of the arc u -> v."""
+    eid = g.edge_id(u, v)
+    return 2 * eid + (g.edges[eid] != (u, v))
+
+
+def _fold(ctx, arcs):
+    """The part with the given arcs forced, through the search's
+    relaxation, or None when they are infeasible together."""
+    part = ctx.empty
+    for aid in arcs:
+        part = part and ctx.try_add(part, aid)
+    return part
+
+
 def test_stars_are_always_feasible():
-    # so the stars around a vertex cover always realize
+    # so the stars around a vertex cover always realize: the oracle and the
+    # search's relaxation both accept every star, all arcs into its center
     for name in ("W_4", "K_5", "petersen", "K4eK4"):
         g = named_graph(name)
         d = random_distance_function(g, seed=11)
+        ctx = _Ctx(g, d)
         for v in g.vertices:
             assert orientation_feasible(g, d, [(u, v) for u in g.neighbors(v)])
-            assert is_feasible_set(g, d, [(u, v) for u in g.neighbors(v)]) is not None
-
-
-def test_is_feasible_set_glued_clique_pair():
-    # derived with the exhaustive-orientation oracle: the two outer
-    # triangle-edges 23 and 45 of the glued-clique witness fit in one part
-    g, d = k4ek4_witness()
-    res = is_feasible_set(g, d, [(2, 3), (4, 5)])
-    assert res is not None
-    orientation, potential = res
-    assert potential_fits(g, d, orientation.arcs, potential.values)
-
-
-def test_is_feasible_set_empty_and_cap():
-    g, d = _triangle()
-    orientation, potential = is_feasible_set(g, d, [])
-    assert len(orientation) == 0
-    # a 31-edge set: feasibility has no size cap
-    star = named_graph("star_31")
-    ds = random_distance_function(star, seed=0)
-    orientation, potential = is_feasible_set(star, ds, list(star.edges))
-    assert {frozenset(a) for a in orientation.arcs} == {frozenset(e) for e in star.edges}
-    assert potential_fits(star, ds, orientation.arcs, potential.values)
+            assert _fold(ctx, [_arc(g, u, v) for u in g.neighbors(v)]) is not None
 
 
 def test_feasible_sets_downward_closed_on_witness():
+    # every orientation of three wheel edges that fits in one part, as the
+    # search's relaxation and the oracle agree, keeps each two of its arcs
     g, d = w4_witness()
-    res = is_feasible_set(g, d, [(1, 2), (3, 4), (3, 5)])
-    if res is not None:
-        for drop in [(1, 2), (3, 4), (3, 5)]:
-            sub = [e for e in [(1, 2), (3, 4), (3, 5)] if e != drop]
-            assert is_feasible_set(g, d, sub) is not None
+    ctx = _Ctx(g, d)
+    eids = [g.edge_id(u, v) for u, v in [(1, 2), (3, 4), (3, 5)]]
+    fits = 0
+    for dirs in product((0, 1), repeat=3):
+        forced = [g.edges[e][::1 - 2 * dr] for e, dr in zip(eids, dirs)]
+        arcs = [_arc(g, u, v) for u, v in forced]
+        assert (_fold(ctx, arcs) is not None) == orientation_feasible(g, d, forced)
+        if _fold(ctx, arcs) is not None:
+            fits += 1
+            for drop in arcs:
+                assert _fold(ctx, [a for a in arcs if a != drop]) is not None
+    assert fits

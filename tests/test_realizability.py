@@ -21,7 +21,6 @@ from linfgraph import (
     build_realization,
     decide_realizable,
     finf_bounds,
-    is_feasible_set,
     is_generic,
     k4ek4_witness,
     k7_generic,
@@ -56,10 +55,8 @@ from oracles import (
     brute_rank,
     brute_realizable,
     brute_vertex_cover,
-    edge_set_feasible,
     feasible_family,
     forced_arcs,
-    potential_fits,
 )
 
 
@@ -201,14 +198,15 @@ def _replay(ctx, masks):
 
 
 def _prefixes(ctx, cover):
-    """(edges left, node) for every prefix of ctx.order: the node whose
-    open parts are cover's parts (arc masks) cut to the prefix, the empty
-    ones left out."""
+    """(edges left, node) for every prefix of ctx's tie-break order: the
+    node whose open parts are cover's parts (arc masks) cut to the prefix,
+    the empty ones left out."""
+    order = [bit.bit_length() >> 1 for bit in ctx.bits]
     arcs = 0
-    for e in ctx.order:
+    for e in order:
         arcs |= 3 << 2 * e
         node = _replay(ctx, [mask for mask in (c & arcs for c in cover) if mask])
-        yield [e for e in ctx.order if node[2] >> 2 * e & 1], node
+        yield [e for e in order if node[2] >> 2 * e & 1], node
 
 
 def _reversed(mask):
@@ -315,7 +313,8 @@ def test_orphan_seeding_keeps_every_state_on_a_cover():
             ctx = _Ctx(g, d)
             rng = random.Random(seed)
             for _ in range(3):
-                shuffled = _Ctx(g, d, rng.sample(ctx.order, len(ctx.order)))
+                shuffled = _Ctx(g, d)
+                shuffled.bits = rng.sample(ctx.bits, len(ctx.bits))
                 cover = [p[0] for p in _dfs(shuffled, k, _root(shuffled), [0] * 7)]
                 node = _root(ctx)
                 while node[2]:
@@ -436,7 +435,7 @@ def test_forest_rule_matches_brute_ranks_on_cover_prefixes(name, k):
             held.append(brute_rank(g, own + free))
         before = list(parts)
         for j in range(used, k + 1):
-            short = sum(held) + (j - used) * brute_rank(g, left) < len(ctx.order)
+            short = sum(held) + (j - used) * brute_rank(g, left) < g.m
             assert _short(ctx, j, used, parts, rest) == short, (name, left, j)
             assert len(parts) == len(before) and all(p is q for p, q in zip(parts, before))
             verdicts.append((j == k, short))
@@ -486,16 +485,16 @@ def test_failed_re_verification_raises(monkeypatch):
         decide_realizable(g, d, 3)
 
 
-def test_failed_part_check_raises_in_is_feasible_set(monkeypatch):
+def test_failed_part_check_fails_the_cover_check(monkeypatch):
+    # Cover.check runs the part check on every part, so the search's
+    # re-verification raises when it fails
     g, d = w4_witness()
-    assert is_feasible_set(g, d, [(1, 2)]) is not None
     cover = decide_realizable(g, d, 3).cover
     assert cover.check(g, d)
     monkeypatch.setattr(realizability, "_part_certified", lambda *args: False)
-    with pytest.raises(RuntimeError):
-        is_feasible_set(g, d, [(1, 2)])
-    # Cover.check runs the same part check
     assert not cover.check(g, d)
+    with pytest.raises(RuntimeError):
+        decide_realizable(g, d, 3)
 
 
 def test_progress_callback_fires(monkeypatch):
@@ -530,19 +529,6 @@ def test_realizability_is_monotone_in_dimension(gd, k):
 def test_search_matches_brute_force_oracle(gd, k):
     g, d = gd
     assert (decide_realizable(g, d, k).cover is not None) == brute_realizable(g, d, k)
-
-
-@settings(max_examples=60, deadline=None)
-@given(_small_weighted(), st.data())
-def test_is_feasible_set_matches_oracle(gd, data):
-    g, d = gd
-    eids = data.draw(st.sets(st.integers(min_value=0, max_value=g.m - 1)))
-    res = is_feasible_set(g, d, [g.edges[e] for e in eids])
-    assert (res is not None) == edge_set_feasible(g, d, eids)
-    if res is not None:
-        orientation, potential = res
-        assert {g.edge_id(u, v) for u, v in orientation.arcs} == eids
-        assert potential_fits(g, d, orientation.arcs, potential.values)
 
 
 @settings(max_examples=60, deadline=None)
@@ -816,13 +802,6 @@ def test_finf_bounds_rejects_negative_samples():
 
 def test_finf_bounds_edgeless():
     assert finf_bounds(Graph.build([1, 2], []), samples=2) == FinfBounds(0, 0, None)
-
-
-def test_finf_bounds_extra_pool_raises_lower_bound():
-    g, d = w4_witness()
-    b = finf_bounds(g, samples=0, extra=[d])
-    assert b.lower == 3 and b.upper == 3
-    assert b.witness is d
 
 
 def test_k7_generic_realizes_at_five_not_four():

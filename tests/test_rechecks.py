@@ -28,7 +28,7 @@ from linfgraph import (
     verify_realization,
     w4_witness,
 )
-from linfgraph.graph_core import _metric_closure
+from linfgraph.graph_core import _clear, _closure
 from linfgraph.instances import _l1_weights
 from linfgraph.realizability import _Ctx, _part_certified
 
@@ -115,7 +115,7 @@ def test_part_and_cover_checks_match_the_fraction_oracle(g, d, k):
         assert cover.check(g, dd) == fraction_cover_check(g, dd, cover)
         for orientation, potential in zip(cover.parts, cover.potentials):
             for o, p in _part_variants(g, dd, orientation, potential):
-                assert (_outcome(_part_certified, g, dd, o, p)
+                assert (_outcome(_part_certified, g, dd, o, p, _clear(dd.weights))
                         == _outcome(fraction_part_certified, g, dd, o, p))
     # a tampered part inside a cover
     o, p = _part_variants(g, d, cover.parts[0], cover.potentials[0])[1]
@@ -127,7 +127,7 @@ def test_part_check_with_an_arc_off_the_graph_raises_like_the_oracle():
     g, d = w4_witness()
     p = Potential(dict.fromkeys(g.vertices, 0))
     stray = Orientation.of([(1, 99)])
-    assert _outcome(_part_certified, g, d, stray, p) is InputError
+    assert _outcome(_part_certified, g, d, stray, p, _clear(d.weights)) is InputError
     assert _outcome(fraction_part_certified, g, d, stray, p) is InputError
 
 
@@ -190,6 +190,11 @@ def test_verify_realization_reports_mismatches_as_rationals():
 
 
 # -- the conflict table --------------------------------------------------------
+
+
+def _metric_closure(g, d):
+    """d replaced by its shortest-path closure, which is valid."""
+    return DistanceFunction(tuple(Fraction(x, d.scale) for x in _closure(g, d.integers)))
 
 
 def _random_weighted(rng, n, p):

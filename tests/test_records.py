@@ -125,8 +125,6 @@ def test_defaults():
     assert VerifyResult(True) == VerifyResult(True, None, None)
     assert VerifyResult(False, detail="x") == VerifyResult(False, None, "x")
     assert Classification("dim_at_most_2") == Classification("dim_at_most_2", None)
-    assert GenericityReport("generic", 0) and not GenericityReport("not_generic", 0)
-    assert not GenericityReport("budget_exceeded", 0)
 
 
 def test_derived_values_are_cached():
