@@ -26,7 +26,11 @@ triangle inequality, a valid distance function.  A 2-dimensional
 realization of these weights, under either norm, puts each part, joined by
 zero-weight edges, at one point, so it restricts to a realization of the
 pattern's witness, which has none.  `certificate_exceeds_2` returns the
-weights with the exhausted k = 2 search on them.
+weights with the exhausted k = 2 search on them.  That search contracts
+every zero-weight edge before it starts (see `realizability`), so it runs
+on one class per part: the pattern's vertices, joined wherever their parts
+touch, plus one isolated class per component that holds no branch set.
+Its nodes count this contracted search, whatever the size of the host.
 
 The verdict holds for the sum norm as well, since two-dimensional max-norm
 and sum-norm geometry are exactly isometric (see linf2_to_l1_2).  So the
@@ -455,35 +459,18 @@ def _two_disjoint_paths(gadj: dict, starts: tuple, ends: set) -> list:
     return paths
 
 
-def _wheel_at_five(five: Graph) -> MinorEmbedding:
-    """The W4 embedding in a 3-connected graph on five vertices, written
-    down.  Every degree is at least 3 and five degrees of 3 would sum to an
-    odd number, so some vertex has degree 4: the hub.  The other four
-    induce a 2-connected graph, which has a Hamiltonian 4-cycle: the rim.
-    The first hub in vertex order is taken, then the first rim listed from
-    the first of the other vertices."""
-    hub = next((v for v in five.vertices if five.degree(v) == 4), None)
-    if hub is not None:
-        first, *rest = (v for v in five.vertices if v != hub)
-        for order in permutations(rest):
-            rim = (first, *order)
-            if all(five.has_edge(u, v) for u, v in zip(rim, rim[1:] + rim[:1])):
-                *rim_pvs, hub_pv = _W4.vertices  # W_4: rim 1..4 in cycle order, hub 5
-                at = dict(zip((hub_pv, *rim_pvs), (hub, *rim)))
-                return MinorEmbedding(
-                    _W4,
-                    {pv: frozenset({x}) for pv, x in at.items()},
-                    {(pu, pv): (at[pu], at[pv]) for pu, pv in _W4.edges},
-                )
-    raise RuntimeError("a 3-connected graph on five vertices has no W4")
-
-
 def _wheel_in_piece(g: Graph, piece: dict) -> MinorEmbedding:
     """A W4 embedding in g from its 3-connected piece on at least five
     vertices.  Contract edges of the piece while it stays 3-connected (one
     always does: Thomassen, JCTB 1980) down to five vertices, write the
     wheel down there, then expand the contracted classes into branch sets
-    and route each used virtual edge through its side."""
+    and route each used virtual edge through its side.
+
+    At five vertices every degree is at least 3 and five degrees of 3
+    would sum to an odd number, so some vertex has degree 4: the hub.  The
+    other four induce a 2-connected graph, which has a Hamiltonian 4-cycle:
+    the rim.  The first hub in index order is taken, then the first rim
+    listed from the first of the other vertices."""
     adj = {v: set(ns) for v, ns in piece.items()}
     classes = {v: [v] for v in adj}
     while len(adj) > 5:
@@ -499,13 +486,21 @@ def _wheel_in_piece(g: Graph, piece: dict) -> MinorEmbedding:
                 adj[x].add(u)
                 adj[u].add(x)
         classes[u] += classes.pop(v)
-    emb5 = _wheel_at_five(Graph.build(adj, [(u, v) for u in adj for v in adj[u] if u < v]))
+    five = sorted(adj)
+    hub = next((v for v in five if len(adj[v]) == 4), None)
+    first, *rest = (v for v in five if v != hub)
+    rim = next(((first, *order) for order in permutations(rest)
+                if all(b in adj[a] for a, b in zip((first, *order), (*order, first)))), None)
+    if hub is None or rim is None:
+        raise RuntimeError("a 3-connected graph on five vertices has no W4")
+    *rim_pvs, hub_pv = _W4.vertices  # W_4: rim 1..4 in cycle order, hub 5
+    at = dict(zip((hub_pv, *rim_pvs), (hub, *rim)))
 
     gadj = _index_adjacency(g)
     sides = _sides(gadj, piece)
     owner = {}
     bsets = {}
-    for pv, (rep,) in emb5.branch_sets.items():
+    for pv, rep in at.items():
         bsets[pv] = set(classes[rep])
         for x in classes[rep]:
             owner[x] = pv
@@ -514,7 +509,8 @@ def _wheel_in_piece(g: Graph, piece: dict) -> MinorEmbedding:
             if a < b and owner[a] == owner[b]:
                 bsets[owner[a]].update(_path_through(gadj, a, b, sides))
     real = {}
-    for pedge, (x, y) in emb5.edge_realization.items():
+    for pedge in _W4.edges:
+        x, y = at[pedge[0]], at[pedge[1]]
         a, b = next((a, b) for a in classes[x] for b in classes[y] if b in piece[a])
         path = _path_through(gadj, a, b, sides)
         bsets[pedge[0]].update(path)
@@ -582,7 +578,7 @@ def classify_dim2(g: Graph) -> Classification:
     vertices.  W4 is 3-connected, and a 3-connected minor of a 2-sum lies
     inside one summand.  Conversely a 3-connected graph on at least five
     vertices contracts, keeping 3-connectivity (Thomassen's contractible
-    edge), to five vertices, where `_wheel_at_five` writes the wheel down.
+    edge), to five vertices, where `_wheel_in_piece` writes the wheel down.
 
     K4eK4.  When every piece has at most four vertices, the block has a
     K4eK4 minor iff at least two pieces are K4s.
@@ -679,7 +675,10 @@ def certificate_exceeds_2(g: Graph) -> tuple[DistanceFunction, SearchOutcome]:
 def _certificate_from_witness(g: Graph, emb: MinorEmbedding) -> tuple[DistanceFunction, SearchOutcome, dict]:
     """The witness points pulled back through the classifier's embedding
     emb, their sum-norm weights and the exhausted k = 2 search on them.
-    The weights are re-validated and the points re-verified against them."""
+    The weights are re-validated and the points re-verified against them.
+    The weights are zero inside every part, so the search contracts each
+    part to one class before it starts, and its nodes count that search
+    on the pattern's vertices (see the module docstring)."""
     from .realizability import decide_realizable, verify_realization
 
     points = pullback_points(g, emb)

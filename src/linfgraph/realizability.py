@@ -15,14 +15,46 @@ the potential's Fractions and the weights, independently of the search;
 A weighted graph embeds in dimension k exactly when its edge set is the
 union of k feasible sets; each feasible set contributes one coordinate via
 the certifying potential.  `decide_realizable` runs a complete backtracking
-search over per-edge (part, direction) assignments with seven sound
-reductions: parts are first used in increasing order, the first edge of
-each part has a fixed direction (global reversal symmetry), a precomputed
-table of arc pairs whose joint forcing closes a negative walk rejects
-assignments before the full check runs, once all k parts are open every
-remaining edge must still fit some part without such a conflict (the
-lookahead), unit propagation, orphan seeding once k - 1 parts are open,
-and, for generic weights, the forest rule.
+search over per-edge (part, direction) assignments with eight sound
+reductions: zero-weight edges are contracted before the search, parts are
+first used in increasing order, the first edge of each part has a fixed
+direction (global reversal symmetry), a precomputed table of arc pairs
+whose joint forcing closes a negative walk rejects assignments before the
+full check runs, once all k parts are open every remaining edge must still
+fit some part without such a conflict (the lookahead), unit propagation,
+orphan seeding once k - 1 parts are open, and, for generic weights, the
+forest rule.
+
+Zero-weight contraction.  The ends of every zero-weight edge are merged,
+and the search runs on the classes this leaves, with one edge per pair of
+classes that positive edges join; its nodes count this contracted search.
+Two checks on the original weights come first: no positive edge lies
+inside a class, and the edges between one pair of classes share one
+weight.  Each failure is a violation of validity, reported as InputError
+naming the lowest-id edge of g longer than a path, as on any invalid
+input: a positive edge inside a class is longer than the zero-weight path
+joining its ends, and of two edges between one pair of classes with
+different weights, the heavier is longer than the lighter one joined to
+its ends by zero-weight paths.  With both checks passed, the quotient's
+own shortest-path check is exactly the original one.  Let c map each
+vertex to its class.  A path of g maps to a walk of the quotient of the
+same length (its zero-weight edges vanish, and each other edge weighs
+what its class pair's edge does), and a path of the quotient
+lifts to a path of g of the same length (consecutive edges are joined
+inside their class by zero-weight paths).  So dist_g(u, v) =
+dist_q(c(u), c(v)) for all u, v: a zero-weight edge meets the condition
+d_uv = dist_g(u, v) trivially, and a positive edge uv meets it exactly
+when the quotient edge c(u)c(v) meets the quotient's.
+The covers correspond as well.  A zero-weight edge uv allows |p(u) - p(v)|
+<= 0, so every potential of (g, d) is constant on each class, and every
+zero-weight edge is tight, either way, in every part.  Two edges between
+classes A and B forced into one part point the same way, since p(A) -
+p(B) = w = p(B) - p(A) needs w = 0.  So a cover of (g, d) gives one of
+the quotient, each quotient edge taking the part and direction of any of
+its edges, with the class potentials; and a cover of the quotient lifts
+back: each positive edge takes its class pair's part and direction, each
+zero-weight edge the first part, and each vertex its class's potential.
+The lifted cover is re-verified on (g, d) like any other.
 
 Each node branches on the edge left with the fewest (open part, arc)
 options that no conflict blocks: first an edge no open part can take,
@@ -230,7 +262,10 @@ class SearchOutcome(_Record):
     Every child the search tries is one node, and is either pruned by the
     first rule that rejects it or expanded: `prunes` maps each rule
     ('conflict', 'infeasible', 'lookahead', 'unit', 'forest') to the
-    children it rejected, so nodes == sum(prunes.values()) + expanded."""
+    children it rejected, so nodes == sum(prunes.values()) + expanded.
+    The nodes are those of the contracted search, which runs on the
+    classes that zero-weight edges join (see the module docstring); with
+    no zero weight, that is the search on g itself."""
 
     cover: Cover | None
     nodes: int
@@ -282,7 +317,14 @@ class _Ctx:
     rule breaks its ties by decreasing weight, then edge id: the order of
     `bits`.
 
-    Arc 2e runs along edge e as stored in g.edges, arc 2e + 1 against it.
+    The search runs on the quotient of g by its zero-weight edges
+    (`_contract`): `n`, `m`, `w` and the arcs are the quotient's, `cls`
+    maps each vertex index of g to its class, and `lift` maps each edge of
+    g to the quotient arc along it, or to None at weight zero.  With no
+    zero weight, class i is vertex i and quotient edge e is edge e, along
+    arc 2e: the search is the one on g.
+
+    Arc 2e runs along quotient edge e as stored, arc 2e + 1 against it.
     A part is a triple (mask, dist, blocked): the bitmask of its forced
     arcs, its potential as integers over `scale` (the greatest solution
     <= 0 of its difference constraints), and the OR of `conflict` over its
@@ -294,35 +336,39 @@ class _Ctx:
     the greatest solution <= 0 of its constraints (or None when it has
     none), which depends on the mask alone, and `ranks`, for the forest
     rule, maps an edge mask (arc 2e for edge e) to its graphic-matroid
-    rank."""
+    rank.
+
+    On zero-weight inputs the forest rule gates on the quotient's weights
+    (`_distinct_valuations` of `w`); the original weights, with a zero
+    among them, never pass that test.  This is sound because the quotient
+    is a valid instance in its own right, whose covers are exactly the
+    ones the search seeks (the module docstring proves both): generic
+    quotient weights make each of its feasible parts a forest."""
 
     def __init__(self, g: Graph, d: DistanceFunction):
         if len(d.weights) != g.m:
             raise InputError("weight count does not match the graph")
         self.g = g
-        n, m = g.n, g.m
+        self.scale = d.scale
+        vi = g.vertex_index
+        ends = [(vi[u], vi[v]) for u, v in g.edges]
+        quotient, ends, self.w, self.cls, self.lift = _contract(g, ends, d.integers)
+        n, m = quotient.n, quotient.m
         self.n = n
         self.m = m
-        self.scale = d.scale
-        self.w = d.integers
-        vi = g.vertex_index
         self.tail = [0] * (2 * m)
         self.head = [0] * (2 * m)
-        for eid, (u, v) in enumerate(g.edges):
-            self.tail[2 * eid], self.head[2 * eid] = vi[u], vi[v]
-            self.tail[2 * eid + 1], self.head[2 * eid + 1] = vi[v], vi[u]
+        for eid, (i, j) in enumerate(ends):
+            self.tail[2 * eid], self.head[2 * eid] = i, j
+            self.tail[2 * eid + 1], self.head[2 * eid + 1] = j, i
         # per-vertex out-arcs (aid, head, weight) for the relaxation
         self.out = [[] for _ in range(n)]
         for aid in range(2 * m):
             self.out[self.tail[aid]].append((aid, self.head[aid], self.w[aid >> 1]))
-        _, self.sp, _ = shortest_path_table(g, self.w)
+        _, self.sp, _ = shortest_path_table(quotient, self.w)
         for eid in range(m):
             if self.sp[self.tail[2 * eid]][self.head[2 * eid]] != self.w[eid]:
-                u, v = g.edges[eid]
-                raise InputError(
-                    f"weights are not a valid distance function: edge ({u!r}, {v!r}) "
-                    "is longer than a path between its endpoints"
-                )
+                _invalid(g, d.integers)
         self.conflict = self._conflicts()
         order = sorted(range(m), key=lambda e: (-self.w[e], e))
         # arc 2e of each edge e, in order: the root's rest
@@ -438,6 +484,60 @@ def _union(root: list, u: int, v: int) -> int:
         return 0
     root[u] = v
     return 1
+
+
+def _invalid(g: Graph, w):
+    """Raise InputError naming the lowest-id edge of g that the integer
+    weights w make longer than a path between its ends.  It is called
+    only on weights that fail validity, so such an edge exists."""
+    vi = g.vertex_index
+    _, sp, _ = shortest_path_table(g, w)
+    u, v = next((u, v) for (u, v), x in zip(g.edges, w) if sp[vi[u]][vi[v]] != x)
+    raise InputError(
+        f"weights are not a valid distance function: edge ({u!r}, {v!r}) "
+        "is longer than a path between its endpoints"
+    )
+
+
+def _contract(g: Graph, ends: list, w):
+    """The quotient of g by its zero-weight edges, whose ends are the
+    vertex index pairs `ends` and whose integer weights are w:
+    (quotient, ends, weights, cls, lift).  The quotient is an index graph
+    on the classes, numbered by their first vertex, with one edge per pair
+    of classes that positive edges join, numbered by its first original
+    edge; it is built directly, with its edges in that order and not
+    sorted, for `shortest_path_table`, which reads only its vertex indices
+    and edge ends.  cls maps each vertex index to its class, and lift each
+    original edge to the quotient arc that runs along it, or to None at
+    weight zero.  Raises InputError through `_invalid` when a positive
+    edge lies inside a class or two edges between one pair of classes
+    differ in weight."""
+    root = list(range(g.n))
+    for (i, j), x in zip(ends, w):
+        if not x:
+            _union(root, i, j)
+    cls, ids = [], {}
+    for r in root:
+        while root[r] != r:
+            r = root[r]
+        cls.append(ids.setdefault(r, len(ids)))
+    pairs, qends, qw, lift = {}, [], [], []
+    for (i, j), x in zip(ends, w):
+        a, b = cls[i], cls[j]
+        if not x:
+            lift.append(None)
+            continue
+        if a == b:  # a zero-weight path joins its ends
+            _invalid(g, w)
+        q = pairs.setdefault((a, b) if a < b else (b, a), len(qends))
+        if q == len(qends):
+            qends.append((a, b))
+            qw.append(x)
+        elif qw[q] != x:  # the lighter edge and zero-weight paths are shorter
+            _invalid(g, w)
+        lift.append(2 * q if qends[q][0] == a else 2 * q + 1)
+    quotient = Graph(tuple(range(len(ids))), tuple(qends))
+    return quotient, qends, tuple(qw), cls, lift
 
 
 def _propagate(ctx: _Ctx, rest: int, parts):
@@ -621,22 +721,33 @@ def _root(ctx: _Ctx):
 
 def _certified_parts(ctx: _Ctx, k: int, parts):
     """The k orientations the open parts of a cover describe, each paired
-    with the potential the search relaxed for it, as exact rationals.  The
-    parts left unopened share one empty orientation and one zero
-    potential.  The callers re-verify these exactly."""
-    vs = ctx.g.vertices
+    with the potential the search relaxed for it, as exact rationals, lifted
+    from the classes to g: each positive edge takes its class pair's part
+    and direction, each zero-weight edge goes to the first part as stored,
+    and each vertex takes its class's potential.  The parts left unopened
+    share one empty orientation and one zero potential.  The callers
+    re-verify these exactly."""
+    g = ctx.g
     orientations, potentials = [], []
     for mask, dist, _ in parts:
-        orientations.append(Orientation.of(
-            (vs[ctx.tail[aid]], vs[ctx.head[aid]])
-            for aid in range(2 * ctx.m) if (mask >> aid) & 1
-        ))
+        arcs = []
+        for (u, v), aid in zip(g.edges, ctx.lift):
+            if aid is None:
+                continue
+            if (mask >> aid) & 1:
+                arcs.append((u, v))
+            elif (mask >> (aid ^ 1)) & 1:
+                arcs.append((v, u))
+        orientations.append(Orientation.of(arcs))
         potentials.append(Potential(
-            {v: Fraction(dist[i], ctx.scale) for i, v in enumerate(vs)}
+            {v: Fraction(dist[c], ctx.scale) for v, c in zip(g.vertices, ctx.cls)}
         ))
     unopened = k - len(parts)
     orientations += [Orientation(())] * unopened
-    potentials += [Potential(dict.fromkeys(vs, Fraction(0)))] * unopened
+    potentials += [Potential(dict.fromkeys(g.vertices, Fraction(0)))] * unopened
+    zero = [e for e, aid in zip(g.edges, ctx.lift) if aid is None]
+    if zero:
+        orientations[0] = Orientation.of(orientations[0].arcs + tuple(zero))
     return tuple(orientations), tuple(potentials)
 
 

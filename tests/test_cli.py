@@ -336,7 +336,7 @@ def test_realize_rejects_more_dimensions_than_edges(run, w4_file):
 def test_min_dim(run, w4_file, tmp_path):
     code, out, _ = run("min-dim", w4_file)
     assert code == 0 and json.loads(out) == {"min_dimension": 3}
-    # more vertices than the arboricity cap
+    # a 21-vertex path with unit weights embeds on a line
     from linfgraph import DistanceFunction
 
     path = tmp_path / "path21.json"

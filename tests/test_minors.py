@@ -16,6 +16,7 @@ from linfgraph import (
     certificate_exceeds_2,
     classify_dim2,
     contains_minor,
+    decide_realizable,
     k4ek4_witness,
     min_dimension,
     named_graph,
@@ -27,7 +28,7 @@ from linfgraph import (
     w4_witness,
 )
 from linfgraph import minors
-from linfgraph.minors import _minor_search, _three_connected_pieces, _wheel_at_five
+from linfgraph.minors import _minor_search, _three_connected_pieces, _wheel_in_piece
 
 from atlas import connected_graphs_upto
 from oracles import _connected, brute_has_minor, is_minor_model
@@ -560,8 +561,10 @@ def test_wheel_written_down_on_every_labelling_of_the_five_vertex_graphs():
         for labels in permutations("abcde"):
             name = dict(zip(base.vertices, labels))
             g = Graph.build(labels, [(name[u], name[v]) for u, v in base.edges])
-            emb = _wheel_at_five(g)
-            assert emb.pattern == W4 and emb.check(g)
+            # the one piece is g itself: no contraction, the wheel written down
+            piece = next(_three_connected_pieces(g))
+            emb = _wheel_in_piece(g, piece)
+            assert len(piece) == 5 and emb.pattern == W4 and emb.check(g)
 
 
 def test_classifier_never_searches_branch_sets(monkeypatch):
@@ -697,3 +700,14 @@ def test_certificate_on_a_subdivided_wheel():
     assert validate_distance_function(host, d).valid
     # branch-set interiors carry zero weight, realizing edges the originals
     assert any(w == 0 for w in d.weights)
+
+
+def test_certificate_searches_the_pattern_not_the_host():
+    # the pulled-back weights are zero inside every part, so the k = 2
+    # search contracts each part to one class: it searches the five
+    # pattern vertices, not the nine of the host, in the W4 witness's count
+    g = named_graph("W_8")
+    d, outcome = certificate_exceeds_2(g)
+    assert outcome.exhausted and outcome.nodes == 32
+    assert decide_realizable(*w4_witness(), 2).nodes == 32
+    assert 0 in d.weights

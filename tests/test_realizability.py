@@ -19,6 +19,7 @@ from linfgraph import (
     InputError,
     Realization,
     build_realization,
+    certificate_exceeds_2,
     decide_realizable,
     finf_bounds,
     is_generic,
@@ -516,6 +517,99 @@ def _small_weighted(draw):
     return g, _closure(g, raw)
 
 
+@st.composite
+def _zero_weighted(draw):
+    """A graph of _small_weighted with raw weights that can be 0 before
+    the closure, and one of them always is."""
+    g, _ = draw(_small_weighted())
+    raw = {e: draw(st.one_of(st.just(0), st.integers(min_value=1, max_value=12))) for e in g.edges}
+    raw[draw(st.sampled_from(g.edges))] = 0
+    return g, _closure(g, raw)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_zero_weighted(), st.integers(min_value=1, max_value=3))
+def test_contracted_search_matches_brute_force_on_zero_weights(gd, k):
+    g, d = gd
+    out = decide_realizable(g, d, k)
+    assert (out.cover is not None) == brute_realizable(g, d, k)
+    assert out.cover is None or out.cover.check(g, d)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_zero_weighted())
+def test_min_dimension_matches_brute_force_on_zero_weights(gd):
+    g, d = gd
+    assert min_dimension(g, d) == brute_min_dimension(g, d)
+
+
+_LONGER = "weights are not a valid distance function: edge ({!r}, {!r}) is longer than a path between its endpoints"
+
+
+@pytest.mark.parametrize("weights, edge", [
+    # 0-1 and 1-2 weigh 0, so the positive 0-2 lies inside one class
+    ({(0, 1): 0, (1, 2): 0, (0, 2): 4}, (0, 2)),
+    # 0-1 weighs 0, so 0-2 and 1-2 join one pair of classes; 0-2 is heavier
+    ({(0, 1): 0, (1, 2): 3, (0, 2): 5}, (0, 2)),
+    # as above with the heavier edge second
+    ({(0, 1): 0, (0, 2): 3, (1, 2): 5}, (1, 2)),
+    # 3-5 lies inside the class {3, 4, 5}, but the lower-id 0-1 is longer
+    # than the path 0-2-1 and is the edge named, as with no zero weight
+    ({(0, 1): 5, (0, 2): 1, (1, 2): 1, (3, 4): 0, (4, 5): 0, (3, 5): 2}, (0, 1)),
+])
+def test_contraction_rejects_invalid_zero_weights(weights, edge):
+    g = Graph.build(range(6), weights)
+    d = DistanceFunction.from_map(g, weights)
+    assert not graph_core.validate_distance_function(g, d).valid
+    for call in (lambda: decide_realizable(g, d, 2), lambda: min_dimension(g, d)):
+        with pytest.raises(InputError) as err:
+            call()
+        assert str(err.value) == _LONGER.format(*edge)
+
+
+def test_all_zero_weights_realize_on_a_line():
+    # every vertex of a component sits at one point: the search has no
+    # edge to place, and the first part takes every zero-weight edge
+    g = named_graph("K4eK4")
+    d = DistanceFunction.from_values([0] * g.m)
+    out = decide_realizable(g, d, 1)
+    assert out.cover is not None and out.nodes == 0
+    assert len(out.cover.parts[0]) == g.m
+    r = build_realization(g, d, out.cover)
+    assert set(r.points.values()) == {(0,)}
+    assert min_dimension(g, d) == 1
+
+
+def test_cover_with_zero_weight_edges_checks_on_the_input():
+    # the W_8 certificate's weights realize at k = 3; the lifted cover puts
+    # every zero-weight edge in its first part and passes every check
+    g = named_graph("W_8")
+    d, _ = certificate_exceeds_2(g)
+    zero = [e for e, w in zip(g.edges, d.weights) if w == 0]
+    assert zero
+    cover = decide_realizable(g, d, 3).cover
+    assert cover is not None and cover.check(g, d)
+    first = {frozenset(a) for a in cover.parts[0].arcs}
+    assert {frozenset(e) for e in zero} <= first
+    r = build_realization(g, d, cover)
+    assert verify_realization(g, d, r).ok
+
+
+def test_forest_rule_gates_on_the_quotient():
+    # a generic 6-cycle with one vertex split by a zero-weight edge: the
+    # input's weights hold a zero and never pass the 2-adic test, the
+    # quotient's do, and the rule prunes the root's one child at k = 1
+    cycle = [2**6 + 2**i for i in range(6)]
+    edges = [(i, i + 1) for i in range(5)] + [(5, 6), (6, 0)]
+    g = Graph.build(range(7), edges)
+    d = DistanceFunction.from_map(g, dict(zip(edges, cycle + [0])))
+    assert not _distinct_valuations(d.integers) and _Ctx(g, d).generic
+    out = decide_realizable(g, d, 1)
+    assert out.exhausted and out.nodes == 1 and out.prunes["forest"] == 1
+    assert not brute_realizable(g, d, 1)
+    assert decide_realizable(g, d, 2).cover.check(g, d)
+
+
 @settings(max_examples=40, deadline=None)
 @given(_small_weighted(), st.integers(min_value=1, max_value=3))
 def test_realizability_is_monotone_in_dimension(gd, k):
@@ -747,7 +841,8 @@ def test_min_dimension_rejects_invalid_weights():
         min_dimension(g, DistanceFunction.from_values([10, 1, 1]))
 
 
-def test_min_dimension_past_the_arboricity_cap():
+def test_min_dimension_puts_a_long_path_on_a_line():
+    # a tree embeds on a line: each vertex at its distance from the root
     g = named_graph("path_21")
     assert min_dimension(g, DistanceFunction.from_values([1] * g.m)) == 1
 
@@ -783,8 +878,8 @@ def test_finf_bounds_on_trees_and_cliques():
     ("path_21", 1, 10), ("C_21", 2, 11), ("path_33", 1, 32),
 ])
 def test_finf_bounds_past_the_caps(name, lower, upper):
-    # past ARBORICITY_VERTEX_CAP, and for path_33 past VERTEX_COVER_CAP,
-    # where the upper bound is the greedy matching's 32 endpoints
+    # neither bound has a size cap: path_33, past VERTEX_COVER_CAP, takes
+    # the greedy matching's 32 endpoints as its upper bound
     b = finf_bounds(named_graph(name), samples=2)
     assert (b.lower, b.upper) == (lower, upper)
 
