@@ -15,7 +15,7 @@ _EXPORTS = {
     "errors": ("CapExceeded", "InputError"),
     "graph_core": (
         "DistanceFunction", "GenericityReport", "Graph", "ValidationReport", "Violation",
-        "blocks", "is_generic", "shortest_path_table", "validate_distance_function",
+        "blocks", "is_generic", "validate_distance_function",
     ),
     "realizability": (
         "Cover", "FinfBounds", "Orientation", "Potential", "Realization", "SearchOutcome",

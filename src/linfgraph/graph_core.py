@@ -6,7 +6,10 @@ the decision procedures is exact.  Inside, shortest paths, the
 genericity search and the generic blend run on integers: a
 `DistanceFunction` clears its denominators once (`scale`, `integers`),
 which preserves every sum and comparison exactly, and values leave the
-package as Fractions again.
+package as Fractions again.  Every shortest path is found by one
+routine, `_distances`, a Floyd-Warshall over vertex indices that returns
+the distances alone: validation and the metric closure (`_closure`) run
+it on a graph, and the realizability search on its contracted quotient.
 Certificates are re-checked exactly over a common denominator that each
 check takes from the certificate's own Fractions and the weights, with
 `_clear`, the one clearing routine, independently of the search.  A weight
@@ -329,61 +332,54 @@ class ValidationReport(_Record):
         _set(self, "violations", violations)
 
 
-def shortest_path_table(g: Graph, weights):
-    """All-pairs shortest distances and next-hop table, exact arithmetic.
-
-    `weights` is any sequence indexed by edge id, such as a DistanceFunction
-    or a list; its values are nonnegative ints or Fractions.  Returns
-    (vertices, dist, nxt) with rows and columns in `g.vertices` order:
-    dist[i][j] is None when j is unreachable from i, the diagonal is the int
-    0, and nxt[i][j] is the index of the vertex after i on a shortest i-j
-    path.  Callers in the package pass integers (a DistanceFunction's
-    `integers`), on which it runs several times faster than on Fractions.
-    """
-    n = g.n
-    vi = g.vertex_index
+def _distances(n: int, ends, w) -> list[list]:
+    """Exact all-pairs shortest distances (Floyd-Warshall) on vertex
+    indices 0..n-1, where edge e joins ends[e] with nonnegative weight
+    w[e].  The package passes integers (a DistanceFunction's `integers`),
+    several times faster than Fractions.  dist[i][j] is None when j is
+    unreachable from i; the diagonal is the int 0."""
     dist = [[None] * n for _ in range(n)]
-    nxt = [[None] * n for _ in range(n)]
     for i in range(n):
         dist[i][i] = 0
-    for eid, (u, v) in enumerate(g.edges):
-        w = weights[eid]
-        i, j = vi[u], vi[v]
-        if dist[i][j] is None or w < dist[i][j]:
-            dist[i][j] = dist[j][i] = w
-            nxt[i][j] = j
-            nxt[j][i] = i
+    for (i, j), x in zip(ends, w):
+        if dist[i][j] is None or x < dist[i][j]:
+            dist[i][j] = dist[j][i] = x
     for k in range(n):
-        # with nonnegative weights, pass k changes neither row k nor any
-        # nxt[i][k], so both are read once
+        # with nonnegative weights, pass k does not change row k, so it is read once
         row = [(j, dkj) for j, dkj in enumerate(dist[k]) if dkj is not None]
-        for i in range(n):
-            di = dist[i]
+        for di in dist:
             dik = di[k]
             if dik is None:
                 continue
-            ni = nxt[i]
-            nik = ni[k]
             for j, dkj in row:
                 alt = dik + dkj
                 dij = di[j]
                 if dij is None or alt < dij:
                     di[j] = alt
-                    ni[j] = nik
-    return g.vertices, dist, nxt
+    return dist
 
 
-def _reconstruct_path(g: Graph, nxt, i: int, j: int) -> tuple[VertexId, ...]:
-    path = [i]
-    cur = i
-    guard = 0
-    while cur != j:
-        cur = nxt[cur][j]
-        path.append(cur)
-        guard += 1
-        if guard > g.n:
-            raise RuntimeError("path reconstruction did not terminate")
-    return tuple(g.vertices[x] for x in path)
+def _tight_path(g: Graph, w, row, u: VertexId, v: VertexId) -> tuple[VertexId, ...]:
+    """A shortest u-v path under weights w, given u's distances `row` by
+    vertex index: a breadth-first search from u along tight arcs x->y,
+    those with row[x] + w(xy) == row[y].  Each arc of a shortest path from
+    u is tight, so the search reaches v, and any path of tight arcs from u
+    is a shortest one."""
+    vi = g.vertex_index
+    parent = {u: u}
+    queue = [u]
+    for x in queue:  # the loop also visits what it appends
+        if x == v:
+            break
+        dx = row[vi[x]]
+        for y, eid in g.adjacency[x]:
+            if y not in parent and dx + w[eid] == row[vi[y]]:
+                parent[y] = x
+                queue.append(y)
+    path = [v]
+    while path[-1] != u:
+        path.append(parent[path[-1]])
+    return tuple(reversed(path))
 
 
 def validate_distance_function(g: Graph, d: DistanceFunction) -> ValidationReport:
@@ -392,12 +388,13 @@ def validate_distance_function(g: Graph, d: DistanceFunction) -> ValidationRepor
     if len(d.weights) != g.m:
         raise InputError("weight count does not match the graph")
     w = d.integers
-    _, dist, nxt = shortest_path_table(g, w)
+    vi = g.vertex_index
+    ends = [(vi[u], vi[v]) for u, v in g.edges]
+    dist = _distances(g.n, ends, w)
     violations = []
-    for eid, (u, v) in enumerate(g.edges):
-        i, j = g.vertex_index[u], g.vertex_index[v]
-        if dist[i][j] < w[eid]:
-            path = _reconstruct_path(g, nxt, i, j)
+    for (u, v), (i, j), x in zip(g.edges, ends, w):
+        if dist[i][j] < x:
+            path = _tight_path(g, w, dist[i], u, v)
             violations.append(Violation((u, v), path, Fraction(dist[i][j], d.scale)))
     return ValidationReport(not violations, tuple(violations))
 
@@ -535,9 +532,10 @@ def is_generic(g: Graph, d: DistanceFunction, budget: int = 10**6) -> Genericity
 def _closure(g: Graph, w) -> tuple[int, ...]:
     """The shortest-path distance between each edge's ends, under integer
     weights `w` indexed by edge id: valid by construction."""
-    _, dist, _ = shortest_path_table(g, w)
     vi = g.vertex_index
-    return tuple([dist[vi[u]][vi[v]] for u, v in g.edges])
+    ends = [(vi[u], vi[v]) for u, v in g.edges]
+    dist = _distances(g.n, ends, w)
+    return tuple([dist[i][j] for i, j in ends])
 
 
 def _blend(w, scale: int, seed: int) -> DistanceFunction:

@@ -140,11 +140,12 @@ from .graph_core import (
     VertexId,
     _Record,
     _clear,
+    _distances,
     _distinct_valuations,
     _printable,
     _set,
     blocks,
-    shortest_path_table,
+    validate_distance_function,
     vertex_key,
 )
 
@@ -350,27 +351,21 @@ class _Ctx:
             raise InputError("weight count does not match the graph")
         self.g = g
         self.scale = d.scale
-        vi = g.vertex_index
-        ends = [(vi[u], vi[v]) for u, v in g.edges]
-        quotient, ends, self.w, self.cls, self.lift = _contract(g, ends, d.integers)
-        n, m = quotient.n, quotient.m
-        self.n = n
-        self.m = m
-        self.tail = [0] * (2 * m)
-        self.head = [0] * (2 * m)
-        for eid, (i, j) in enumerate(ends):
-            self.tail[2 * eid], self.head[2 * eid] = i, j
-            self.tail[2 * eid + 1], self.head[2 * eid + 1] = j, i
+        n, ends, self.w, self.cls, self.lift = _contract(g, d)
+        self.n, self.m = n, len(ends)
+        self.tail, self.head = [], []
         # per-vertex out-arcs (aid, head, weight) for the relaxation
         self.out = [[] for _ in range(n)]
-        for aid in range(2 * m):
-            self.out[self.tail[aid]].append((aid, self.head[aid], self.w[aid >> 1]))
-        _, self.sp, _ = shortest_path_table(quotient, self.w)
-        for eid in range(m):
-            if self.sp[self.tail[2 * eid]][self.head[2 * eid]] != self.w[eid]:
-                _invalid(g, d.integers)
+        for eid, ((i, j), x) in enumerate(zip(ends, self.w)):
+            self.tail += (i, j)
+            self.head += (j, i)
+            self.out[i].append((2 * eid, j, x))
+            self.out[j].append((2 * eid + 1, i, x))
+        self.sp = _distances(n, ends, self.w)
+        if any(self.sp[i][j] != x for (i, j), x in zip(ends, self.w)):
+            _invalid(g, d)
         self.conflict = self._conflicts()
-        order = sorted(range(m), key=lambda e: (-self.w[e], e))
+        order = sorted(range(self.m), key=lambda e: (-self.w[e], e))
         # arc 2e of each edge e, in order: the root's rest
         self.bits = [1 << 2 * e for e in order]
         self.full = sum(self.bits)
@@ -486,32 +481,30 @@ def _union(root: list, u: int, v: int) -> int:
     return 1
 
 
-def _invalid(g: Graph, w):
-    """Raise InputError naming the lowest-id edge of g that the integer
-    weights w make longer than a path between its ends.  It is called
-    only on weights that fail validity, so such an edge exists."""
-    vi = g.vertex_index
-    _, sp, _ = shortest_path_table(g, w)
-    u, v = next((u, v) for (u, v), x in zip(g.edges, w) if sp[vi[u]][vi[v]] != x)
+def _invalid(g: Graph, d: DistanceFunction):
+    """Raise InputError naming the edge of the first violation that
+    `validate_distance_function` finds; d must fail validity."""
+    u, v = validate_distance_function(g, d).violations[0].edge
     raise InputError(
         f"weights are not a valid distance function: edge ({u!r}, {v!r}) "
         "is longer than a path between its endpoints"
     )
 
 
-def _contract(g: Graph, ends: list, w):
-    """The quotient of g by its zero-weight edges, whose ends are the
-    vertex index pairs `ends` and whose integer weights are w:
-    (quotient, ends, weights, cls, lift).  The quotient is an index graph
-    on the classes, numbered by their first vertex, with one edge per pair
+def _contract(g: Graph, d: DistanceFunction):
+    """The quotient of g by the zero-weight edges of d, on d's integer
+    weights: (n, ends, weights, cls, lift).  Its n vertices are the
+    classes, numbered by their first vertex, and it has one edge per pair
     of classes that positive edges join, numbered by its first original
-    edge; it is built directly, with its edges in that order and not
-    sorted, for `shortest_path_table`, which reads only its vertex indices
-    and edge ends.  cls maps each vertex index to its class, and lift each
-    original edge to the quotient arc that runs along it, or to None at
-    weight zero.  Raises InputError through `_invalid` when a positive
-    edge lies inside a class or two edges between one pair of classes
-    differ in weight."""
+    edge, with the class index pair `ends` and the weight of its edges.
+    cls maps each vertex index of g to its class, and lift each original
+    edge to the quotient arc that runs along it, or to None at weight
+    zero.  Raises InputError through `_invalid` when a positive edge lies
+    inside a class or two edges between one pair of classes differ in
+    weight."""
+    w = d.integers
+    vi = g.vertex_index
+    ends = [(vi[u], vi[v]) for u, v in g.edges]
     root = list(range(g.n))
     for (i, j), x in zip(ends, w):
         if not x:
@@ -528,16 +521,15 @@ def _contract(g: Graph, ends: list, w):
             lift.append(None)
             continue
         if a == b:  # a zero-weight path joins its ends
-            _invalid(g, w)
+            _invalid(g, d)
         q = pairs.setdefault((a, b) if a < b else (b, a), len(qends))
         if q == len(qends):
             qends.append((a, b))
             qw.append(x)
         elif qw[q] != x:  # the lighter edge and zero-weight paths are shorter
-            _invalid(g, w)
+            _invalid(g, d)
         lift.append(2 * q if qends[q][0] == a else 2 * q + 1)
-    quotient = Graph(tuple(range(len(ids))), tuple(qends))
-    return quotient, qends, tuple(qw), cls, lift
+    return len(ids), qends, tuple(qw), cls, lift
 
 
 def _propagate(ctx: _Ctx, rest: int, parts):

@@ -9,10 +9,9 @@ from linfgraph import (
     InputError,
     blocks,
     is_generic,
-    shortest_path_table,
     validate_distance_function,
 )
-from linfgraph.graph_core import _blend, _closure, _simple_cycles, to_fraction
+from linfgraph.graph_core import _blend, _closure, _distances, _simple_cycles, to_fraction
 from linfgraph.minors import _three_connected_pieces
 
 from atlas import connected_graphs_upto
@@ -112,6 +111,17 @@ def test_validate_flags_long_edge_with_witness_path():
     assert v.length == 2
 
 
+def test_violation_path_searches_past_a_dead_end():
+    # 0-1 weighs 0, so the greedy step from 0 along the distance table can
+    # go to 1, from where no tight arc leads on to 3
+    g = Graph.build(range(4), [(0, 1), (0, 2), (2, 3), (0, 3)])
+    d = DistanceFunction.from_map(g, {(0, 1): 0, (0, 2): 1, (2, 3): 1, (0, 3): 5})
+    (v,) = validate_distance_function(g, d).violations
+    assert v.edge == (0, 3)
+    assert v.path == (0, 2, 3)
+    assert v.length == 2
+
+
 def test_validate_accepts_zero_weights():
     g = Graph.build([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
     d = DistanceFunction.from_values([0, 1, 1])
@@ -131,9 +141,7 @@ def test_validate_matches_relaxation_oracle(gd):
 @given(weighted_graph())
 def test_metric_closure_is_valid(gd):
     g, d = gd
-    _, dist, _ = shortest_path_table(g, d)
-    vi = g.vertex_index
-    closed = DistanceFunction(tuple(dist[vi[u]][vi[v]] for u, v in g.edges))
+    closed = DistanceFunction(tuple(Fraction(x, d.scale) for x in _closure(g, d.integers)))
     assert validate_distance_function(g, closed).valid
 
 
@@ -149,25 +157,15 @@ def mixed_weights(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(mixed_weights())
-def test_shortest_path_table_on_cleared_integers(gw):
+def test_distances_on_cleared_integers(gw):
     g, ws = gw
     expect = fraction_floyd_warshall(g, ws)
-    vs, dist, nxt = shortest_path_table(g, ws)
+    vs, vi = g.vertices, g.vertex_index
+    ends = [(vi[u], vi[v]) for u, v in g.edges]
+    dist = _distances(g.n, ends, ws)
     assert {(a, b): dist[i][j] for i, a in enumerate(vs) for j, b in enumerate(vs)} == expect
-    weight = {}
-    for w, (a, b) in zip(ws, g.edges):
-        weight[a, b] = weight[b, a] = w
-    for i, a in enumerate(vs):
-        for j, b in enumerate(vs):
-            if dist[i][j] is not None:  # the next hops walk a shortest path
-                hops = [i]
-                while hops[-1] != j and len(hops) <= g.n:
-                    hops.append(nxt[hops[-1]][j])
-                assert hops[-1] == j
-                assert sum(weight[vs[x], vs[y]] for x, y in zip(hops, hops[1:])) == dist[i][j]
     scale = 2520  # a common multiple of every denominator drawn
-    _, idist, inxt = shortest_path_table(g, [int(w * scale) for w in ws])
-    assert inxt == nxt
+    idist = _distances(g.n, ends, [int(w * scale) for w in ws])
     assert idist == [[None if x is None else x * scale for x in row] for row in dist]
 
 
@@ -310,9 +308,8 @@ def _valid_tied_weights(draw):
     ws = [Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 7))) for _ in range(g.m)]
     # the metric closure makes the weights valid; an edge it shortens then
     # weighs exactly its shortest path, a tie
-    _, dist, _ = shortest_path_table(g, ws)
-    vi = g.vertex_index
-    return g, DistanceFunction(tuple(dist[vi[u]][vi[v]] for u, v in g.edges))
+    sp = fraction_floyd_warshall(g, ws)
+    return g, DistanceFunction(tuple(sp[e] for e in g.edges))
 
 
 @settings(max_examples=80, deadline=None)

@@ -342,16 +342,16 @@ def test_random_distance_function_runs_no_genericity_search(monkeypatch):
         assert is_generic(g, d, budget=0).status == "generic"
 
 
-def test_random_distance_function_runs_one_shortest_path_table(monkeypatch):
-    # the closure is valid by construction; only building it needs the table
+def test_random_distance_function_runs_one_distances(monkeypatch):
+    # the closure is valid by construction; only building it needs distances
     calls = []
-    table = graph_core.shortest_path_table
+    distances = graph_core._distances
 
     def counting(*args):
         calls.append(args)
-        return table(*args)
+        return distances(*args)
 
-    monkeypatch.setattr(graph_core, "shortest_path_table", counting)
+    monkeypatch.setattr(graph_core, "_distances", counting)
     random_distance_function(named_graph("W_6"), seed=3)
     assert len(calls) == 1
 

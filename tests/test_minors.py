@@ -21,17 +21,16 @@ from linfgraph import (
     min_dimension,
     named_graph,
     pullback_points,
-    shortest_path_table,
     tk4_instance,
     validate_distance_function,
     verify_realization,
     w4_witness,
 )
-from linfgraph import minors
+from linfgraph import graph_core, minors, realizability
 from linfgraph.minors import _minor_search, _three_connected_pieces, _wheel_in_piece
 
 from atlas import connected_graphs_upto
-from oracles import _connected, brute_has_minor, is_minor_model
+from oracles import _connected, brute_has_minor, fraction_floyd_warshall, is_minor_model
 
 W4 = named_graph("W_4")
 K4E = named_graph("K4eK4")
@@ -623,9 +622,8 @@ def test_w4_points_are_the_shortest_path_metric():
     # so between branch sets the pullback is the shortest-path closure
     g, d = w4_witness()
     points = pullback_points(g, _identity_embedding(g))
-    vs, dist, _ = shortest_path_table(g, d)
-    assert all(_l1(points[a], points[b]) == dist[i][j]
-               for i, a in enumerate(vs) for j, b in enumerate(vs))
+    sp = fraction_floyd_warshall(g, d.weights)
+    assert all(_l1(points[a], points[b]) == sp[a, b] for a in g.vertices for b in g.vertices)
 
 
 def test_pullback_gives_subdivision_vertices_their_sets_point():
@@ -711,3 +709,21 @@ def test_certificate_searches_the_pattern_not_the_host():
     assert outcome.exhausted and outcome.nodes == 32
     assert decide_realizable(*w4_witness(), 2).nodes == 32
     assert 0 in d.weights
+
+
+def test_certificate_runs_one_distances(monkeypatch):
+    # the sum-norm points make the weights valid, so only the k = 2 search
+    # computes distances, once, on the quotient it contracts to
+    calls = []
+    distances = graph_core._distances
+
+    def counting(n, ends, w):
+        calls.append(n)
+        return distances(n, ends, w)
+
+    monkeypatch.setattr(graph_core, "_distances", counting)
+    monkeypatch.setattr(realizability, "_distances", counting)
+    for g in (named_graph("W_8"), _subdivide_all(W4), K4E):
+        calls.clear()
+        certificate_exceeds_2(g)
+        assert len(calls) == 1, g

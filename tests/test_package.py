@@ -32,10 +32,11 @@ def test_dir_lists_all_public_names():
 
 
 def test_public_names():
-    # 51 names; the edge-subset feasibility search, the checked
-    # perturbation and its error are not among them
-    assert len(linfgraph.__all__) == 51
-    for name in ("is_feasible_set", "perturb_to_generic", "PerturbationFailed"):
+    # 50 names; the edge-subset feasibility search, the checked
+    # perturbation, its error and the next-hop shortest-path table are
+    # not among them
+    assert len(linfgraph.__all__) == 50
+    for name in ("is_feasible_set", "perturb_to_generic", "PerturbationFailed", "shortest_path_table"):
         assert not hasattr(linfgraph, name)
 
 

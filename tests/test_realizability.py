@@ -28,7 +28,6 @@ from linfgraph import (
     min_dimension,
     named_graph,
     random_distance_function,
-    shortest_path_table,
     tk4_instance,
     Tree,
     VerifyResult,
@@ -109,9 +108,8 @@ def test_threads_keyword_is_gone():
 def _closure(g, raw):
     """The metric closure of raw edge weights {edge: int}: every edge
     shortened to the shortest path between its endpoints."""
-    vs, dist, _ = shortest_path_table(g, DistanceFunction.from_map(g, raw))
-    vi = {v: i for i, v in enumerate(vs)}
-    return DistanceFunction.from_map(g, {(u, v): dist[vi[u]][vi[v]] for u, v in g.edges})
+    d = DistanceFunction.from_map(g, raw)
+    return DistanceFunction(tuple(Fraction(x, d.scale) for x in graph_core._closure(g, d.integers)))
 
 
 def test_equal_weight_four_cycle_realizes_on_a_line():
@@ -561,6 +559,38 @@ def test_contraction_rejects_invalid_zero_weights(weights, edge):
     g = Graph.build(range(6), weights)
     d = DistanceFunction.from_map(g, weights)
     assert not graph_core.validate_distance_function(g, d).valid
+    for call in (lambda: decide_realizable(g, d, 2), lambda: min_dimension(g, d)):
+        with pytest.raises(InputError) as err:
+            call()
+        assert str(err.value) == _LONGER.format(*edge)
+
+
+_TRIANGLE = [(0, 1), (1, 2), (0, 2)]
+
+
+@st.composite
+def _invalid_weighted(draw):
+    """A graph on up to 6 vertices with the triangle 0-1-2 among its edges,
+    and weights that can be 0, with one triangle edge heavier than the
+    other two together: always invalid, though that edge need not be the
+    first violation."""
+    n = draw(st.integers(min_value=3, max_value=6))
+    pool = [e for e in itertools.combinations(range(n), 2) if e not in _TRIANGLE]
+    edges = _TRIANGLE + draw(st.lists(st.sampled_from(pool), unique=True, max_size=6)) if pool else _TRIANGLE
+    raw = {e: draw(st.one_of(st.just(0), st.integers(min_value=1, max_value=12))) for e in edges}
+    raw[draw(st.sampled_from(_TRIANGLE))] = draw(st.integers(min_value=25, max_value=30))
+    g = Graph.build(range(n), edges)
+    return g, DistanceFunction.from_map(g, raw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_invalid_weighted())
+def test_invalid_weights_name_the_first_violation(gd):
+    # the search's two reporters of invalid weights agree: its InputError
+    # names the edge of validate_distance_function's first violation,
+    # whether the contraction or the quotient's own check finds it
+    g, d = gd
+    edge = graph_core.validate_distance_function(g, d).violations[0].edge
     for call in (lambda: decide_realizable(g, d, 2), lambda: min_dimension(g, d)):
         with pytest.raises(InputError) as err:
             call()
