@@ -210,9 +210,6 @@ class Graph(_Record):
         except KeyError:
             raise InputError(f"no edge ({u!r}, {v!r})") from None
 
-    def neighbors(self, v: VertexId) -> tuple[VertexId, ...]:
-        return tuple(w for w, _ in self.adjacency[v])
-
     def degree(self, v: VertexId) -> int:
         return len(self.adjacency[v])
 
@@ -291,14 +288,6 @@ class DistanceFunction(_Record):
         if any(w < 0 for w in ws):
             raise InputError("negative weight")
         return cls(ws)
-
-    def to_map(self, g: Graph) -> dict:
-        if len(self.weights) != g.m:
-            raise InputError("weight count does not match the graph")
-        return {e: w for e, w in zip(g.edges, self.weights)}
-
-    def of(self, g: Graph, u: VertexId, v: VertexId) -> Fraction:
-        return self.weights[g.edge_id(u, v)]
 
     def __getitem__(self, eid: int) -> Fraction:
         return self.weights[eid]
@@ -538,24 +527,22 @@ def _closure(g: Graph, w) -> tuple[int, ...]:
     return tuple([dist[i][j] for i, j in ends])
 
 
-def _blend(w, scale: int, seed: int) -> DistanceFunction:
-    """Generic weights close to the valid positive weights d_i = w_i/D,
-    given as integers `w` over the lcm D = `scale` of their denominators.
+def _blend(w, seed: int) -> DistanceFunction:
+    """Generic weights close to the valid positive integer weights `w`.
     The result is valid and generic by construction, as proven below, so
     no check runs after it.  Deterministic for a fixed seed.
 
     Each weight is blended toward a reference function r,
-    (1-t)*d_i + t*r_i.  With m edges, the least weight `low` and a seeded
+    (1-t)*w_i + t*r_i.  With m edges, the least weight `low` and a seeded
     permutation s of 1..m,
 
         r_i = low/2**(m+3) * (2**(m+2) + 2**s(i)),   low/2 < r_i <= 5*low/8,
-        t = 2**-T,   T = max(20, (D*low*m).bit_length() + 1).
+        t = 2**-T,   T = max(20, (low*m).bit_length() + 1).
 
-    The blend runs on the integers w_i and L = D*low: result_i is the
-    integer (2**T - 1) * 2**(m+3) * w_i + L * (2**(m+2) + 2**s(i)) over
-    the denominator D * 2**(T+m+3), one Fraction per weight.
+    So result_i is the integer (2**T - 1) * 2**(m+3) * w_i +
+    low * (2**(m+2) + 2**s(i)) over 2**(T+m+3), one Fraction per weight.
 
-    Close: 0 < r_i < d_i, so |result_i - d_i| = t*(d_i - r_i) < t*d_i, a
+    Close: 0 < r_i < w_i, so |result_i - w_i| = t*(w_i - r_i) < t*w_i, a
     relative deviation below t <= 2**-20.
 
     Valid: under r any two edges weigh more than low >= r_i, so each edge
@@ -563,21 +550,21 @@ def _blend(w, scale: int, seed: int) -> DistanceFunction:
     combination of two valid functions, hence valid.
 
     Generic: take a cycle and signs e_i = +-1 on its edges.  The signed sum
-    of the result is (1-t)*S + t*R with S = sum e_i*d_i and R = sum e_i*r_i.
+    of the result is (1-t)*S + t*R with S = sum e_i*w_i and R = sum e_i*r_i.
     R/(low/2**(m+3)) is 2**(m+2) * sum e_i plus a signed sum of distinct
     powers of two; the latter is nonzero (its smallest power is not a
     multiple of twice itself) and below 2**(m+1) in size, so it cannot
     cancel a multiple of 2**(m+2), and R != 0.  If S = 0 the signed sum is
-    t*R != 0.  Otherwise D*S is a nonzero integer, so (1-t)*|S| >= 1/(2D),
-    while t*|R| < t*m*low < 1/(2D) because D*low*m < 2**b for
-    b = (D*low*m).bit_length(); the sum is again nonzero.  So no cycle
+    t*R != 0.  Otherwise S is a nonzero integer, so (1-t)*|S| >= 1/2,
+    while t*|R| < t*m*low < 1/2 because low*m < 2**b for
+    b = (low*m).bit_length(); the sum is again nonzero.  So no cycle
     splits into two halves of equal weight.
     """
     m = len(w)
     low = min(w, default=0)
     t_exp = max(20, (low * m).bit_length() + 1)
     keep = ((1 << t_exp) - 1) << (m + 3)
-    den = scale << (t_exp + m + 3)
+    den = 1 << (t_exp + m + 3)
     base = 1 << (m + 2)
     exponents = list(range(1, m + 1))
     random.Random(seed).shuffle(exponents)

@@ -23,40 +23,25 @@ from .graph_core import (
     _clear,
     _closure,
     _set,
-    edge_key,
 )
 
 
 class Tree(_Record):
-    """A connected acyclic graph together with an edge ordering; the i-th
-    edge (1-based) controls the weights its clique receives in
+    """A connected acyclic graph.  Its i-th edge (1-based) in the graph's
+    canonical order controls the weights its clique receives in
     tk4_instance."""
 
     graph: Graph
-    edge_order: tuple
 
-    def __init__(self, graph, edge_order):
+    def __init__(self, graph):
         _set(self, "graph", graph)
-        _set(self, "edge_order", edge_order)
 
     @staticmethod
-    def build(graph: Graph, edge_order=None) -> "Tree":
+    def build(graph: Graph) -> "Tree":
         # a connected graph on n vertices is a tree iff it has n - 1 edges
         if graph.n == 0 or graph.m != graph.n - 1 or not graph.is_connected():
             raise InputError("tree must be connected and acyclic")
-        if edge_order is None:
-            order = graph.edges
-        else:
-            canon = []
-            for u, v in edge_order:
-                eid = graph.edge_index.get((u, v))
-                if eid is None:
-                    raise InputError(f"({u!r}, {v!r}) is not a tree edge")
-                canon.append(graph.edges[eid])
-            order = tuple(canon)
-            if sorted(map(edge_key, order)) != sorted(map(edge_key, graph.edges)):
-                raise InputError("edge order must be a permutation of the tree's edges")
-        return Tree(graph, order)
+        return Tree(graph)
 
 
 def named_graph(name: str) -> Graph:
@@ -158,7 +143,8 @@ def tk4_instance(t: Tree, integer_scaled: bool = False) -> tuple[Graph, Distance
     """The tree-of-cliques construction: each tree vertex v becomes a spine
     edge v+v− of weight 1; each i-th tree edge vw becomes a 4-clique on
     {v+, v−, w+, w−} with parallel pairs weighted 2^-i and crossing pairs
-    1 − 2^-i.  With integer_scaled, all weights are multiplied by 2^|E|."""
+    1 − 2^-i, the tree's edges numbered in its canonical order (`edges`).
+    With integer_scaled, all weights are multiplied by 2^|E|."""
     g_t = t.graph
     if g_t.n < 2:
         raise InputError("tree needs at least two vertices")
@@ -176,7 +162,7 @@ def tk4_instance(t: Tree, integer_scaled: bool = False) -> tuple[Graph, Distance
 
     for v in g_t.vertices:
         add(plus[v], minus[v], Fraction(1))
-    for i, (v, w) in enumerate(t.edge_order, start=1):
+    for i, (v, w) in enumerate(g_t.edges, start=1):
         near = Fraction(1, 2**i)
         far = 1 - near
         add(plus[v], plus[w], near)
@@ -186,7 +172,7 @@ def tk4_instance(t: Tree, integer_scaled: bool = False) -> tuple[Graph, Distance
     g = Graph.build(names, edges)
     d = DistanceFunction.from_map(g, weights)
     if integer_scaled:
-        scale = 2 ** len(t.edge_order)
+        scale = 2 ** g_t.m
         d = DistanceFunction(tuple(w * scale for w in d.weights))
     return g, d
 
@@ -212,8 +198,7 @@ def random_distance_function(g: Graph, seed: int = 0) -> DistanceFunction:
     end.  The closure is valid by construction and its weights are
     positive, so the blend is valid and generic by construction (the proof
     is in `_blend`'s docstring): no validation pass and no genericity
-    search runs.  Deterministic per (g, seed)."""
-    if not g.is_connected():
-        raise InputError("random weights need a connected graph")
+    search runs.  g need not be connected: the closure measures each edge
+    inside its own component.  Deterministic per (g, seed)."""
     rng = random.Random(seed)
-    return _blend(_closure(g, [rng.randint(1, 2**16) for _ in range(g.m)]), 1, seed)
+    return _blend(_closure(g, [rng.randint(1, 2**16) for _ in range(g.m)]), seed)

@@ -238,16 +238,7 @@ def contains_minor(g: Graph, h: Graph) -> MinorEmbedding | None:
         raise InputError("pattern graph must be connected")
     if h != _W4:
         return _minor_search(g, h)
-    for block in blocks(g):
-        if block.n < 5:
-            continue
-        piece = next((p for p in _three_connected_pieces(block) if len(p) >= 5), None)
-        if piece is not None:
-            emb = _wheel_in_piece(block, piece)
-            if not emb.check(g):
-                raise RuntimeError("W4 witness failed validation")
-            return emb
-    return None
+    return next((emb for emb in _block_witnesses(g) if emb.pattern == _W4), None)
 
 
 # -- separation-pair pieces -------------------------------------------------------
@@ -507,18 +498,11 @@ def _wheel_in_piece(g: Graph, piece: dict) -> MinorEmbedding:
         for b in piece[a]:
             if a < b and owner[a] == owner[b]:
                 bsets[owner[a]].update(_path_through(gadj, a, b, sides))
-    real = {}
-    for pedge in _W4.edges:
-        x, y = at[pedge[0]], at[pedge[1]]
-        a, b = next((a, b) for a in classes[x] for b in classes[y] if b in piece[a])
-        path = _path_through(gadj, a, b, sides)
-        bsets[pedge[0]].update(path)
-        real[pedge] = (g.vertices[path[-1] if path else a], g.vertices[b])
-    return MinorEmbedding(
-        _W4,
-        {pv: frozenset(g.vertices[x] for x in s) for pv, s in bsets.items()},
-        real,
-    )
+    routes = {}
+    for pu, pv in _W4.edges:
+        a, b = next((a, b) for a in classes[at[pu]] for b in classes[at[pv]] if b in piece[a])
+        routes[pu, pv] = a, b, sides
+    return _lift(g, gadj, _W4, bsets, routes)
 
 
 def _glued_cliques(g: Graph, p: dict, q: dict) -> MinorEmbedding:
@@ -539,21 +523,25 @@ def _glued_cliques(g: Graph, p: dict, q: dict) -> MinorEmbedding:
     z, w = sorted(set(q) - {x, y})
     # K4eK4: the cliques 0123 and 0145 without the edge 01
     chains = {0: from_a, 1: from_b, 2: [c], 3: [d], 4: [z], 5: [w]}
-    bsets = {pv: set(chain) for pv, chain in chains.items()}
+    # an edge of p joins the first vertices of two chains, an edge of q their last
+    routes = {(pu, pv): (chains[pu][0], chains[pv][0], sides_p) if pv <= 3
+              else (chains[pu][-1], chains[pv][-1], sides_q) for pu, pv in _K4E.edges}
+    return _lift(g, gadj, _K4E, {pv: set(chain) for pv, chain in chains.items()}, routes)
+
+
+def _lift(g: Graph, gadj: dict, pattern: Graph, bsets: dict, routes: dict) -> MinorEmbedding:
+    """The embedding of pattern in g grown from the branch sets bsets, over
+    vertex indices: routes maps each pattern edge (pu, pv) to a piece edge
+    (a, b, sides), a in pu's set and b in pv's.  The interior of its path
+    through `sides` joins pu's set, and the path's last edge realizes it."""
     real = {}
-    for pu, pv in _K4E.edges:
-        if pv <= 3:  # an edge of p, between the first vertices of the chains
-            u, v, sides = chains[pu][0], chains[pv][0], sides_p
-        else:  # an edge of q, between their last vertices
-            u, v, sides = chains[pu][-1], chains[pv][-1], sides_q
-        path = _path_through(gadj, u, v, sides)
+    for pu, pv in pattern.edges:
+        a, b, sides = routes[pu, pv]
+        path = _path_through(gadj, a, b, sides)
         bsets[pu].update(path)
-        real[(pu, pv)] = (g.vertices[path[-1] if path else u], g.vertices[v])
-    return MinorEmbedding(
-        _K4E,
-        {pv: frozenset(g.vertices[x] for x in s) for pv, s in bsets.items()},
-        real,
-    )
+        real[pu, pv] = (g.vertices[path[-1] if path else a], g.vertices[b])
+    lifted = {pv: frozenset(g.vertices[x] for x in s) for pv, s in bsets.items()}
+    return MinorEmbedding(pattern, lifted, real)
 
 
 def classify_dim2(g: Graph) -> Classification:
@@ -609,23 +597,31 @@ def classify_dim2(g: Graph) -> Classification:
     two K4s.)
 
     Every witness is re-checked on g."""
+    emb = next(_block_witnesses(g), None)
+    return Classification("dim_at_most_2" if emb is None else "exceeds_2", emb)
+
+
+def _block_witnesses(g: Graph):
+    """Yield each block's witness in turn, re-checked on g: W4 from the
+    first piece on five or more vertices, otherwise K4eK4 from the first
+    two K4 pieces, and nothing from a block with neither (the proof is in
+    `classify_dim2`)."""
     for block in blocks(g):
         if block.n < 5:
             continue
-        emb, cliques = None, []
+        cliques = []
         for piece in _three_connected_pieces(block):
             if len(piece) >= 5:
                 emb = _wheel_in_piece(block, piece)
                 break
             cliques.append(piece)
-        if emb is None and len(cliques) >= 2:
+        else:
+            if len(cliques) < 2:
+                continue
             emb = _glued_cliques(block, cliques[0], cliques[1])
-        if emb is None:
-            continue
         if not emb.check(g):
             raise RuntimeError("classifier witness failed validation")
-        return Classification("exceeds_2", emb)
-    return Classification("dim_at_most_2")
+        yield emb
 
 
 # -- minor-monotone witness transport --------------------------------------------

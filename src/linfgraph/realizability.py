@@ -329,9 +329,9 @@ class _Ctx:
     A part is a triple (mask, dist, blocked): the bitmask of its forced
     arcs, its potential as integers over `scale` (the greatest solution
     <= 0 of its difference constraints), and the OR of `conflict` over its
-    arcs, i.e. every arc that cannot join it.  A search node is (used,
-    parts, rest): the open parts in order of first use and the mask of arc
-    2e of every edge e still to place.
+    arcs, i.e. every arc that cannot join it.  A search node is (parts,
+    rest): the open parts in order of first use and the mask of arc 2e of
+    every edge e still to place.
 
     The caches are independent of k as well.  `cache` maps an arc set to
     the greatest solution <= 0 of its constraints (or None when it has
@@ -620,20 +620,21 @@ def _pick(ctx: _Ctx, parts, rest: int) -> int:
             return bit.bit_length() >> 1
 
 
-def _short(ctx: _Ctx, k: int, used: int, parts, rest: int) -> bool:
-    """The forest rule at a node (used, parts, rest) of a k-part search:
-    whether the ranks of what its parts can hold, its own edges and the
-    edges of rest whose arcs it does not both block, plus k - used unused
+def _short(ctx: _Ctx, k: int, parts, rest: int) -> bool:
+    """The forest rule at a node (parts, rest) of a k-part search: whether
+    the ranks of what its parts can hold, its own edges and the edges of
+    rest whose arcs it does not both block, plus the k - len(parts) unused
     parts holding rank(rest) each, add up to fewer than the edges to
     cover."""
-    total = (k - used) * ctx.rank(rest) if used < k else 0
+    unused = k - len(parts)
+    total = unused * ctx.rank(rest) if unused else 0
     for mask, _, b in parts:
         total += ctx.rank((mask | mask >> 1 | rest & ~(b & b >> 1)) & ctx.full)
     return total < ctx.m
 
 
 def _children(ctx: _Ctx, k: int, node, counter: list):
-    """Yield every child node of node = (used, parts, rest) in a k-part
+    """Yield every child node of node = (parts, rest) in a k-part
     search that survives the conflict check, the feasibility check, unit
     propagation (the lookahead is its first round) and the forest rule.
     The node branches on the edge `_pick` chooses, into each open part
@@ -648,7 +649,8 @@ def _children(ctx: _Ctx, k: int, node, counter: list):
     holds [nodes, one count per rule of _RULES, expanded]: each child tried
     is one node, and counts once more, under the first rule that rejects
     it or as expanded."""
-    used, parts, rest = node
+    parts, rest = node
+    used = len(parts)
     eid = _pick(ctx, parts, rest)
     after = rest ^ 1 << 2 * eid
     for label in range(min(used + 1, k)):
@@ -672,8 +674,8 @@ def _children(ctx: _Ctx, k: int, node, counter: list):
                 new_parts.append(added)
             else:
                 new_parts[label] = added
-            new_used, new_rest = used + fresh, after
-            if new_used == k - 1:
+            new_rest = after
+            if len(new_parts) == k - 1:
                 # orphans: edges left whose arcs every open part blocks
                 orphans = after
                 for p in new_parts:
@@ -681,25 +683,25 @@ def _children(ctx: _Ctx, k: int, node, counter: list):
                 if orphans:
                     low = orphans & -orphans
                     new_parts.append(ctx.try_add(ctx.empty, low.bit_length() - 1))
-                    new_used, new_rest = k, after ^ low
+                    new_rest = after ^ low
             slot = 0
-            if new_used == k:
+            if len(new_parts) == k:
                 slot, new_parts, new_rest = _propagate(ctx, new_rest, new_parts)
             if slot:
                 counter[slot] += 1
                 continue
-            if ctx.generic and _short(ctx, k, new_used, new_parts, new_rest):
+            if ctx.generic and _short(ctx, k, new_parts, new_rest):
                 counter[5] += 1
                 continue
             counter[6] += 1
-            yield new_used, new_parts, new_rest
+            yield new_parts, new_rest
 
 
 def _dfs(ctx: _Ctx, k: int, node, counter: list):
     """The parts of a k-part cover below node, or None when the subtree is
     exhausted."""
-    if not node[2]:
-        return node[1]
+    if not node[1]:
+        return node[0]
     for child in _children(ctx, k, node, counter):
         parts = _dfs(ctx, k, child, counter)
         if parts is not None:
@@ -708,7 +710,7 @@ def _dfs(ctx: _Ctx, k: int, node, counter: list):
 
 
 def _root(ctx: _Ctx):
-    return 0, [], ctx.full
+    return [], ctx.full
 
 
 def _certified_parts(ctx: _Ctx, k: int, parts):

@@ -1,11 +1,12 @@
 """Instance and certificate files.
 
 Instances are JSON: {"vertices": [...], "edges": [{"u": ..., "v": ...,
-"d": "num/den"}, ...]} with an optional "metadata" object.  Rationals are
-always written as "numerator/denominator" strings so round-trips are exact;
-saving is byte-stable (sorted keys, canonical fraction form, trailing
-newline).  Certificates carry covers, realizations, or minor embeddings and
-can be re-verified independently of any search.
+"d": "num/den"}, ...]}; loading ignores any other field, such as a
+"metadata" object.  Rationals are always written as "numerator/denominator"
+strings so round-trips are exact; saving is byte-stable (sorted keys,
+canonical fraction form, trailing newline).  Certificates carry covers,
+realizations, or minor embeddings and can be re-verified independently of
+any search.
 """
 
 from __future__ import annotations
@@ -56,17 +57,14 @@ def _parse_vertex(x, where: str):
     return x
 
 
-def instance_to_obj(g: Graph, d: DistanceFunction | None = None, metadata: dict | None = None) -> dict:
+def instance_to_obj(g: Graph, d: DistanceFunction | None = None) -> dict:
     edges = []
     for eid, (u, v) in enumerate(g.edges):
         entry: dict = {"u": u, "v": v}
         if d is not None:
             entry["d"] = format_fraction(d.weights[eid])
         edges.append(entry)
-    obj: dict = {"vertices": list(g.vertices), "edges": edges}
-    if metadata:
-        obj["metadata"] = metadata
-    return obj
+    return {"vertices": list(g.vertices), "edges": edges}
 
 
 def instance_from_obj(obj) -> tuple[Graph, DistanceFunction | None]:
@@ -100,8 +98,8 @@ def instance_from_obj(obj) -> tuple[Graph, DistanceFunction | None]:
     return g, DistanceFunction.from_map(g, weights)
 
 
-def save_instance(g: Graph, d: DistanceFunction | None, path, metadata: dict | None = None) -> None:
-    obj = instance_to_obj(g, d, metadata)
+def save_instance(g: Graph, d: DistanceFunction | None, path) -> None:
+    obj = instance_to_obj(g, d)
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 

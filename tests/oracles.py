@@ -10,7 +10,6 @@ equal.)  Unit and acceptance tests compare the library's answers against
 these on small inputs.
 """
 
-import math
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -187,14 +186,12 @@ def brute_is_generic(g: Graph, d: DistanceFunction) -> bool:
 
 def fraction_blend(weights, seed: int) -> tuple:
     """The generic blend as first written, in Fraction arithmetic:
-    (1-t)*w + t*r_i for each weight w (all positive), with the least
-    weight `low`, the lcm D of the weights' denominators and the seeded
-    permutation of 1..m."""
+    (1-t)*w + t*r_i for each weight w (all positive integers), with the
+    least weight `low` and the seeded permutation of 1..m."""
     m = len(weights)
-    denominator = math.lcm(*(Fraction(w).denominator for w in weights))
-    low = min(weights, default=Fraction(0))
-    t = Fraction(1, 2 ** max(20, (int(denominator * low) * m).bit_length() + 1))
-    scale = low / 2 ** (m + 3)
+    low = min(weights, default=0)
+    t = Fraction(1, 2 ** max(20, (low * m).bit_length() + 1))
+    scale = Fraction(low, 2 ** (m + 3))
     exponents = list(range(1, m + 1))
     random.Random(seed).shuffle(exponents)
     return tuple(
@@ -329,7 +326,7 @@ def brute_has_minor(g: Graph, h: Graph) -> bool:
     'unused' (0), checking nonemptiness, connectivity, and edge realization."""
     hv = list(h.vertices)
     hidx = {pv: i + 1 for i, pv in enumerate(hv)}
-    nbrs = {v: set(g.neighbors(v)) for v in g.vertices}
+    nbrs = {v: {w for w, _ in g.adjacency[v]} for v in g.vertices}
 
     def connected(members) -> bool:
         it = iter(members)

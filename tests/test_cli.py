@@ -356,6 +356,20 @@ def test_bounds(run, tmp_path):
     assert b["exact"] == (b["lower"] == b["upper"])
 
 
+def test_bounds_and_random_weights_on_a_disconnected_graph(run, tmp_path):
+    # a triangle and an isolated vertex: the random weights need no
+    # connectivity, and the bounds meet at the triangle's 2
+    p = tmp_path / "k3-plus-one.json"
+    p.write_text('{"vertices": [0, 1, 2, 3], "edges": '
+                 '[{"u": 0, "v": 1}, {"u": 1, "v": 2}, {"u": 0, "v": 2}]}')
+    code, out, _ = run("bounds", str(p))
+    assert code == 0 and json.loads(out) == {"exact": True, "lower": 2, "upper": 2}
+    r = tmp_path / "random.json"
+    assert run("gen", "--family", "random", "--graph", str(p), "-o", str(r))[0] == 0
+    assert run("validate", str(r))[0] == 0
+    assert run("generic-check", str(r))[0] == 0
+
+
 @pytest.mark.parametrize("name", ["path_21", "C_21", "path_33"])
 def test_bounds_past_the_caps(run, tmp_path, name):
     p = tmp_path / f"{name}.json"

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from linfgraph import (
     DistanceFunction,
+    FinfBounds,
     Graph,
     InputError,
     Tree,
+    finf_bounds,
     is_generic,
     k4ek4_witness,
     k7_generic,
@@ -69,7 +71,7 @@ def test_named_graph_rejections():
 def test_w4_witness_values():
     g, d = w4_witness()
     assert g == named_graph("W_4")
-    m = d.to_map(g)
+    m = dict(zip(g.edges, d.weights))
     assert m[(1, 2)] == 18 and m[(2, 3)] == 17 and m[(3, 4)] == 20 and m[(1, 4)] == 24
     assert all(m[(i, 5)] == 200 for i in (1, 2, 3, 4))
     assert validate_distance_function(g, d).valid
@@ -78,7 +80,7 @@ def test_w4_witness_values():
 def test_k4ek4_witness_values():
     g, d = k4ek4_witness()
     assert g == named_graph("K4eK4")
-    m = d.to_map(g)
+    m = dict(zip(g.edges, d.weights))
     assert m == {
         (0, 2): 71, (1, 2): 53, (0, 3): 77, (1, 3): 88, (2, 3): 78,
         (0, 4): 74, (1, 4): 79, (0, 5): 46, (1, 5): 36, (4, 5): 79,
@@ -90,7 +92,7 @@ def test_k4ek4_witness_values():
 def test_k7_weights_are_valid_generic_and_frozen():
     g, d = k7_generic()
     assert (g.n, g.m) == (7, 21)
-    m = d.to_map(g)
+    m = dict(zip(g.edges, d.weights))
     assert m[(1, 2)] == 2**21 + 2**21  # first edge, rank 21
     assert m[(6, 7)] == 2**21 + 2      # last edge, rank 1
     assert len({*m.values()}) == 21    # all distinct
@@ -111,12 +113,6 @@ def test_tree_build_validation():
         Tree.build(Graph.build([1, 2, 3, 4], [(1, 2), (2, 3), (1, 3)]))
     with pytest.raises(InputError):
         Tree.build(Graph.build([], []))  # empty
-    t = Tree.build(named_graph("path_3"), edge_order=[(3, 2), (1, 2)])
-    assert t.edge_order == ((2, 3), (1, 2))
-    with pytest.raises(InputError):
-        Tree.build(named_graph("path_3"), edge_order=[(1, 2), (1, 2)])
-    with pytest.raises(InputError):
-        Tree.build(named_graph("path_3"), edge_order=[(1, 3), (2, 3)])
 
 
 def test_tk4_of_a_single_edge_is_a_clique():
@@ -124,7 +120,7 @@ def test_tk4_of_a_single_edge_is_a_clique():
     g, d = tk4_instance(t)
     assert (g.n, g.m) == (4, 6)
     assert set(g.vertices) == {"a+", "a-", "b+", "b-"}
-    m = d.to_map(g)
+    m = dict(zip(g.edges, d.weights))
     assert m[("a+", "a-")] == 1 and m[("b+", "b-")] == 1
     assert m[("a+", "b+")] == Fraction(1, 2) and m[("a-", "b-")] == Fraction(1, 2)
     assert m[("a+", "b-")] == Fraction(1, 2) and m[("a-", "b+")] == Fraction(1, 2)
@@ -135,20 +131,19 @@ def test_tk4_of_the_three_vertex_path():
     t = Tree.build(named_graph("path_3"))
     g, d = tk4_instance(t)
     assert (g.n, g.m) == (6, 11)  # 2|V| vertices, |V| + 4|E| edges
-    m = d.to_map(g)
+    m = dict(zip(g.edges, d.weights))
     assert m[("1+", "2+")] == Fraction(1, 2) and m[("1+", "2-")] == Fraction(1, 2)
     assert m[("2+", "3+")] == Fraction(1, 4) and m[("2+", "3-")] == Fraction(3, 4)
     assert validate_distance_function(g, d).valid
 
 
 def test_tk4_spine_weights_and_order_dependence():
-    t1 = Tree.build(named_graph("path_3"), edge_order=[(1, 2), (2, 3)])
-    t2 = Tree.build(named_graph("path_3"), edge_order=[(2, 3), (1, 2)])
-    _, d1 = tk4_instance(t1)
-    g, d2 = tk4_instance(t2)
-    assert d1.of(g, "1+", "2+") == Fraction(1, 2) and d2.of(g, "1+", "2+") == Fraction(1, 4)
+    # the tree's edges are numbered in its canonical order: (1, 2) first
+    g, d = tk4_instance(Tree.build(named_graph("path_3")))
+    w = d.weights
+    assert w[g.edge_id("1+", "2+")] == Fraction(1, 2) and w[g.edge_id("2+", "3+")] == Fraction(1, 4)
     for v in ("1", "2", "3"):
-        assert d1.of(g, f"{v}+", f"{v}-") == 1
+        assert w[g.edge_id(f"{v}+", f"{v}-")] == 1
 
 
 def test_tk4_integer_scaling():
@@ -168,7 +163,7 @@ def _tk4_decomposition(t):
     root = g.vertices[0]
     parent, order = {root: None}, [root]
     for v in order:
-        for w in g.neighbors(v):
+        for w, _ in g.adjacency[v]:
             if w not in parent:
                 parent[w] = v
                 order.append(w)
@@ -186,7 +181,7 @@ def _tk4_rotation(t, reverse=True):
     lies in a face of the clique before it, so the rotation is planar."""
     rotation = {}
     for v in t.graph.vertices:
-        ws = list(t.graph.neighbors(v))
+        ws = [w for w, _ in t.graph.adjacency[v]]
         rotation[f"{v}+"] = [f"{v}-"] + [x for w in ws for x in (f"{w}-", f"{w}+")]
         rotation[f"{v}-"] = [f"{v}+"] + [x for w in (ws[::-1] if reverse else ws) for x in (f"{w}+", f"{w}-")]
     return rotation
@@ -217,7 +212,7 @@ def test_structural_oracles_reject_what_they_should():
     assert not is_planar_rotation(tk4_instance(star)[0], _tk4_rotation(star, reverse=False))
     for name in ("K_5", "K_6"):
         k = named_graph(name)
-        assert not is_planar_rotation(k, {v: list(k.neighbors(v)) for v in k.vertices})
+        assert not is_planar_rotation(k, {v: [w for w, _ in k.adjacency[v]] for v in k.vertices})
 
 
 def test_tk4_name_collisions_are_rejected():
@@ -356,6 +351,14 @@ def test_random_distance_function_runs_one_distances(monkeypatch):
     assert len(calls) == 1
 
 
-def test_random_distance_function_needs_connectivity():
-    with pytest.raises(InputError):
-        random_distance_function(Graph.build([1, 2, 3], [(1, 2)]), seed=0)
+def test_random_distance_function_on_disconnected_graphs():
+    # the closure measures each edge inside its own component, and the
+    # blend's genericity proof is per cycle: no component needs the others
+    two = Graph.build(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    d = random_distance_function(two, seed=0)
+    assert validate_distance_function(two, d).valid
+    assert is_generic(two, d).status == "generic"
+    bounds = finf_bounds(two)
+    assert (bounds.lower, bounds.upper) == (2, 4)
+    g = Graph.build([1, 2, 3, 4], [(1, 2), (2, 3), (1, 3)])
+    assert finf_bounds(g) == FinfBounds(2, 2, None)

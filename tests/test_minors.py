@@ -274,7 +274,7 @@ def _model_mutations(g: Graph, emb: MinorEmbedding):
     of g not adjacent to it added ('apart'), with one member removed
     ('removed', which splits the set in two where that member is a cut
     vertex of it) and with a vertex not in g added ('absent')."""
-    adjacent = {v: set(g.neighbors(v)) for v in g.vertices}
+    adjacent = {v: {w for w, _ in g.adjacency[v]} for v in g.vertices}
     for pv, bs in emb.branch_sets.items():
         near = set(bs).union(*(adjacent[x] for x in bs))
         apart = next((v for v in g.vertices if v not in near), None)
@@ -366,6 +366,10 @@ def test_classifier_agrees_with_the_minor_oracle():
         assert (c.verdict == "exceeds_2") == expected
         if c.witness is not None:
             assert c.witness.check(g)
+            # both walk the blocks in one order: a W4 the classifier finds
+            # first is the one contains_minor returns
+            if c.witness.pattern == W4:
+                assert emb == c.witness
 
 
 def test_w4_containment_never_searches_branch_sets(monkeypatch):
@@ -638,7 +642,7 @@ def test_pullback_gives_subdivision_vertices_their_sets_point():
     for u, v in W4.edges:
         assert points[f"mid:{u}:{v}"] in (points[u], points[v])
     for (pu, pv), (x, y) in emb.edge_realization.items():
-        assert _l1(points[x], points[y]) == d.of(W4, pu, pv)
+        assert _l1(points[x], points[y]) == d.weights[W4.edge_id(pu, pv)]
 
 
 def test_pullback_gives_an_outside_vertex_a_neighbouring_sets_point():
@@ -656,7 +660,7 @@ def test_certificate_on_the_wheel_plus_a_disjoint_triangle():
     assert outcome.exhausted
     assert validate_distance_function(host, d).valid
     # the triangle lies in no branch set's component: one point, zero weights
-    assert [d.of(host, u, v) for u, v in [(6, 7), (7, 8), (6, 8)]] == [0, 0, 0]
+    assert [d.weights[host.edge_id(u, v)] for u, v in [(6, 7), (7, 8), (6, 8)]] == [0, 0, 0]
     points = pullback_points(host, classify_dim2(host).witness)
     assert verify_realization(host, d, points, norm=1).ok
 

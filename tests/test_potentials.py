@@ -124,8 +124,8 @@ def test_stars_are_always_feasible():
         d = random_distance_function(g, seed=11)
         ctx = _Ctx(g, d)
         for v in g.vertices:
-            assert orientation_feasible(g, d, [(u, v) for u in g.neighbors(v)])
-            assert _fold(ctx, [_arc(g, u, v) for u in g.neighbors(v)]) is not None
+            assert orientation_feasible(g, d, [(u, v) for u, _ in g.adjacency[v]])
+            assert _fold(ctx, [_arc(g, u, v) for u, _ in g.adjacency[v]]) is not None
 
 
 def test_feasible_sets_downward_closed_on_witness():

@@ -193,7 +193,7 @@ def _replay(ctx, masks):
                 raise RuntimeError("a recorded part is infeasible")
         parts.append(part)
         rest &= ~(mask | mask >> 1)
-    return len(parts), parts, rest
+    return parts, rest
 
 
 def _prefixes(ctx, cover):
@@ -205,7 +205,7 @@ def _prefixes(ctx, cover):
     for e in order:
         arcs |= 3 << 2 * e
         node = _replay(ctx, [mask for mask in (c & arcs for c in cover) if mask])
-        yield [e for e in order if node[2] >> 2 * e & 1], node
+        yield [e for e in order if node[1] >> 2 * e & 1], node
 
 
 def _reversed(mask):
@@ -237,8 +237,8 @@ def test_unit_propagation_keeps_every_state_on_a_cover(name, k):
     ctx = _Ctx(g, d)
     cover = [p[0] for p in _dfs(ctx, k, _root(ctx), [0] * 7)]
     states = units = 0
-    for left, (used, parts, rest) in _prefixes(ctx, cover):
-        if used == k:
+    for left, (parts, rest) in _prefixes(ctx, cover):
+        if len(parts) == k:
             slot, grown, rest_after = _propagate(ctx, rest, parts)
             assert slot == 0, left
             assert all(p[0] & ~c == 0 for p, c in zip(grown, cover))
@@ -290,8 +290,8 @@ def test_orphan_seeding_prunes_what_the_open_parts_pass():
     # seeded node: the root's one child opens part 0 with 0->1, which
     # leaves 2-3 an orphan, so part 1 opens with 2->3, units and all
     counter = [0] * 7
-    (used, parts, _), = _children(ctx, 2, _root(ctx), counter)
-    assert used == 2 and counter == [1, 0, 0, 0, 0, 0, 1]
+    (parts, _), = _children(ctx, 2, _root(ctx), counter)
+    assert len(parts) == 2 and counter == [1, 0, 0, 0, 0, 0, 1]
     assert parts[0][0] == 1 << _arc(g, 0, 1) and parts[1][0] >> _arc(g, 2, 3) & 1
 
 
@@ -316,15 +316,15 @@ def test_orphan_seeding_keeps_every_state_on_a_cover():
                 shuffled.bits = rng.sample(ctx.bits, len(ctx.bits))
                 cover = [p[0] for p in _dfs(shuffled, k, _root(shuffled), [0] * 7)]
                 node = _root(ctx)
-                while node[2]:
-                    kids = [c for c in _children(ctx, k, node, [0] * 7) if _on_cover(cover, c[1])]
-                    assert len(kids) == 1, (name, seed, node[2])
+                while node[1]:
+                    kids = [c for c in _children(ctx, k, node, [0] * 7) if _on_cover(cover, c[0])]
+                    assert len(kids) == 1, (name, seed, node[1])
                     node = kids[0]
                     steps += 1
                 for c in (ctx, shuffled):
-                    for left, (used, parts, rest) in _prefixes(c, cover):
+                    for left, (parts, rest) in _prefixes(c, cover):
                         orphans = [e for e in left if _options(parts, e) == 0]
-                        if used != k - 1 or not orphans:
+                        if len(parts) != k - 1 or not orphans:
                             continue
                         e = min(orphans)
                         for arc in (2 * e, 2 * e + 1):
@@ -426,7 +426,8 @@ def test_forest_rule_matches_brute_ranks_on_cover_prefixes(name, k):
     assert ctx.generic
     cover = [p[0] for p in _dfs(ctx, k, _root(ctx), [0] * 7)]
     verdicts = []
-    for left, (used, parts, rest) in _prefixes(ctx, cover):
+    for left, (parts, rest) in _prefixes(ctx, cover):
+        used = len(parts)
         held = []
         for mask, _, b in parts:
             own = [e for e in range(g.m) if mask >> 2 * e & 3]
@@ -435,7 +436,7 @@ def test_forest_rule_matches_brute_ranks_on_cover_prefixes(name, k):
         before = list(parts)
         for j in range(used, k + 1):
             short = sum(held) + (j - used) * brute_rank(g, left) < g.m
-            assert _short(ctx, j, used, parts, rest) == short, (name, left, j)
+            assert _short(ctx, j, parts, rest) == short, (name, left, j)
             assert len(parts) == len(before) and all(p is q for p, q in zip(parts, before))
             verdicts.append((j == k, short))
     assert (True, True) not in verdicts and (False, True) in verdicts

@@ -63,8 +63,7 @@ _RECORDS = [
      False),
     (Classification, ("verdict", "witness"), ("dim_at_most_2", None),
      "Classification(verdict='dim_at_most_2', witness=None)", True),
-    (Tree, ("graph", "edge_order"), (_EDGE, ((1, 2),)),
-     "Tree(graph=Graph(vertices=(1, 2), edges=((1, 2),)), edge_order=((1, 2),))", True),
+    (Tree, ("graph",), (_EDGE,), "Tree(graph=Graph(vertices=(1, 2), edges=((1, 2),)))", True),
 ]
 _IDS = [r[0].__name__ for r in _RECORDS]
 

@@ -111,13 +111,12 @@ def test_instance_field_diagnostics():
         )
 
 
-def test_metadata_is_preserved(tmp_path):
-    g = named_graph("C_4")
+def test_metadata_is_ignored_on_load(tmp_path):
     p = tmp_path / "meta.json"
-    save_instance(g, None, p, metadata={"note": "unit cycle"})
-    assert json.loads(p.read_text())["metadata"] == {"note": "unit cycle"}
-    g2, d2 = load_instance(p)  # metadata is ignored on load
-    assert g2 == g and d2 is None
+    p.write_text('{"vertices": [1, 2, 3, 4], "metadata": {"note": "unit cycle"}, "edges": '
+                 '[{"u": 1, "v": 2}, {"u": 2, "v": 3}, {"u": 3, "v": 4}, {"u": 1, "v": 4}]}')
+    g, d = load_instance(p)
+    assert g == named_graph("C_4") and d is None
 
 
 # -- certificate round-trips ----------------------------------------------------
