@@ -10,11 +10,16 @@ W4 minor iff some piece is 3-connected with at least five vertices: a
 3-connected minor of a 2-sum lies inside one of the summands (Tutte), and
 every 3-connected graph on at least five vertices has an edge whose
 contraction keeps it 3-connected (Thomassen), so contracting down to five
-vertices, where the wheel is written down, builds the witness.  Otherwise it
-has a K4eK4 minor iff at least two pieces are K4s, and the witness joins two
-of them by two disjoint paths.  `contains_minor` answers W4 by the same
-pieces and runs the exact branch-set search for every other pattern.  A
-positive verdict always carries a re-validated embedding.
+vertices, where the wheel is written down, builds the witness.  That
+contraction is also the 3-connectivity test: one that keeps every degree at
+least 3 and reaches five vertices proves the graph 3-connected.  So each
+smoothed block is contracted once first, and only a block whose contraction
+stops is scanned for separation pairs, one depth-first search per vertex.
+Otherwise it has a K4eK4 minor iff at least two pieces are K4s, and the
+witness joins two of them by two disjoint paths.  `contains_minor` answers
+W4 by the same pieces, building no K4eK4 witness, and runs the exact
+branch-set search for every other pattern.  A positive verdict always
+carries a re-validated embedding.
 
 `pullback_points` carries a pattern's witness points up to a host graph
 with the pattern as a minor.  Each branch set takes its pattern vertex's
@@ -46,6 +51,7 @@ k = 2 search: f_1 > 2.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from itertools import permutations
 from typing import TYPE_CHECKING
 
@@ -238,7 +244,7 @@ def contains_minor(g: Graph, h: Graph) -> MinorEmbedding | None:
         raise InputError("pattern graph must be connected")
     if h != _W4:
         return _minor_search(g, h)
-    return next((emb for emb in _block_witnesses(g) if emb.pattern == _W4), None)
+    return next((build() for pattern, build in _block_witnesses(g) if pattern == _W4), None)
 
 
 # -- separation-pair pieces -------------------------------------------------------
@@ -254,8 +260,9 @@ def contains_minor(g: Graph, h: Graph) -> MinorEmbedding | None:
 
 
 def _cut_vertex(adj: dict, gone: set):
-    """Some cut vertex of the graph adj minus the vertices in gone, or None
-    when there is none.  That graph must be connected."""
+    """Some cut vertex of the graph adj minus the vertices in gone, which
+    are vertices of adj; the root of the search when that graph is
+    disconnected; or None when it is 2-connected.  One depth-first search."""
     root = next(v for v in adj if v not in gone)
     index = {root: 0}
     low = {root: 0}
@@ -284,7 +291,7 @@ def _cut_vertex(adj: dict, gone: set):
                     return parent
                 if low[x] < low[parent]:
                     low[parent] = low[x]
-    return None
+    return root if len(index) < len(adj) - len(gone) else None
 
 
 def _index_adjacency(g: Graph) -> dict:
@@ -307,12 +314,17 @@ def _split_side(adj: dict, keep: set, a: int, b: int) -> dict:
 
 
 def _three_connected_pieces(g: Graph):
-    """Yield the 3-connected pieces (at least four vertices) of a
-    2-connected graph g.  Each degree-2 vertex w is first replaced by the
-    edge between its two neighbors, until the minimum degree is 3 or three
-    vertices are left: that is the split at w's neighbors whose triangle
-    side holds no piece.  The rest is split at separation pairs until none
-    is left."""
+    """Yield (piece, five) for each 3-connected piece (at least four
+    vertices) of a 2-connected graph g: five is the piece contracted to
+    five vertices (`_contract_to_five`), None for a K4.  Each degree-2
+    vertex w is first replaced by the edge between its two neighbors,
+    until the minimum degree is 3 or three vertices are left: that is the
+    split at w's neighbors whose triangle side holds no piece.  A smoothed
+    graph on five or more vertices is probed once: when the probe reaches
+    five vertices, the graph is 3-connected and its own only piece (the
+    proof is in `classify_dim2`).  Otherwise it is split at separation
+    pairs until none is left.  A 4-vertex part is a piece iff it is a K4;
+    any other 2-connected one splits into triangles."""
     adj0 = _index_adjacency(g)
     stack = [w for w in adj0 if len(adj0[w]) == 2]
     while stack and len(adj0) > 3:
@@ -325,10 +337,19 @@ def _three_connected_pieces(g: Graph):
         adj0[u].add(v)
         adj0[v].add(u)
         stack += [x for x in (u, v) if len(adj0[x]) == 2]
+    if len(adj0) >= 5:
+        five = _contract_to_five(adj0, retry=False)
+        if five is not None:
+            yield adj0, five
+            return
     work = [adj0]
     while work:
         adj = work.pop()
         if len(adj) < 4:
+            continue
+        if len(adj) == 4:
+            if all(len(ns) == 3 for ns in adj.values()):
+                yield adj, None
             continue
         pair = None
         for a in adj:
@@ -337,7 +358,10 @@ def _three_connected_pieces(g: Graph):
                 pair = a, b
                 break
         if pair is None:
-            yield adj
+            five = _contract_to_five(adj, retry=True)
+            if five is None:
+                raise RuntimeError("a 3-connected piece had no contractible edge")
+            yield adj, five
             continue
         a, b = pair
         start = next(v for v in adj if v != a and v != b)
@@ -349,6 +373,54 @@ def _three_connected_pieces(g: Graph):
                     stack.append(y)
         work.append(_split_side(adj, set(adj) - comp, a, b))
         work.append(_split_side(adj, comp | {a, b}, a, b))
+
+
+def _keeps_degree_3(adj: dict, u: int, v: int) -> bool:
+    """Whether contracting the edge uv of adj keeps every degree at least
+    3, in O(min degree) time: each common neighbor of u and v loses one
+    neighbor, and the merged vertex keeps all the others."""
+    small, big = (adj[u], adj[v]) if len(adj[u]) <= len(adj[v]) else (adj[v], adj[u])
+    common = 0
+    for x in small:
+        if x in big:
+            if len(adj[x]) < 4:
+                return False
+            common += 1
+    return len(adj[u]) + len(adj[v]) - 2 - common >= 3
+
+
+def _contract_to_five(piece: dict, retry: bool):
+    """(adj, classes): the graph piece, of minimum degree 3, contracted
+    to five vertices, and the piece vertices merged into each of them; or
+    None.  Each round contracts the first edge uv, u < v in the order of
+    the working copy, whose contraction keeps every degree at least 3
+    and for which adj minus {u, v} is 2-connected (one depth-first
+    search); on a 3-connected graph that is Thomassen's contractible edge,
+    and the degree test rejects only edges the search would.  None when a
+    round finds no such edge, and, without retry, as soon as the first
+    edge that passes the degree test fails the search.  A result proves
+    the piece 3-connected (the proof is in `classify_dim2`).  The working
+    copy is made with set(), whose iteration order picks the edge."""
+    adj = {v: set(ns) for v, ns in piece.items()}
+    classes = {v: [v] for v in adj}
+    while len(adj) > 5:
+        edges = ((u, v) for u in adj for v in adj[u] if u < v and _keeps_degree_3(adj, u, v))
+        if retry:
+            edge = next((e for e in edges if _cut_vertex(adj, set(e)) is None), None)
+        else:
+            edge = next(edges, None)
+            if edge is not None and _cut_vertex(adj, set(edge)) is not None:
+                edge = None
+        if edge is None:
+            return None
+        u, v = edge
+        for x in adj.pop(v):
+            adj[x].discard(v)
+            if x != u:
+                adj[x].add(u)
+                adj[u].add(x)
+        classes[u] += classes.pop(v)
+    return adj, classes
 
 
 def _sides(gadj: dict, piece: dict) -> dict:
@@ -449,36 +521,22 @@ def _two_disjoint_paths(gadj: dict, starts: tuple, ends: set) -> list:
     return paths
 
 
-def _wheel_in_piece(g: Graph, piece: dict) -> MinorEmbedding:
+def _wheel_in_piece(g: Graph, piece: dict, five: tuple) -> MinorEmbedding:
     """A W4 embedding in g from its 3-connected piece on at least five
-    vertices.  Contract edges of the piece while it stays 3-connected (one
-    always does: Thomassen, JCTB 1980) down to five vertices, write the
-    wheel down there, then expand the contracted classes into branch sets
-    and route each used virtual edge through its side.
+    vertices and five, the piece contracted to five vertices
+    (`_contract_to_five`): write the wheel down there, then expand the
+    contracted classes into branch sets and route each used virtual edge
+    through its side.
 
     At five vertices every degree is at least 3 and five degrees of 3
     would sum to an odd number, so some vertex has degree 4: the hub.  The
     other four induce a 2-connected graph, which has a Hamiltonian 4-cycle:
     the rim.  The first hub in index order is taken, then the first rim
     listed from the first of the other vertices."""
-    adj = {v: set(ns) for v, ns in piece.items()}
-    classes = {v: [v] for v in adj}
-    while len(adj) > 5:
-        # adj/uv is 3-connected iff adj minus {u, v} has no cut vertex
-        edge = next(((u, v) for u in adj for v in adj[u]
-                     if u < v and _cut_vertex(adj, {u, v}) is None), None)
-        if edge is None:
-            raise RuntimeError("a 3-connected piece had no contractible edge")
-        u, v = edge
-        for x in adj.pop(v):
-            adj[x].discard(v)
-            if x != u:
-                adj[x].add(u)
-                adj[u].add(x)
-        classes[u] += classes.pop(v)
-    five = sorted(adj)
-    hub = next((v for v in five if len(adj[v]) == 4), None)
-    first, *rest = (v for v in five if v != hub)
+    adj, classes = five
+    ordered = sorted(adj)
+    hub = next((v for v in ordered if len(adj[v]) == 4), None)
+    first, *rest = (v for v in ordered if v != hub)
     rim = next(((first, *order) for order in permutations(rest)
                 if all(b in adj[a] for a, b in zip((first, *order), (*order, first)))), None)
     if hub is None or rim is None:
@@ -567,6 +625,39 @@ def classify_dim2(g: Graph) -> Classification:
     vertices contracts, keeping 3-connectivity (Thomassen's contractible
     edge), to five vertices, where `_wheel_in_piece` writes the wheel down.
 
+    3-connectivity by contraction.  (a) If H has minimum degree at least 3
+    and H/uv is 3-connected, H is 3-connected.  H/uv has at least four
+    vertices, so H has five.  Let S separate H, |S| <= 2.  If S misses u
+    and v, they lie in one component of H - S, and S separates H/uv too.
+    If S = {u, v}, H - S is H/uv minus the merged vertex, which is
+    connected.  If S holds u but not v (the other way round is alike),
+    H - S - v is H/uv minus the merged
+    vertex and the rest of S, connected, so v's component of H - S is {v}
+    alone, and v's neighbors lie in S: v has degree at most 2.  (b) A graph
+    on five vertices with minimum degree at least 3 is 3-connected: without
+    one vertex every degree is at least 2 among four vertices, without two
+    at least 1 among three, and either graph is connected.  (c) Hence a
+    sequence of contractions that keeps every degree at least 3 and reaches
+    five vertices proves, backwards from (b) by (a), that every graph along
+    it is 3-connected, whatever edges it picked.  `_contract_to_five` picks
+    Thomassen's edge: the first uv, in order, with H minus {u, v}
+    2-connected, for H/uv is then 3-connected when H is.  It tests first,
+    in O(min degree) time, that contracting uv keeps every degree at least
+    3.  On a 3-connected H with six or more vertices that test rejects only
+    edges the search rejects too: a common neighbor of degree 3 keeps one
+    neighbor in H minus {u, v}, a leaf whose neighbor cuts it, and the at
+    most two neighbors of a merged vertex of degree at most 2 would
+    separate u and v from the rest of H.  So on a 3-connected H the
+    first edge that passes both tests is Thomassen's, and the witness
+    does not depend on the degree test.  A smoothed block (minimum
+    degree 3) on five or more vertices is probed: contracted while the
+    first edge that passes the degree test also passes the search.  When
+    that reaches five vertices, the block is 3-connected, its own only
+    piece, and the contraction builds the wheel; otherwise it is split as
+    above.  A part the split leaves with no
+    separation pair is 3-connected and contracted the same way, except
+    that an edge that fails the search is passed over, not given up on.
+
     K4eK4.  When every piece has at most four vertices, the block has a
     K4eK4 minor iff at least two pieces are K4s.
     If: let P and Q be K4 pieces.  Let ab be the edge of P whose side holds
@@ -597,31 +688,39 @@ def classify_dim2(g: Graph) -> Classification:
     two K4s.)
 
     Every witness is re-checked on g."""
-    emb = next(_block_witnesses(g), None)
-    return Classification("dim_at_most_2" if emb is None else "exceeds_2", emb)
+    found = next(_block_witnesses(g), None)
+    if found is None:
+        return Classification("dim_at_most_2")
+    _, build = found
+    return Classification("exceeds_2", build())
 
 
 def _block_witnesses(g: Graph):
-    """Yield each block's witness in turn, re-checked on g: W4 from the
-    first piece on five or more vertices, otherwise K4eK4 from the first
-    two K4 pieces, and nothing from a block with neither (the proof is in
-    `classify_dim2`)."""
+    """Yield (pattern, build) for each block with a witness, in turn: W4
+    from the first piece on five or more vertices, otherwise K4eK4 from
+    the first two K4 pieces, and nothing from a block with neither (the
+    proof is in `classify_dim2`).  build() builds the witness and
+    re-checks it on g, so a caller builds only the patterns it wants."""
     for block in blocks(g):
         if block.n < 5:
             continue
         cliques = []
-        for piece in _three_connected_pieces(block):
-            if len(piece) >= 5:
-                emb = _wheel_in_piece(block, piece)
+        for piece, five in _three_connected_pieces(block):
+            if five is not None:
+                yield _W4, partial(_checked, g, _wheel_in_piece, block, piece, five)
                 break
             cliques.append(piece)
         else:
-            if len(cliques) < 2:
-                continue
-            emb = _glued_cliques(block, cliques[0], cliques[1])
-        if not emb.check(g):
-            raise RuntimeError("classifier witness failed validation")
-        yield emb
+            if len(cliques) >= 2:
+                yield _K4E, partial(_checked, g, _glued_cliques, block, cliques[0], cliques[1])
+
+
+def _checked(g: Graph, build, *args) -> MinorEmbedding:
+    """build(*args), a witness re-checked on g."""
+    emb = build(*args)
+    if not emb.check(g):
+        raise RuntimeError("classifier witness failed validation")
+    return emb
 
 
 # -- minor-monotone witness transport --------------------------------------------

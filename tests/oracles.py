@@ -371,6 +371,21 @@ def _connected(nodes, links) -> bool:
     return seen == nodes
 
 
+def is_three_connected(g: Graph) -> bool:
+    """Whether g has at least four vertices and stays connected after
+    deleting any two of them.  Then it does after deleting one: on four or
+    more vertices, a vertex that disconnects g still does with a second
+    one, taken from a component of two or more vertices if there is one,
+    else from one of at least three single-vertex components."""
+    if g.n < 4:
+        return False
+    for pair in combinations(g.vertices, 2):
+        rest = set(g.vertices) - set(pair)
+        if not _connected(rest, [(a, b) for a, b in g.edges if a in rest and b in rest]):
+            return False
+    return True
+
+
 def is_minor_model(g: Graph, emb) -> bool:
     """Whether emb's branch sets and realizing edges model its pattern in g,
     the plain way: every pattern vertex has a nonempty set of vertices of

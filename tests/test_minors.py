@@ -27,10 +27,22 @@ from linfgraph import (
     w4_witness,
 )
 from linfgraph import graph_core, minors, realizability
-from linfgraph.minors import _minor_search, _three_connected_pieces, _wheel_in_piece
+from linfgraph.minors import (
+    _contract_to_five,
+    _index_adjacency,
+    _minor_search,
+    _three_connected_pieces,
+    _wheel_in_piece,
+)
 
 from atlas import connected_graphs_upto
-from oracles import _connected, brute_has_minor, fraction_floyd_warshall, is_minor_model
+from oracles import (
+    _connected,
+    brute_has_minor,
+    fraction_floyd_warshall,
+    is_minor_model,
+    is_three_connected,
+)
 
 W4 = named_graph("W_4")
 K4E = named_graph("K4eK4")
@@ -389,7 +401,7 @@ def test_w4_containment_never_searches_branch_sets(monkeypatch):
 
 
 def _piece_sizes(g: Graph) -> list:
-    return sorted(len(piece) for piece in _three_connected_pieces(g))
+    return sorted(len(piece) for piece, _ in _three_connected_pieces(g))
 
 
 def test_split_at_separation_pairs():
@@ -408,7 +420,12 @@ def test_split_at_separation_pairs():
 def test_splitter_smooths_in_linear_time(monkeypatch):
     # smoothing makes no cut-vertex search, so a fully subdivided graph
     # costs the splitter as many as the graph itself; without smoothing,
-    # the subdivided graphs took 1,642, 70 and 27
+    # the subdivided graphs took 1,642, 70 and 27.  The count now includes
+    # the contraction to five vertices: W_40 and Petersen are 3-connected,
+    # so the probe proves it with one search per contracted edge (41 - 5
+    # and 10 - 5), and K4eK4 has no edge whose contraction keeps every
+    # degree at least 3, so one scan step finds its separation pair and
+    # its two K4s need no search
     calls = []
     cut_vertex = minors._cut_vertex
 
@@ -417,7 +434,7 @@ def test_splitter_smooths_in_linear_time(monkeypatch):
         return cut_vertex(adj, gone)
 
     monkeypatch.setattr(minors, "_cut_vertex", counted)
-    for name, expected in (("W_40", 41), ("petersen", 10), ("K4eK4", 9)):
+    for name, expected in (("W_40", 36), ("petersen", 5), ("K4eK4", 1)):
         for g in (named_graph(name), _subdivide_all(named_graph(name))):
             calls.clear()
             list(_three_connected_pieces(g))
@@ -565,9 +582,10 @@ def test_wheel_written_down_on_every_labelling_of_the_five_vertex_graphs():
             name = dict(zip(base.vertices, labels))
             g = Graph.build(labels, [(name[u], name[v]) for u, v in base.edges])
             # the one piece is g itself: no contraction, the wheel written down
-            piece = next(_three_connected_pieces(g))
-            emb = _wheel_in_piece(g, piece)
-            assert len(piece) == 5 and emb.pattern == W4 and emb.check(g)
+            piece, five = next(_three_connected_pieces(g))
+            emb = _wheel_in_piece(g, piece, five)
+            assert len(piece) == 5 and five[0] == piece
+            assert emb.pattern == W4 and emb.check(g)
 
 
 def test_classifier_never_searches_branch_sets(monkeypatch):
@@ -587,6 +605,111 @@ def test_classifier_raises_when_a_witness_fails_its_check(monkeypatch):
     monkeypatch.setattr(MinorEmbedding, "check", lambda self, g: False)
     with pytest.raises(RuntimeError):
         classify_dim2(named_graph("W_5"))
+
+
+def test_w4_answer_builds_no_k4ek4_witness(monkeypatch):
+    # the doubled 12-vertex path is W4-free and every piece is a K4: the W4
+    # answer reads the pieces and builds no K4eK4 witness, which the
+    # classifier still builds
+    g, _ = tk4_instance(Tree.build(named_graph("path_12")))
+    built = []
+    glued_cliques = minors._glued_cliques
+
+    def counted(*args):
+        built.append(None)
+        return glued_cliques(*args)
+
+    monkeypatch.setattr(minors, "_glued_cliques", counted)
+    assert contains_minor(g, W4) is None
+    assert built == []
+    c = classify_dim2(g)
+    assert c.witness.pattern == K4E and c.witness.check(g)
+    assert len(built) == 1
+
+
+# -- 3-connectivity by contraction ---------------------------------------------
+
+
+def _seeded_min_degree_3(count: int, seed: int = 20261021) -> list:
+    """Seeded connected graphs of minimum degree 3: every other one is
+    G(n, 0.55) on 6 to 9 vertices, the rest are two random graphs on 4 to
+    6 vertices sharing one or two vertices, so never 3-connected."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        if len(out) % 2:
+            n = rng.randint(6, 9)
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.55]
+        else:
+            a, b, shared = rng.randint(4, 6), rng.randint(4, 6), rng.randint(1, 2)
+            n = a + b - shared
+            edges = [(u, v) for side in (range(a), range(a - shared, n))
+                     for u in side for v in side if u < v and rng.random() < 0.75]
+        g = Graph.build(range(n), set(edges))
+        if g.is_connected() and min(g.degree(v) for v in g.vertices) >= 3:
+            out.append(g)
+    return out
+
+
+def test_cut_vertex_means_not_2_connected():
+    # a disconnected remainder is reported too, so None means 2-connected
+    c6 = _index_adjacency(named_graph("C_6"))
+    assert minors._cut_vertex(c6, set()) is None
+    assert minors._cut_vertex(c6, {0}) is not None
+    assert minors._cut_vertex(c6, {0, 3}) is not None
+    k5 = _index_adjacency(named_graph("K_5"))
+    assert minors._cut_vertex(k5, {0, 1}) is None
+
+
+def test_contraction_decides_three_connectivity():
+    # the lemma in classify_dim2's docstring: on minimum degree 3, a probe
+    # that reaches five vertices proves the graph 3-connected, and the
+    # contraction with retries reaches them exactly on the 3-connected
+    # graphs; where both reach them, they picked the same edges
+    def min_degree_3(g):
+        return g.n >= 5 and min(g.degree(v) for v in g.vertices) >= 3
+
+    graphs = [g for g in connected_graphs_upto(6) if min_degree_3(g)]
+    graphs += _seeded_min_degree_3(120)
+    gluings = [g for g in _glued_pieces(150) if min_degree_3(g)]
+    assert (len(graphs), len(gluings)) == (142, 13)
+    counts = {"three_connected": 0, "probe_gave_up": 0}
+    for g in graphs + gluings:
+        adj = _index_adjacency(g)
+        three_connected = is_three_connected(g)
+        probe = _contract_to_five(adj, retry=False)
+        retried = _contract_to_five(adj, retry=True)
+        assert probe is None or three_connected
+        assert (retried is not None) == three_connected
+        assert probe is None or probe == retried
+        counts["three_connected"] += three_connected
+        counts["probe_gave_up"] += three_connected and probe is None
+    # both sides of the lemma, and the retries, are exercised
+    assert counts == {"three_connected": 79, "probe_gave_up": 1}
+
+
+def test_wheels_cost_one_search_per_contracted_edge(monkeypatch):
+    # the probe contracts W_n's rim edges, one search each, down to five
+    # vertices: a spoke's contraction would leave two rim vertices of
+    # degree 2, so no spoke is searched, whatever the labelling.  Scanning
+    # the wheel vertex by vertex and contracting by the search alone took
+    # 1,362, 5,237 and 20,487 searches with the hub labelled 0
+    calls = []
+    cut_vertex = minors._cut_vertex
+
+    def counted(adj, gone):
+        calls.append(None)
+        return cut_vertex(adj, gone)
+
+    monkeypatch.setattr(minors, "_cut_vertex", counted)
+    for n in (50, 100, 200):
+        hub_first = Graph.build(range(n + 1), [(0, i) for i in range(1, n + 1)]
+                                + [(i, i % n + 1) for i in range(1, n + 1)])
+        for g in (named_graph(f"W_{n}"), hub_first):
+            calls.clear()
+            c = classify_dim2(g)
+            assert c.witness.pattern == W4 and c.witness.check(g)
+            assert len(calls) == n - 4, (n, g.vertices[0])
 
 
 # -- pullback_points -----------------------------------------------------------
