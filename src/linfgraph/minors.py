@@ -5,21 +5,18 @@ a minor isomorphic to one of two patterns: the 4-wheel W4, or two 4-cliques
 glued along an edge that is then removed (K4eK4).  `classify_dim2` decides
 this per block with no search: the block, its degree-2 vertices smoothed
 (each smoothing is a split whose triangle side holds no piece), is split
-at separation pairs (Tutte's 2-sum decomposition).  It has a
-W4 minor iff some piece is 3-connected with at least five vertices: a
-3-connected minor of a 2-sum lies inside one of the summands (Tutte), and
-every 3-connected graph on at least five vertices has an edge whose
-contraction keeps it 3-connected (Thomassen), so contracting down to five
-vertices, where the wheel is written down, builds the witness.  That
-contraction is also the 3-connectivity test: one that keeps every degree at
-least 3 and reaches five vertices proves the graph 3-connected.  So each
-smoothed block is contracted once first, and only a block whose contraction
-stops is scanned for separation pairs, one depth-first search per vertex.
-Otherwise it has a K4eK4 minor iff at least two pieces are K4s, and the
-witness joins two of them by two disjoint paths.  `contains_minor` answers
-W4 by the same pieces, building no K4eK4 witness, and runs the exact
-branch-set search for every other pattern.  A positive verdict always
-carries a re-validated embedding.
+at separation pairs (Tutte's 2-sum decomposition).  It has a W4 minor iff
+some piece is 3-connected with at least five vertices: a 3-connected minor
+of a 2-sum lies inside one of the summands (Tutte).  One O(m) step per
+part on five or more vertices, `_wheel_or_pair`, returns either a
+separation pair to split at or the branch sets of a W4 minor of the part,
+and it returns a pair only when the part has one.  So a 3-connected piece
+always yields its wheel, and the splits of a block stop at the first part
+that yields one.  Otherwise it has a K4eK4 minor iff at least two pieces
+are K4s, and the witness joins two of them by two disjoint paths.
+`contains_minor` answers W4 by the same parts, building no K4eK4 witness,
+and runs the exact branch-set search for every other pattern.  A positive
+verdict always carries a re-validated embedding.
 
 `pullback_points` carries a pattern's witness points up to a host graph
 with the pattern as a minor.  Each branch set takes its pattern vertex's
@@ -52,7 +49,6 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from itertools import permutations
 from typing import TYPE_CHECKING
 
 from .errors import InputError
@@ -236,8 +232,8 @@ def _minor_search(g: Graph, h: Graph) -> MinorEmbedding | None:
 def contains_minor(g: Graph, h: Graph) -> MinorEmbedding | None:
     """Certified embedding of h as a minor of g, or None after exhaustive
     search.  h must be connected.  For h = W4 no search runs: g has a W4
-    minor iff some block has a piece on five or more vertices, and the
-    witness is built in that piece (the proof is in `classify_dim2`)."""
+    minor iff some part of a block yields a wheel, and the witness is built
+    in the first such part (the proof is in `classify_dim2`)."""
     if h.n == 0:
         raise InputError("pattern graph is empty")
     if not h.is_connected():
@@ -249,49 +245,17 @@ def contains_minor(g: Graph, h: Graph) -> MinorEmbedding | None:
 
 # -- separation-pair pieces -------------------------------------------------------
 #
-# A piece of a 2-connected graph is one side of a split at a separation pair
-# {a, b} plus a virtual edge ab when ab is not an edge of the split graph; the
-# virtual edge stands for an a-b path through the other side.  A piece maps each
-# of its vertices to its neighbor set, over the vertex indices of the split graph,
-# which keeps set iteration deterministic whatever the vertex ids.  Each component
-# of the split graph minus a 3-connected piece attaches to the two ends of one
-# edge of the piece; the components at ab are the side of ab, and a virtual edge
-# is routed through its side.  Sides of different edges are disjoint.
-
-
-def _cut_vertex(adj: dict, gone: set):
-    """Some cut vertex of the graph adj minus the vertices in gone, which
-    are vertices of adj; the root of the search when that graph is
-    disconnected; or None when it is 2-connected.  One depth-first search."""
-    root = next(v for v in adj if v not in gone)
-    index = {root: 0}
-    low = {root: 0}
-    root_children = 0
-    stack = [(root, None, iter(adj[root]))]
-    while stack:
-        x, parent, it = stack[-1]
-        for y in it:
-            if y in gone or y == parent:
-                continue
-            if y in index:
-                if index[y] < low[x]:
-                    low[x] = index[y]
-                continue
-            index[y] = low[y] = len(index)
-            stack.append((y, x, iter(adj[y])))
-            break
-        else:
-            stack.pop()
-            if parent == root:
-                root_children += 1
-                if root_children > 1:
-                    return root
-            elif parent is not None:
-                if low[x] >= index[parent]:
-                    return parent
-                if low[x] < low[parent]:
-                    low[parent] = low[x]
-    return root if len(index) < len(adj) - len(gone) else None
+# A part of a 2-connected graph is the graph itself or one side of a split of a
+# part at a separation pair {a, b}, plus a virtual edge ab when ab is not an edge
+# of the split graph; the virtual edge stands for an a-b path through the other
+# side.  A piece is a part with no separation pair.  A part maps each of its
+# vertices to its neighbor set, over the vertex indices of the split graph, which
+# keeps set iteration deterministic whatever the vertex ids.  Each component of
+# the split graph minus a part attaches to the two ends of one edge of the part:
+# a side split off attaches to its pair, whose edge stays in the part until a
+# later split takes a or b, and the side with it.  The components at ab are the
+# side of ab, and a virtual edge is routed through its side.  Sides of different
+# edges are disjoint.
 
 
 def _index_adjacency(g: Graph) -> dict:
@@ -313,114 +277,147 @@ def _split_side(adj: dict, keep: set, a: int, b: int) -> dict:
     return side
 
 
-def _three_connected_pieces(g: Graph):
-    """Yield (piece, five) for each 3-connected piece (at least four
-    vertices) of a 2-connected graph g: five is the piece contracted to
-    five vertices (`_contract_to_five`), None for a K4.  Each degree-2
-    vertex w is first replaced by the edge between its two neighbors,
-    until the minimum degree is 3 or three vertices are left: that is the
-    split at w's neighbors whose triangle side holds no piece.  A smoothed
-    graph on five or more vertices is probed once: when the probe reaches
-    five vertices, the graph is 3-connected and its own only piece (the
-    proof is in `classify_dim2`).  Otherwise it is split at separation
-    pairs until none is left.  A 4-vertex part is a piece iff it is a K4;
-    any other 2-connected one splits into triangles."""
-    adj0 = _index_adjacency(g)
-    stack = [w for w in adj0 if len(adj0[w]) == 2]
-    while stack and len(adj0) > 3:
-        w = stack.pop()
-        if w not in adj0 or len(adj0[w]) != 2:
-            continue
-        u, v = adj0.pop(w)
-        adj0[u].discard(w)
-        adj0[v].discard(w)
-        adj0[u].add(v)
-        adj0[v].add(u)
-        stack += [x for x in (u, v) if len(adj0[x]) == 2]
-    if len(adj0) >= 5:
-        five = _contract_to_five(adj0, retry=False)
-        if five is not None:
-            yield adj0, five
-            return
-    work = [adj0]
+def _k4_and_wheel_parts(g: Graph):
+    """Yield (part, wheel) for the parts of a 2-connected graph g that
+    decide the classifier: each K4 piece with wheel None, and each part
+    with wheel the five branch sets of a W4 minor that `_wheel_or_pair`
+    found in it, hub first, then the rim in cycle order.  Each degree-2
+    vertex w of a part is first replaced by the edge between its two
+    neighbors, until the minimum degree is 3 or three vertices are left:
+    that is the split at w's neighbors whose triangle side holds no piece,
+    and after a split only the pair can fall to degree 2.  A smoothed part
+    with fewer than four vertices is dropped, one with four is a K4 iff
+    every degree is 3, and one with five or more holds a wheel or is split
+    at the separation pair `_wheel_or_pair` returns."""
+    adj = _index_adjacency(g)
+    work = [(adj, [w for w in adj if len(adj[w]) == 2])]
     while work:
-        adj = work.pop()
+        adj, low = work.pop()
+        while low and len(adj) > 3:
+            w = low.pop()
+            if w not in adj or len(adj[w]) != 2:
+                continue
+            u, v = adj.pop(w)
+            adj[u].discard(w)
+            adj[v].discard(w)
+            adj[u].add(v)
+            adj[v].add(u)
+            low += [x for x in (u, v) if len(adj[x]) == 2]
         if len(adj) < 4:
             continue
         if len(adj) == 4:
             if all(len(ns) == 3 for ns in adj.values()):
                 yield adj, None
             continue
-        pair = None
-        for a in adj:
-            b = _cut_vertex(adj, {a})
-            if b is not None:
-                pair = a, b
-                break
-        if pair is None:
-            five = _contract_to_five(adj, retry=True)
-            if five is None:
-                raise RuntimeError("a 3-connected piece had no contractible edge")
-            yield adj, five
+        found = _wheel_or_pair(adj)
+        if len(found) == 5:
+            yield adj, found
             continue
-        a, b = pair
-        start = next(v for v in adj if v != a and v != b)
-        comp, stack = {start}, [start]
-        while stack:
-            for y in adj[stack.pop()]:
-                if y not in comp and y != a and y != b:
-                    comp.add(y)
-                    stack.append(y)
-        work.append(_split_side(adj, set(adj) - comp, a, b))
-        work.append(_split_side(adj, comp | {a, b}, a, b))
+        a, b, comp = found
+        work.append((_split_side(adj, comp | {a, b}, a, b), [a, b]))
+        work.append((_split_side(adj, set(adj) - comp, a, b), [a, b]))
 
 
-def _keeps_degree_3(adj: dict, u: int, v: int) -> bool:
-    """Whether contracting the edge uv of adj keeps every degree at least
-    3, in O(min degree) time: each common neighbor of u and v loses one
-    neighbor, and the merged vertex keeps all the others."""
-    small, big = (adj[u], adj[v]) if len(adj[u]) <= len(adj[v]) else (adj[v], adj[u])
-    common = 0
-    for x in small:
-        if x in big:
-            if len(adj[x]) < 4:
-                return False
-            common += 1
-    return len(adj[u]) + len(adj[v]) - 2 - common >= 3
+def _wheel_or_pair(adj: dict) -> tuple:
+    """A separation pair of the graph adj, H below, which is 2-connected
+    with minimum degree at least 3 and n >= 5 vertices, as (a, b, comp)
+    with comp the vertex set of a component of H minus a and b; or the
+    five branch sets of a W4 minor of H: the hub, then the rim in cycle
+    order.  One maximal path, one cycle, one bridge of that cycle and at
+    most one breadth-first search: O(m).
 
+    1. Grow a maximal path p0 ... pk.  All neighbors of pk lie on the path,
+    and there are at least three, so the earliest, pj, has j <= k - 3, and
+    C = pj ... pk is a cycle on at least four vertices.  If C spans H, the
+    second-earliest neighbor pi of pk (j < i < k - 1) gives a chord pk pi.
+    The cycles pi ... pk and pj ... pi pk then have k - i + 1 and i - j + 2
+    vertices, at least three each and n + 2 >= 7 together, so one has at
+    least four; the first misses pj, the second p(i+1).  Take that one as
+    C.  So C has at least four vertices and misses one.
 
-def _contract_to_five(piece: dict, retry: bool):
-    """(adj, classes): the graph piece, of minimum degree 3, contracted
-    to five vertices, and the piece vertices merged into each of them; or
-    None.  Each round contracts the first edge uv, u < v in the order of
-    the working copy, whose contraction keeps every degree at least 3
-    and for which adj minus {u, v} is 2-connected (one depth-first
-    search); on a 3-connected graph that is Thomassen's contractible edge,
-    and the degree test rejects only edges the search would.  None when a
-    round finds no such edge, and, without retry, as soon as the first
-    edge that passes the degree test fails the search.  A result proves
-    the piece 3-connected (the proof is in `classify_dim2`).  The working
-    copy is made with set(), whose iteration order picks the edge."""
-    adj = {v: set(ns) for v, ns in piece.items()}
-    classes = {v: [v] for v in adj}
-    while len(adj) > 5:
-        edges = ((u, v) for u in adj for v in adj[u] if u < v and _keeps_degree_3(adj, u, v))
-        if retry:
-            edge = next((e for e in edges if _cut_vertex(adj, set(e)) is None), None)
-        else:
-            edge = next(edges, None)
-            if edge is not None and _cut_vertex(adj, set(edge)) is not None:
-                edge = None
-        if edge is None:
-            return None
-        u, v = edge
-        for x in adj.pop(v):
-            adj[x].discard(v)
-            if x != u:
-                adj[x].add(u)
-                adj[u].add(x)
-        classes[u] += classes.pop(v)
-    return adj, classes
+    2. Let B be the component of H - V(C) of the first vertex off C, and A
+    its attachments on C.  |A| >= 2, or one vertex would cut B off.
+    - |A| = 2: A separates B from the rest of C, which is not empty.
+      Return A, with B.
+    - |A| >= 4: B is the hub, and the rim is C cut into four arcs, each
+      starting at one of four attachments.  Each arc is a path that meets
+      B, and consecutive arcs are joined by an edge of C.
+
+    3. |A| = 3.  Name the attachments a1, a2, a3 in cycle order so that
+    the interior I1 of the arc from a1 to a2 is not empty; C has four
+    vertices, so some interior is.  I2 and I3 are the interiors of the arcs
+    a2 ... a3 and a3 ... a1.  Search breadth-first from I1 in H - {a1, a2},
+    through vertices off C only.  It never enters B, whose attachments are
+    a1, a2 and a3 only.
+    - If it meets no other vertex of C, the vertices it reached have no
+      neighbor outside them but a1 and a2, and B and a3 lie outside them.
+      Return {a1, a2}, with those vertices, which I1 joins.
+    - Otherwise it meets z in {a3} + I2 + I3 along a path Q from I1, whose
+      interior lies off C.  The rim is: I1; a2, with the part of I2 before
+      z when z is in I2; B; a1, with the part of I3 after z when z is in
+      I3.  The hub is a3 with the rest of I2 and I3, a path of C through
+      z, and the interior of Q.  Each set is connected, and they are
+      disjoint.  Consecutive rim sets meet: I1 ends next to a2, a2 and a1
+      are attachments of B, and a1 is next to I1.  The hub meets I1
+      through Q, B at a3, the a2 set at its last vertex (the next one on C
+      is z, or the first of I2, or a3), and the a1 set likewise.
+
+    A pair is returned only when it separates H, so a 3-connected H always
+    gets a wheel."""
+    start = next(iter(adj))
+    path, at = [start], {start: 0}
+    while True:
+        y = next((y for y in adj[path[-1]] if y not in at), None)
+        if y is None:
+            break
+        at[y] = len(path)
+        path.append(y)
+    j, i = sorted(at[y] for y in adj[path[-1]])[:2]
+    cycle = path[j:]
+    if len(cycle) == len(adj):
+        cycle = path[i:] if len(path) - i >= 4 else path[j:i + 1] + path[-1:]
+    on = {v: s for s, v in enumerate(cycle)}
+    root = next(v for v in adj if v not in on)
+    bridge, stack, feet = {root}, [root], set()
+    while stack:
+        for y in adj[stack.pop()]:
+            if y in on:
+                feet.add(on[y])
+            elif y not in bridge:
+                bridge.add(y)
+                stack.append(y)
+    feet = sorted(feet)
+    if len(feet) == 2:
+        return cycle[feet[0]], cycle[feet[1]], bridge
+    if len(feet) >= 4:
+        t1, t2, t3, t4 = feet[:4]
+        return bridge, cycle[t1:t2], cycle[t2:t3], cycle[t3:t4], cycle[t4:] + cycle[:t1]
+    # |A| = 3: rotate C so that it starts at a1 and I1 = cycle[1:s2]
+    t = next(t for t, u in zip(feet, feet[1:] + [feet[0] + len(cycle)]) if u - t > 1)
+    cycle = cycle[t:] + cycle[:t]
+    on = {v: s for s, v in enumerate(cycle)}
+    _, s2, s3 = sorted((f - t) % len(cycle) for f in feet)
+    interior = cycle[1:s2]
+    prev = dict.fromkeys(interior + [cycle[0], cycle[s2]])
+    queue, z = deque(interior), None
+    while queue and z is None:
+        x = queue.popleft()
+        for y in adj[x]:
+            if y not in prev:
+                prev[y] = x
+                if y in on:
+                    z = y
+                    break
+                queue.append(y)
+    if z is None:
+        return cycle[0], cycle[s2], set(prev) - {cycle[0], cycle[s2]}
+    lo = min(on[z], s3)
+    end = on[z] + 1 if on[z] > s3 else len(cycle)
+    hub, x = cycle[lo:end], prev[z]
+    while x not in on:
+        hub.append(x)
+        x = prev[x]
+    return hub, interior, cycle[s2:lo], bridge, cycle[:1] + cycle[end:]
 
 
 def _sides(gadj: dict, piece: dict) -> dict:
@@ -521,44 +518,25 @@ def _two_disjoint_paths(gadj: dict, starts: tuple, ends: set) -> list:
     return paths
 
 
-def _wheel_in_piece(g: Graph, piece: dict, five: tuple) -> MinorEmbedding:
-    """A W4 embedding in g from its 3-connected piece on at least five
-    vertices and five, the piece contracted to five vertices
-    (`_contract_to_five`): write the wheel down there, then expand the
-    contracted classes into branch sets and route each used virtual edge
-    through its side.
-
-    At five vertices every degree is at least 3 and five degrees of 3
-    would sum to an odd number, so some vertex has degree 4: the hub.  The
-    other four induce a 2-connected graph, which has a Hamiltonian 4-cycle:
-    the rim.  The first hub in index order is taken, then the first rim
-    listed from the first of the other vertices."""
-    adj, classes = five
-    ordered = sorted(adj)
-    hub = next((v for v in ordered if len(adj[v]) == 4), None)
-    first, *rest = (v for v in ordered if v != hub)
-    rim = next(((first, *order) for order in permutations(rest)
-                if all(b in adj[a] for a, b in zip((first, *order), (*order, first)))), None)
-    if hub is None or rim is None:
-        raise RuntimeError("a 3-connected graph on five vertices has no W4")
+def _wheel_in_piece(g: Graph, piece: dict, wheel: tuple) -> MinorEmbedding:
+    """A W4 embedding in g from a part of it and wheel, the five branch sets
+    of a W4 minor of that part (`_wheel_or_pair`): hub first, then the rim
+    in cycle order.  Each virtual edge inside a branch set is routed
+    through its side into that set, and each pattern edge is realized by
+    the first part edge between its two sets, routed the same way."""
     *rim_pvs, hub_pv = _W4.vertices  # W_4: rim 1..4 in cycle order, hub 5
-    at = dict(zip((hub_pv, *rim_pvs), (hub, *rim)))
-
+    members = dict(zip((hub_pv, *rim_pvs), wheel))
+    owner = {x: pv for pv, xs in members.items() for x in xs}
     gadj = _index_adjacency(g)
     sides = _sides(gadj, piece)
-    owner = {}
-    bsets = {}
-    for pv, rep in at.items():
-        bsets[pv] = set(classes[rep])
-        for x in classes[rep]:
-            owner[x] = pv
-    for a in piece:
+    bsets = {pv: set(xs) for pv, xs in members.items()}
+    for a, pv in owner.items():
         for b in piece[a]:
-            if a < b and owner[a] == owner[b]:
-                bsets[owner[a]].update(_path_through(gadj, a, b, sides))
+            if a < b and owner.get(b) == pv:
+                bsets[pv].update(_path_through(gadj, a, b, sides))
     routes = {}
     for pu, pv in _W4.edges:
-        a, b = next((a, b) for a in classes[at[pu]] for b in classes[at[pv]] if b in piece[a])
+        a, b = next((a, b) for a in members[pu] for b in piece[a] if owner.get(b) == pv)
         routes[pu, pv] = a, b, sides
     return _lift(g, gadj, _W4, bsets, routes)
 
@@ -614,49 +592,22 @@ def classify_dim2(g: Graph) -> Classification:
     are: no branch set of such a minor is {w} alone, so a model either
     misses w or contracts w into a neighbor in its branch set.  The
     smoothed block is split at separation pairs (Tutte, Connectivity in
-    Graphs, 1966).  The pieces with at least four vertices and no
-    separation pair are the block's 3-connected components; those on four
-    vertices are K4s.  Every piece is a minor of the block, each virtual
-    edge, smoothed ones included, contracted from a path through its side.
+    Graphs, 1966).  The pieces, parts with at least four vertices and no
+    separation pair, are the block's 3-connected components, whatever the
+    order of the splits; those on four vertices are K4s.  Every part is a
+    minor of the block, each virtual edge, smoothed ones included,
+    contracted from a path through its side.
 
     W4.  The block has a W4 minor iff some piece has at least five
-    vertices.  W4 is 3-connected, and a 3-connected minor of a 2-sum lies
-    inside one summand.  Conversely a 3-connected graph on at least five
-    vertices contracts, keeping 3-connectivity (Thomassen's contractible
-    edge), to five vertices, where `_wheel_in_piece` writes the wheel down.
-
-    3-connectivity by contraction.  (a) If H has minimum degree at least 3
-    and H/uv is 3-connected, H is 3-connected.  H/uv has at least four
-    vertices, so H has five.  Let S separate H, |S| <= 2.  If S misses u
-    and v, they lie in one component of H - S, and S separates H/uv too.
-    If S = {u, v}, H - S is H/uv minus the merged vertex, which is
-    connected.  If S holds u but not v (the other way round is alike),
-    H - S - v is H/uv minus the merged
-    vertex and the rest of S, connected, so v's component of H - S is {v}
-    alone, and v's neighbors lie in S: v has degree at most 2.  (b) A graph
-    on five vertices with minimum degree at least 3 is 3-connected: without
-    one vertex every degree is at least 2 among four vertices, without two
-    at least 1 among three, and either graph is connected.  (c) Hence a
-    sequence of contractions that keeps every degree at least 3 and reaches
-    five vertices proves, backwards from (b) by (a), that every graph along
-    it is 3-connected, whatever edges it picked.  `_contract_to_five` picks
-    Thomassen's edge: the first uv, in order, with H minus {u, v}
-    2-connected, for H/uv is then 3-connected when H is.  It tests first,
-    in O(min degree) time, that contracting uv keeps every degree at least
-    3.  On a 3-connected H with six or more vertices that test rejects only
-    edges the search rejects too: a common neighbor of degree 3 keeps one
-    neighbor in H minus {u, v}, a leaf whose neighbor cuts it, and the at
-    most two neighbors of a merged vertex of degree at most 2 would
-    separate u and v from the rest of H.  So on a 3-connected H the
-    first edge that passes both tests is Thomassen's, and the witness
-    does not depend on the degree test.  A smoothed block (minimum
-    degree 3) on five or more vertices is probed: contracted while the
-    first edge that passes the degree test also passes the search.  When
-    that reaches five vertices, the block is 3-connected, its own only
-    piece, and the contraction builds the wheel; otherwise it is split as
-    above.  A part the split leaves with no
-    separation pair is 3-connected and contracted the same way, except
-    that an edge that fails the search is passed over, not given up on.
+    vertices: W4 is 3-connected, and a 3-connected minor of a 2-sum lies
+    inside one summand.  Each part on five or more vertices takes one
+    step, `_wheel_or_pair`, whose docstring proves its construction: it
+    returns a separation pair only when the part has one, and otherwise
+    the branch sets of a W4 minor of the part, so of the block.  Hence a
+    block with a piece on five or more vertices yields a wheel, from that
+    piece or from a part met before it, and the split stops there; a block
+    with none yields no wheel and is split until every part has at most
+    four vertices.  `_wheel_in_piece` lifts the wheel to g.
 
     K4eK4.  When every piece has at most four vertices, the block has a
     K4eK4 minor iff at least two pieces are K4s.
@@ -697,17 +648,17 @@ def classify_dim2(g: Graph) -> Classification:
 
 def _block_witnesses(g: Graph):
     """Yield (pattern, build) for each block with a witness, in turn: W4
-    from the first piece on five or more vertices, otherwise K4eK4 from
-    the first two K4 pieces, and nothing from a block with neither (the
-    proof is in `classify_dim2`).  build() builds the witness and
+    from the first part that yields a wheel, otherwise K4eK4 from the
+    first two K4 pieces, and nothing from a block with neither (the proof
+    is in `classify_dim2`).  build() builds the witness and
     re-checks it on g, so a caller builds only the patterns it wants."""
     for block in blocks(g):
         if block.n < 5:
             continue
         cliques = []
-        for piece, five in _three_connected_pieces(block):
-            if five is not None:
-                yield _W4, partial(_checked, g, _wheel_in_piece, block, piece, five)
+        for piece, wheel in _k4_and_wheel_parts(block):
+            if wheel is not None:
+                yield _W4, partial(_checked, g, _wheel_in_piece, block, piece, wheel)
                 break
             cliques.append(piece)
         else:

@@ -148,6 +148,14 @@ def _pairs(items: list, where: str) -> list:
     return items
 
 
+def _put(out: dict, key, value, where: str) -> None:
+    """out[key] = value, rejecting as `where` a key already in out: a later
+    entry would otherwise replace the one a reader sees first."""
+    if key in out:
+        raise InputError(f"{where}: {key!r} is listed twice")
+    out[key] = value
+
+
 def cover_from_obj(obj) -> Cover:
     from .realizability import Cover, Orientation, Potential
 
@@ -162,10 +170,11 @@ def cover_from_obj(obj) -> Cover:
             for u, v in _pairs(_list_field(part, "arcs", where), f"{where}.arcs")
         ]
         parts.append(Orientation.of(arcs))
-        potentials.append(Potential({
-            _parse_vertex(v, where): _rational(q, f"{where}: bad potential value")
-            for v, q in _pairs(_list_field(part, "potential", where), f"{where}.potential")
-        }))
+        potential = {}
+        for v, q in _pairs(_list_field(part, "potential", where), f"{where}.potential"):
+            _put(potential, _parse_vertex(v, where), _rational(q, f"{where}: bad potential value"),
+                 f"{where}.potential")
+        potentials.append(Potential(potential))
     return Cover(tuple(parts), tuple(potentials))
 
 
@@ -191,7 +200,8 @@ def realization_from_obj(obj) -> Realization:
     for v, vec in _pairs(_list_field(obj, "points", "realization"), "points"):
         if not isinstance(vec, list):
             raise InputError(f"point of vertex {v!r}: expected a list of coordinates")
-        points[_parse_vertex(v, "points")] = tuple(_rational(q, "points: bad coordinate") for q in vec)
+        _put(points, _parse_vertex(v, "points"),
+             tuple(_rational(q, "points: bad coordinate") for q in vec), "points")
     return Realization(points, k)
 
 
@@ -223,15 +233,13 @@ def embedding_from_obj(obj) -> MinorEmbedding:
     for pv, bs in _pairs(_list_field(obj, "branch_sets", "embedding"), "branch_sets"):
         if not isinstance(bs, list):
             raise InputError(f"branch set of {pv!r}: expected a list of vertices")
-        branch_sets[_parse_vertex(pv, "branch_sets")] = frozenset(
-            _parse_vertex(x, "branch_sets") for x in bs
-        )
+        _put(branch_sets, _parse_vertex(pv, "branch_sets"),
+             frozenset(_parse_vertex(x, "branch_sets") for x in bs), "branch_sets")
     real = {}
     for pe, ge in _pairs(_list_field(obj, "edge_realization", "embedding"), "edge_realization"):
         pe, ge = _pairs([pe, ge], "edge_realization")
-        real[tuple(_parse_vertex(x, "edge_realization") for x in pe)] = tuple(
-            _parse_vertex(x, "edge_realization") for x in ge
-        )
+        _put(real, tuple(_parse_vertex(x, "edge_realization") for x in pe),
+             tuple(_parse_vertex(x, "edge_realization") for x in ge), "edge_realization")
     return MinorEmbedding(pattern, branch_sets, real)
 
 

@@ -12,7 +12,7 @@ from linfgraph import (
     validate_distance_function,
 )
 from linfgraph.graph_core import _blend, _closure, _distances, _simple_cycles, to_fraction
-from linfgraph.minors import _three_connected_pieces
+from linfgraph.minors import _k4_and_wheel_parts
 
 from atlas import connected_graphs_upto
 from oracles import (
@@ -368,7 +368,7 @@ def test_blocks_match_the_cycle_oracle(g):
 
 def test_suppress_c5_to_triangle():
     g = Graph.build(range(1, 6), [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
-    assert list(_three_connected_pieces(g)) == []
+    assert list(_k4_and_wheel_parts(g)) == []
 
 
 def _is_k4(piece: dict) -> bool:
@@ -378,7 +378,7 @@ def _is_k4(piece: dict) -> bool:
 def test_suppress_subdivided_k4():
     k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
     g = Graph.build(list(range(4)) + [9], k4 + [(2, 9), (3, 9)])  # edge 23 subdivided by 9
-    pieces = [piece for piece, _ in _three_connected_pieces(g)]
+    pieces = [piece for piece, _ in _k4_and_wheel_parts(g)]
     assert len(pieces) == 1 and _is_k4(pieces[0])
 
 
@@ -389,5 +389,5 @@ def test_suppress_k4ek4_minus_edge_reaches_k4():
 
     k4ek4 = named_graph("K4eK4")
     g = Graph.build(k4ek4.vertices, [e for e in k4ek4.edges if e != (2, 3)])
-    pieces = [piece for piece, _ in _three_connected_pieces(g)]
+    pieces = [piece for piece, _ in _k4_and_wheel_parts(g)]
     assert len(pieces) == 1 and _is_k4(pieces[0])

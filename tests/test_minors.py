@@ -1,6 +1,7 @@
 """Minor containment, the dimension-2 classifier, and witness pullbacks."""
 
 import random
+import sys
 import time
 from fractions import Fraction
 from itertools import permutations
@@ -28,11 +29,11 @@ from linfgraph import (
 )
 from linfgraph import graph_core, minors, realizability
 from linfgraph.minors import (
-    _contract_to_five,
     _index_adjacency,
+    _k4_and_wheel_parts,
     _minor_search,
-    _three_connected_pieces,
     _wheel_in_piece,
+    _wheel_or_pair,
 )
 
 from atlas import connected_graphs_upto
@@ -401,7 +402,7 @@ def test_w4_containment_never_searches_branch_sets(monkeypatch):
 
 
 def _piece_sizes(g: Graph) -> list:
-    return sorted(len(piece) for piece, _ in _three_connected_pieces(g))
+    return sorted(len(piece) for piece, _ in _k4_and_wheel_parts(g))
 
 
 def test_split_at_separation_pairs():
@@ -418,27 +419,23 @@ def test_split_at_separation_pairs():
 
 
 def test_splitter_smooths_in_linear_time(monkeypatch):
-    # smoothing makes no cut-vertex search, so a fully subdivided graph
-    # costs the splitter as many as the graph itself; without smoothing,
-    # the subdivided graphs took 1,642, 70 and 27.  The count now includes
-    # the contraction to five vertices: W_40 and Petersen are 3-connected,
-    # so the probe proves it with one search per contracted edge (41 - 5
-    # and 10 - 5), and K4eK4 has no edge whose contraction keeps every
-    # degree at least 3, so one scan step finds its separation pair and
-    # its two K4s need no search
+    # smoothing makes no wheel-or-pair step, so a fully subdivided graph
+    # costs the splitter as many as the graph itself: one for W_40 and
+    # Petersen, which get a wheel at once, and one for K4eK4, split at its
+    # separation pair into two K4s that need no step
     calls = []
-    cut_vertex = minors._cut_vertex
+    wheel_or_pair = minors._wheel_or_pair
 
-    def counted(adj, gone):
+    def counted(adj):
         calls.append(None)
-        return cut_vertex(adj, gone)
+        return wheel_or_pair(adj)
 
-    monkeypatch.setattr(minors, "_cut_vertex", counted)
-    for name, expected in (("W_40", 36), ("petersen", 5), ("K4eK4", 1)):
+    monkeypatch.setattr(minors, "_wheel_or_pair", counted)
+    for name in ("W_40", "petersen", "K4eK4"):
         for g in (named_graph(name), _subdivide_all(named_graph(name))):
             calls.clear()
-            list(_three_connected_pieces(g))
-            assert len(calls) == expected, (name, g.n)
+            list(_k4_and_wheel_parts(g))
+            assert len(calls) == 1, (name, g.n)
     g = _subdivide_all(named_graph("W_40"))
     assert g.n == 121
     c = classify_dim2(g)
@@ -459,9 +456,9 @@ def test_wheel_found_through_a_virtual_edge():
 
 
 def test_classifier_on_large_wheels_and_grids():
-    # each is one 3-connected piece, contracted to five vertices for the
+    # each is one 3-connected piece, whose one wheel-or-pair step gives the
     # wheel; these take milliseconds
-    for g in (named_graph("W_12"), _grid(4, 5), _grid(6, 6)):
+    for g in (named_graph("W_12"), _grid(4, 5), _grid(6, 6), _grid(24, 24)):
         start = time.perf_counter()
         c = classify_dim2(g)
         assert time.perf_counter() - start < 1.0
@@ -581,10 +578,11 @@ def test_wheel_written_down_on_every_labelling_of_the_five_vertex_graphs():
         for labels in permutations("abcde"):
             name = dict(zip(base.vertices, labels))
             g = Graph.build(labels, [(name[u], name[v]) for u, v in base.edges])
-            # the one piece is g itself: no contraction, the wheel written down
-            piece, five = next(_three_connected_pieces(g))
-            emb = _wheel_in_piece(g, piece, five)
-            assert len(piece) == 5 and five[0] == piece
+            # 3-connected, so one step gives the wheel
+            adj = _index_adjacency(g)
+            wheel = _wheel_or_pair(adj)
+            assert len(wheel) == 5
+            emb = _wheel_in_piece(g, adj, wheel)
             assert emb.pattern == W4 and emb.check(g)
 
 
@@ -627,7 +625,7 @@ def test_w4_answer_builds_no_k4ek4_witness(monkeypatch):
     assert len(built) == 1
 
 
-# -- 3-connectivity by contraction ---------------------------------------------
+# -- one wheel-or-pair step per part -------------------------------------------
 
 
 def _seeded_min_degree_3(count: int, seed: int = 20261021) -> list:
@@ -651,21 +649,69 @@ def _seeded_min_degree_3(count: int, seed: int = 20261021) -> list:
     return out
 
 
-def test_cut_vertex_means_not_2_connected():
-    # a disconnected remainder is reported too, so None means 2-connected
-    c6 = _index_adjacency(named_graph("C_6"))
-    assert minors._cut_vertex(c6, set()) is None
-    assert minors._cut_vertex(c6, {0}) is not None
-    assert minors._cut_vertex(c6, {0, 3}) is not None
-    k5 = _index_adjacency(named_graph("K_5"))
-    assert minors._cut_vertex(k5, {0, 1}) is None
+def _traced_wheel_or_pair(adj: dict) -> tuple:
+    """_wheel_or_pair(adj) and the construction branch it took, read from
+    its local variables as it returns: "|A| = 2", "|A| >= 4", "no z",
+    "z = a3", "z in I2" or "z in I3", plus "chord" when the first cycle
+    spanned the graph (see its docstring)."""
+    local = {}
+
+    def on_call(frame, event, arg):
+        if frame.f_code is not _wheel_or_pair.__code__:
+            return None
+
+        def on_line(frame, event, arg):
+            if event == "return":
+                local.update(frame.f_locals)
+            return on_line
+        return on_line
+
+    before = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        found = _wheel_or_pair(adj)
+    finally:
+        sys.settrace(before)
+    feet, z = local["feet"], local.get("z")
+    if len(feet) == 2:
+        branch = "|A| = 2"
+    elif len(feet) >= 4:
+        branch = "|A| >= 4"
+    elif z is None:
+        branch = "no z"
+    else:
+        at, s3 = local["on"][z], local["s3"]
+        branch = "z = a3" if at == s3 else "z in I2" if at < s3 else "z in I3"
+    chord = len(local["path"]) - local["j"] == len(adj)
+    return found, [branch, "chord"] if chord else [branch]
 
 
-def test_contraction_decides_three_connectivity():
-    # the lemma in classify_dim2's docstring: on minimum degree 3, a probe
-    # that reaches five vertices proves the graph 3-connected, and the
-    # contraction with retries reaches them exactly on the 3-connected
-    # graphs; where both reach them, they picked the same edges
+def _separates(adj: dict, pair: tuple) -> bool:
+    """Whether pair = (a, b, comp) separates the graph adj, with comp the
+    vertex set of a component of adj minus a and b."""
+    a, b, comp = pair
+    rest = set(adj) - {a, b}
+    inside = {(x, y) for x in rest for y in adj[x] & rest}
+    closed = all(adj[x] <= comp | {a, b} for x in comp)
+    return not _connected(rest, inside) and closed and comp and comp < rest and _connected(comp, inside)
+
+
+def _is_wheel_model(adj: dict, wheel: tuple) -> bool:
+    """Whether wheel, five vertex sets of the graph adj (hub first, then
+    the rim in cycle order), models W4 in it."""
+    part = Graph.build(sorted(adj), [(x, y) for x in adj for y in adj[x] if x < y])
+    *rim, hub = W4.vertices
+    sets = dict(zip((hub, *rim), map(frozenset, wheel)))
+    real = {(pu, pv): next(((a, b) for a in sets[pu] for b in adj[a] if b in sets[pv]), None)
+            for pu, pv in W4.edges}
+    return sum(map(len, wheel)) == len(set().union(*wheel)) and is_minor_model(part, MinorEmbedding(W4, sets, real))
+
+
+def test_wheel_or_pair_gives_a_wheel_or_a_separating_pair(monkeypatch):
+    # every step the classifier takes, on every block of these graphs of
+    # minimum degree 3: a pair separates its part, a wheel is a W4 model in
+    # it, and a 3-connected graph gets a wheel at its first step.  Every
+    # branch of the construction is taken
     def min_degree_3(g):
         return g.n >= 5 and min(g.degree(v) for v in g.vertices) >= 3
 
@@ -673,35 +719,44 @@ def test_contraction_decides_three_connectivity():
     graphs += _seeded_min_degree_3(120)
     gluings = [g for g in _glued_pieces(150) if min_degree_3(g)]
     assert (len(graphs), len(gluings)) == (142, 13)
-    counts = {"three_connected": 0, "probe_gave_up": 0}
+    branches = {}
+    steps = []
+
+    def checked(adj):
+        found, taken = _traced_wheel_or_pair(adj)
+        assert _is_wheel_model(adj, found) if len(found) == 5 else _separates(adj, found)
+        for branch in taken:
+            branches[branch] = branches.get(branch, 0) + 1
+        steps.append(found)
+        return found
+
+    monkeypatch.setattr(minors, "_wheel_or_pair", checked)
+    three_connected = 0
     for g in graphs + gluings:
-        adj = _index_adjacency(g)
-        three_connected = is_three_connected(g)
-        probe = _contract_to_five(adj, retry=False)
-        retried = _contract_to_five(adj, retry=True)
-        assert probe is None or three_connected
-        assert (retried is not None) == three_connected
-        assert probe is None or probe == retried
-        counts["three_connected"] += three_connected
-        counts["probe_gave_up"] += three_connected and probe is None
-    # both sides of the lemma, and the retries, are exercised
-    assert counts == {"three_connected": 79, "probe_gave_up": 1}
+        steps.clear()
+        for block in blocks(g):
+            if block.n >= 5:
+                list(_k4_and_wheel_parts(block))
+        if is_three_connected(g):
+            three_connected += 1
+            assert len(steps[0]) == 5
+    assert three_connected == 79
+    assert branches == {"|A| = 2": 35, "|A| >= 4": 107, "no z": 14, "z = a3": 54,
+                        "z in I2": 4, "z in I3": 4, "chord": 109}
 
 
-def test_wheels_cost_one_search_per_contracted_edge(monkeypatch):
-    # the probe contracts W_n's rim edges, one search each, down to five
-    # vertices: a spoke's contraction would leave two rim vertices of
-    # degree 2, so no spoke is searched, whatever the labelling.  Scanning
-    # the wheel vertex by vertex and contracting by the search alone took
-    # 1,362, 5,237 and 20,487 searches with the hub labelled 0
+def test_wheels_and_doubled_paths_cost_one_step_per_split(monkeypatch):
+    # a wheel is 3-connected, so one wheel-or-pair step gives its wheel
+    # under any labelling; the doubled path_k is k - 1 K4s in a chain, and
+    # each of its k - 2 steps splits one off
     calls = []
-    cut_vertex = minors._cut_vertex
+    wheel_or_pair = minors._wheel_or_pair
 
-    def counted(adj, gone):
+    def counted(adj):
         calls.append(None)
-        return cut_vertex(adj, gone)
+        return wheel_or_pair(adj)
 
-    monkeypatch.setattr(minors, "_cut_vertex", counted)
+    monkeypatch.setattr(minors, "_wheel_or_pair", counted)
     for n in (50, 100, 200):
         hub_first = Graph.build(range(n + 1), [(0, i) for i in range(1, n + 1)]
                                 + [(i, i % n + 1) for i in range(1, n + 1)])
@@ -709,7 +764,13 @@ def test_wheels_cost_one_search_per_contracted_edge(monkeypatch):
             calls.clear()
             c = classify_dim2(g)
             assert c.witness.pattern == W4 and c.witness.check(g)
-            assert len(calls) == n - 4, (n, g.vertices[0])
+            assert len(calls) == 1, (n, g.vertices[0])
+    for k in (4, 8, 16, 32):
+        g, _ = tk4_instance(Tree.build(named_graph(f"path_{k}")))
+        calls.clear()
+        c = classify_dim2(g)
+        assert c.witness.pattern == K4E and c.witness.check(g)
+        assert len(calls) == k - 2, k
 
 
 # -- pullback_points -----------------------------------------------------------

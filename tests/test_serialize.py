@@ -154,6 +154,32 @@ def test_embedding_certificate_round_trip(tmp_path):
     assert back.edge_realization == emb.edge_realization
 
 
+def test_certificate_keys_must_not_repeat():
+    # a key listed twice is refused: keeping its last entry would hide a
+    # wrong first one that a reader sees first
+    g, d = w4_witness()
+    real = realization_to_obj(build_realization(g, d, decide_realizable(g, d, 3).cover))
+    v, point = real["points"][0]
+    real["points"].insert(0, [v, ["0"] * len(point)])
+    with pytest.raises(InputError, match="listed twice"):
+        realization_from_obj(real)
+    cover = cover_to_obj(g, decide_realizable(g, d, 3).cover)
+    potential = cover["parts"][0]["potential"]
+    potential.append(list(potential[0]))
+    with pytest.raises(InputError, match="listed twice"):
+        cover_from_obj(cover)
+    host = named_graph("K_5")
+    emb = embedding_to_obj(contains_minor(host, named_graph("W_4")))
+    pv, _ = emb["branch_sets"][0]
+    emb["branch_sets"].insert(0, [pv, list(host.vertices)])
+    with pytest.raises(InputError, match="listed twice"):
+        embedding_from_obj(emb)
+    emb = embedding_to_obj(contains_minor(host, named_graph("W_4")))
+    emb["edge_realization"].append(list(emb["edge_realization"][0]))
+    with pytest.raises(InputError, match="listed twice"):
+        embedding_from_obj(emb)
+
+
 def test_certificate_type_mismatches():
     g, d = w4_witness()
     cover_obj = cover_to_obj(g, decide_realizable(g, d, 3).cover)
