@@ -8,8 +8,10 @@ genericity search and the generic blend run on integers: a
 which preserves every sum and comparison exactly, and values leave the
 package as Fractions again.  Every shortest path is found by one
 routine, `_distances`, a Floyd-Warshall over vertex indices that returns
-the distances alone: validation and the metric closure (`_closure`) run
-it on a graph, and the realizability search on its contracted quotient.
+the distances alone and, since the graphs are undirected, relaxes one
+triangle of the symmetric table and mirrors each update: validation and
+the metric closure (`_closure`) run it on a graph, and the realizability
+search on its contracted quotient.
 Certificates are re-checked exactly over a common denominator that each
 check takes from the certificate's own Fractions and the weights, with
 `_clear`, the one clearing routine, independently of the search.  A weight
@@ -326,7 +328,15 @@ def _distances(n: int, ends, w) -> list[list]:
     indices 0..n-1, where edge e joins ends[e] with nonnegative weight
     w[e].  The package passes integers (a DistanceFunction's `integers`),
     several times faster than Fractions.  dist[i][j] is None when j is
-    unreachable from i; the diagonal is the int 0."""
+    unreachable from i; the diagonal is the int 0.
+
+    The graph is undirected, so the table is symmetric and each pass
+    works on one triangle: pass k joins only pairs i < j, other than k,
+    that both reach k (the finite entries of row k, as dist[i][k] =
+    dist[k][i]), and writes each shorter distance to both dist[i][j] and
+    dist[j][i].  With nonnegative weights, pass k does not change row k,
+    so it is read once, and the table is the full Floyd-Warshall's entry
+    for entry."""
     dist = [[None] * n for _ in range(n)]
     for i in range(n):
         dist[i][i] = 0
@@ -334,17 +344,14 @@ def _distances(n: int, ends, w) -> list[list]:
         if dist[i][j] is None or x < dist[i][j]:
             dist[i][j] = dist[j][i] = x
     for k in range(n):
-        # with nonnegative weights, pass k does not change row k, so it is read once
-        row = [(j, dkj) for j, dkj in enumerate(dist[k]) if dkj is not None]
-        for di in dist:
-            dik = di[k]
-            if dik is None:
-                continue
-            for j, dkj in row:
+        row = [(j, dkj) for j, dkj in enumerate(dist[k]) if dkj is not None and j != k]
+        for a, (i, dik) in enumerate(row, 1):
+            di = dist[i]
+            for j, dkj in row[a:]:
                 alt = dik + dkj
                 dij = di[j]
                 if dij is None or alt < dij:
-                    di[j] = alt
+                    di[j] = dist[j][i] = alt
     return dist
 
 

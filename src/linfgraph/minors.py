@@ -119,7 +119,9 @@ class MinorEmbedding(_Record):
                 return False
             if gu not in self.branch_sets[pu] or gv not in self.branch_sets[pv]:
                 return False
-        return True
+        # every pattern vertex and edge is present, so nothing else is
+        return (len(self.branch_sets) == self.pattern.n
+                and len(self.edge_realization) == self.pattern.m)
 
 
 class Classification(_Record):

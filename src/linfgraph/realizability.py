@@ -207,7 +207,8 @@ def _part_certified(g: Graph, d: DistanceFunction, orientation: Orientation, pot
     so that a caller checking many parts clears the weights once."""
     values = potential.values
     vs = g.vertices
-    if any(v not in values for v in vs):
+    # every vertex has a label, and nothing else does
+    if any(v not in values for v in vs) or len(values) != len(vs):
         return False
     base, w = weights
     scale, labels = _clear([values[v] for v in vs], base)
@@ -325,7 +326,13 @@ class _Ctx:
     zero weight, class i is vertex i and quotient edge e is edge e, along
     arc 2e: the search is the one on g.
 
-    Arc 2e runs along quotient edge e as stored, arc 2e + 1 against it.
+    Arc 2e runs along quotient edge e as stored, arc 2e + 1 against it;
+    `tail` and `head` give each arc's ends, and `out` each class's
+    out-arcs (arc, head, weight) for the relaxation.  `_contract` builds
+    all three in its one pass over the edges, and `_distances` gives the
+    quotient's shortest paths `sp`, from which `_conflicts` builds the
+    conflict table in one pass over the edge pairs.
+
     A part is a triple (mask, dist, blocked): the bitmask of its forced
     arcs, its potential as integers over `scale` (the greatest solution
     <= 0 of its difference constraints), and the OR of `conflict` over its
@@ -351,21 +358,14 @@ class _Ctx:
             raise InputError("weight count does not match the graph")
         self.g = g
         self.scale = d.scale
-        n, ends, self.w, self.cls, self.lift = _contract(g, d)
-        self.n, self.m = n, len(ends)
-        self.tail, self.head = [], []
-        # per-vertex out-arcs (aid, head, weight) for the relaxation
-        self.out = [[] for _ in range(n)]
-        for eid, ((i, j), x) in enumerate(zip(ends, self.w)):
-            self.tail += (i, j)
-            self.head += (j, i)
-            self.out[i].append((2 * eid, j, x))
-            self.out[j].append((2 * eid + 1, i, x))
-        self.sp = _distances(n, ends, self.w)
-        if any(self.sp[i][j] != x for (i, j), x in zip(ends, self.w)):
+        n, ends, w, self.cls, self.lift, self.tail, self.head, self.out = _contract(g, d)
+        self.n, self.m, self.w = n, len(ends), w
+        self.sp = _distances(n, ends, w)
+        if any(self.sp[i][j] != x for (i, j), x in zip(ends, w)):
             _invalid(g, d)
         self.conflict = self._conflicts()
-        order = sorted(range(self.m), key=lambda e: (-self.w[e], e))
+        # stable, so ties keep increasing edge id
+        order = sorted(range(self.m), key=w.__getitem__, reverse=True)
         # arc 2e of each edge e, in order: the root's rest
         self.bits = [1 << 2 * e for e in order]
         self.full = sum(self.bits)
@@ -383,27 +383,34 @@ class _Ctx:
         # ta->ha ~> tb->hb ~> ta; it is negative iff sp(ha,tb)+sp(hb,ta) < wa+wb.
         # sp is symmetric, so reversing both arcs walks the same closed walk
         # backwards: (a, b) conflicts exactly when (a^1, b^1) does, and each
-        # edge pair e < f takes two tests, (2e, 2f) and (2e, 2f+1).
-        sp, w, tail, head = self.sp, self.w, self.tail, self.head
+        # edge pair e < f takes two tests, (2e, 2f) and (2e, 2f+1).  Edge e's
+        # own two rows collect in locals and are ORed into the table once.
+        sp = self.sp
+        # (tail, head, weight, arc id, arc bit) of arc 2e of each edge e
+        arcs = [(self.tail[a], self.head[a], x, a, 1 << a)
+                for a, x in zip(range(0, 2 * self.m, 2), self.w)]
         masks = [0] * (2 * self.m)
-        for e in range(self.m):
-            su, sv = sp[tail[2 * e]], sp[head[2 * e]]  # arc 2e is u->v
-            we = w[e]
-            for f in range(e + 1, self.m):
-                x, y = tail[2 * f], head[2 * f]  # arc 2f is x->y
-                if sv[x] is None:  # e and f lie in different components
+        for e, (u, v, we, a, bit) in enumerate(arcs):
+            su, sv = sp[u], sp[v]  # arc a is u->v
+            bit2 = bit << 1
+            fwd = back = 0  # the rows of arcs a and a + 1
+            for x, y, wf, b, fbit in arcs[e + 1:]:  # arc b is x->y
+                vx = sv[x]
+                if vx is None:  # the two edges lie in different components
                     continue
-                limit = we + w[f]
-                if sv[x] + su[y] < limit:  # 2e with 2f, so 2e+1 with 2f+1
-                    masks[2 * e] |= 1 << 2 * f
-                    masks[2 * f] |= 1 << 2 * e
-                    masks[2 * e + 1] |= 2 << 2 * f
-                    masks[2 * f + 1] |= 2 << 2 * e
-                if sv[y] + su[x] < limit:  # 2e with 2f+1, so 2e+1 with 2f
-                    masks[2 * e] |= 2 << 2 * f
-                    masks[2 * f + 1] |= 1 << 2 * e
-                    masks[2 * e + 1] |= 1 << 2 * f
-                    masks[2 * f] |= 2 << 2 * e
+                limit = we + wf
+                if vx + su[y] < limit:  # a with b, so a+1 with b+1
+                    fwd |= fbit
+                    back |= fbit << 1
+                    masks[b] |= bit
+                    masks[b + 1] |= bit2
+                if sv[y] + su[x] < limit:  # a with b+1, so a+1 with b
+                    fwd |= fbit << 1
+                    back |= fbit
+                    masks[b + 1] |= bit
+                    masks[b] |= bit2
+            masks[a] |= fwd
+            masks[a + 1] |= back
         return masks
 
     def bf(self, mask: int, dist0, new_aid: int):
@@ -493,13 +500,17 @@ def _invalid(g: Graph, d: DistanceFunction):
 
 def _contract(g: Graph, d: DistanceFunction):
     """The quotient of g by the zero-weight edges of d, on d's integer
-    weights: (n, ends, weights, cls, lift).  Its n vertices are the
-    classes, numbered by their first vertex, and it has one edge per pair
-    of classes that positive edges join, numbered by its first original
-    edge, with the class index pair `ends` and the weight of its edges.
-    cls maps each vertex index of g to its class, and lift each original
-    edge to the quotient arc that runs along it, or to None at weight
-    zero.  Raises InputError through `_invalid` when a positive edge lies
+    weights: (n, ends, weights, cls, lift, tail, head, out).  Its n
+    vertices are the classes, numbered by their first vertex, and it has
+    one edge per pair of classes that positive edges join, numbered by its
+    first original edge, with the class index pair `ends` and the weight
+    of its edges.  cls maps each vertex index of g to its class, and lift
+    each original edge to the quotient arc that runs along it, or to None
+    at weight zero.  Quotient edge q carries arc 2q along ends[q] and arc
+    2q + 1 against it: tail[a] and head[a] are arc a's classes, and out[c]
+    lists the arcs (a, head[a], weight) leaving class c, by increasing a.
+    The same pass over g's edges that finds the quotient edges builds
+    them.  Raises InputError through `_invalid` when a positive edge lies
     inside a class or two edges between one pair of classes differ in
     weight."""
     w = d.integers
@@ -515,6 +526,7 @@ def _contract(g: Graph, d: DistanceFunction):
             r = root[r]
         cls.append(ids.setdefault(r, len(ids)))
     pairs, qends, qw, lift = {}, [], [], []
+    tail, head, out = [], [], [[] for _ in ids]
     for (i, j), x in zip(ends, w):
         a, b = cls[i], cls[j]
         if not x:
@@ -526,10 +538,14 @@ def _contract(g: Graph, d: DistanceFunction):
         if q == len(qends):
             qends.append((a, b))
             qw.append(x)
+            tail += (a, b)
+            head += (b, a)
+            out[a].append((2 * q, b, x))
+            out[b].append((2 * q + 1, a, x))
         elif qw[q] != x:  # the lighter edge and zero-weight paths are shorter
             _invalid(g, d)
         lift.append(2 * q if qends[q][0] == a else 2 * q + 1)
-    return len(ids), qends, tuple(qw), cls, lift
+    return len(ids), qends, tuple(qw), cls, lift, tail, head, out
 
 
 def _propagate(ctx: _Ctx, rest: int, parts):
@@ -625,12 +641,17 @@ def _short(ctx: _Ctx, k: int, parts, rest: int) -> bool:
     the ranks of what its parts can hold, its own edges and the edges of
     rest whose arcs it does not both block, plus the k - len(parts) unused
     parts holding rank(rest) each, add up to fewer than the edges to
-    cover."""
+    cover.  Ranks are nonnegative, so the sum stops, with the answer no,
+    as soon as it reaches the edges to cover: the parts after that take
+    no rank pass."""
+    m = ctx.m
     unused = k - len(parts)
     total = unused * ctx.rank(rest) if unused else 0
     for mask, _, b in parts:
+        if total >= m:
+            return False
         total += ctx.rank((mask | mask >> 1 | rest & ~(b & b >> 1)) & ctx.full)
-    return total < ctx.m
+    return total < m
 
 
 def _children(ctx: _Ctx, k: int, node, counter: list):
@@ -816,12 +837,15 @@ def verify_realization(g: Graph, d: DistanceFunction, points, norm="inf") -> Ver
         k, points = points.k, points.points
     else:
         k = len(next(iter(points.values()))) if points else 0
-    for v in g.vertices:
+    vs = g.vertices
+    for v in vs:
         if v not in points:
             raise InputError(f"no coordinates for vertex {v!r}")
         if len(points[v]) != k:
             raise InputError(f"vertex {v!r} has {len(points[v])} coordinates, expected {k}")
-    vs = g.vertices
+    if len(points) != len(vs):  # every vertex has a point, so some point has no vertex
+        extra = next(v for v in points if v not in g.vertex_index)
+        raise InputError(f"coordinates for {extra!r}, which is no vertex")
     base, w = _clear(d.weights)
     scale, flat = _clear([x for v in vs for x in points[v]], base)
     if scale != base:

@@ -388,10 +388,15 @@ def is_three_connected(g: Graph) -> bool:
 
 def is_minor_model(g: Graph, emb) -> bool:
     """Whether emb's branch sets and realizing edges model its pattern in g,
-    the plain way: every pattern vertex has a nonempty set of vertices of
-    g, the sets are pairwise disjoint, the edges of g inside each set join
-    it (`_connected`), and every pattern edge is realized by an edge of g
-    from its first end's set to its second end's."""
+    the plain way: the pattern's vertices, and nothing else, have a
+    nonempty set of vertices of g, the sets are pairwise disjoint, the
+    edges of g inside each set join it (`_connected`), and the pattern's
+    edges, and nothing else, are realized, each by an edge of g from its
+    first end's set to its second end's."""
+    if set(emb.branch_sets) != set(emb.pattern.vertices):
+        return False
+    if set(emb.edge_realization) != set(emb.pattern.edges):
+        return False
     sets = [emb.branch_sets.get(pv) for pv in emb.pattern.vertices]
     if not all(sets):
         return False
@@ -459,11 +464,11 @@ def is_planar_rotation(g: Graph, rotation) -> bool:
 
 
 def fraction_part_certified(g: Graph, d: DistanceFunction, orientation, potential) -> bool:
-    """The part check in Fraction arithmetic: every vertex has a label, no
-    edge's gap exceeds its weight, and every forced arc is tight.  An arc
-    that is no edge of g raises InputError."""
+    """The part check in Fraction arithmetic: the labelled points are the
+    vertices, no edge's gap exceeds its weight, and every forced arc is
+    tight.  An arc that is no edge of g raises InputError."""
     values = potential.values
-    if any(v not in values for v in g.vertices):
+    if set(values) != set(g.vertices):
         return False
     for eid, (u, v) in enumerate(g.edges):
         if abs(values[u] - values[v]) > d.weights[eid]:
@@ -502,6 +507,9 @@ def fraction_verify_realization(g: Graph, d: DistanceFunction, points, norm="inf
             raise InputError(f"no coordinates for vertex {v!r}")
         if len(points[v]) != k:
             raise InputError(f"vertex {v!r} has {len(points[v])} coordinates, expected {k}")
+    extra = set(points) - set(g.vertices)
+    if extra:
+        raise InputError(f"coordinates for {extra.pop()!r}, which is no vertex")
     for eid, (u, v) in enumerate(g.edges):
         gaps = [abs(a - b) for a, b in zip(points[u], points[v])]
         w = d.weights[eid]

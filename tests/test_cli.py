@@ -322,6 +322,43 @@ def test_realize_and_verify_roundtrip(run, w4_file, tmp_path):
     assert code == 1 and json.loads(out)["ok"] is False
 
 
+def test_verify_rejects_entries_the_instance_lacks(run, w4_file, tmp_path):
+    # an entry for a vertex, pattern vertex or pattern edge that does not
+    # exist fails as its missing twin does: a point as malformed (exit 2),
+    # a potential, branch set or realizing edge as a failed check (exit 1)
+    from linfgraph import build_realization, cover_from_obj, realization_to_obj
+
+    cert = tmp_path / "cover.json"
+    assert run("realize", w4_file, "--dim", "3", "--certificate", str(cert))[0] == 0
+    cover = json.loads(cert.read_text())
+    first = cover["parts"][0]
+    real = realization_to_obj(build_realization(*w4_witness(), cover_from_obj(cover)))
+    k5 = tmp_path / "k5.json"
+    save_instance(named_graph("K_5"), None, k5)
+    emb_file = tmp_path / "emb.json"
+    assert run("minor", str(k5), "--pattern", "w4", "--certificate", str(emb_file))[0] == 0
+    emb = json.loads(emb_file.read_text())
+    _, bs = emb["branch_sets"][0]
+    pe, ge = emb["edge_realization"][0]
+    cases = [
+        (w4_file, {**real, "points": real["points"] + [["ghost", real["points"][0][1]]]}, 2),
+        (w4_file, {**real, "points": real["points"] + [["1", real["points"][0][1]]]}, 2),
+        (w4_file, {**cover, "parts": [{**first, "potential": first["potential"] + [[99, "0/1"]]},
+                                      *cover["parts"][1:]]}, 1),
+        (str(k5), {**emb, "branch_sets": emb["branch_sets"] + [[99, bs]]}, 1),
+        (str(k5), {**emb, "edge_realization": emb["edge_realization"] + [[[pe[0], 99], ge]]}, 1),
+    ]
+    tampered = tmp_path / "tampered.json"
+    for instance, obj, want in cases:
+        tampered.write_text(json.dumps(obj))
+        code, out, err = run("verify", instance, "--certificate", str(tampered))
+        assert code == want, obj
+        if want == 1:
+            assert json.loads(out)["ok"] is False
+        else:
+            assert "error:" in err
+
+
 def test_realize_rejects_more_dimensions_than_edges(run, w4_file):
     # the witness has 8 edges: one per part always suffices, so a larger
     # --dim is a usage error rather than a search padded to that many parts

@@ -198,6 +198,15 @@ def test_check_rejects_broken_embeddings():
     assert not MinorEmbedding(
         k2, {"a": frozenset({1, 2}), "b": frozenset({3, 4})}, {("a", "b"): (3, 2)}
     ).check(path)
+    # a branch set of a vertex the pattern does not have
+    assert not MinorEmbedding(
+        k2, {"a": frozenset({1, 2}), "b": frozenset({3}), "c": frozenset({4})}, {("a", "b"): (2, 3)}
+    ).check(path)
+    # a realizing edge of an edge the pattern does not have
+    assert not MinorEmbedding(
+        k2, {"a": frozenset({1, 2}), "b": frozenset({3, 4})},
+        {("a", "b"): (2, 3), ("b", "a"): (3, 2)}
+    ).check(path)
 
 
 # -- classify_dim2 ------------------------------------------------------------
@@ -286,7 +295,15 @@ def _model_mutations(g: Graph, emb: MinorEmbedding):
     """(kind, embedding) for emb's mutations: each branch set with a vertex
     of g not adjacent to it added ('apart'), with one member removed
     ('removed', which splits the set in two where that member is a cut
-    vertex of it) and with a vertex not in g added ('absent')."""
+    vertex of it) and with a vertex not in g added ('absent'); and a
+    branch set and a realizing edge for a pattern vertex and a pattern
+    edge that do not exist ('extra')."""
+    ghost = "not-in-the-pattern"
+    yield "extra", MinorEmbedding(emb.pattern, {**emb.branch_sets, ghost: frozenset({"not-in-g"})},
+                                  emb.edge_realization)
+    pu, real = emb.pattern.vertices[0], emb.edge_realization[emb.pattern.edges[0]]
+    yield "extra", MinorEmbedding(emb.pattern, emb.branch_sets,
+                                  {**emb.edge_realization, (pu, ghost): real})
     adjacent = {v: {w for w, _ in g.adjacency[v]} for v in g.vertices}
     for pv, bs in emb.branch_sets.items():
         near = set(bs).union(*(adjacent[x] for x in bs))
@@ -305,7 +322,7 @@ def test_witness_check_matches_the_reference_on_mutated_witnesses():
     graphs = [g for g in connected_graphs_upto(6) if classify_dim2(g).verdict == "exceeds_2"]
     graphs += [_subdivide_all(W4), _subdivide_all(K4E),
                tk4_instance(Tree.build(named_graph("path_3")))[0]]
-    kinds = dict.fromkeys(("apart", "absent", "removed", "split"), 0)
+    kinds = dict.fromkeys(("apart", "absent", "removed", "split", "extra"), 0)
     for g in graphs:
         emb = classify_dim2(g).witness
         assert emb.check(g) and is_minor_model(g, emb)

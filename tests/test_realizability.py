@@ -1,6 +1,8 @@
 """Cover search, realizations, and the combinatorial dimension bounds."""
 
+import hashlib
 import itertools
+import json
 import math
 import random
 import time
@@ -36,10 +38,12 @@ from linfgraph import (
     w4_witness,
 )
 from linfgraph import graph_core, realizability
+from linfgraph.serialize import cover_to_obj
 from linfgraph.realizability import (
     _RULES,
     _Ctx,
     _children,
+    _contract,
     _dfs,
     _distinct_valuations,
     _propagate,
@@ -415,17 +419,20 @@ def test_rank_matches_brute_rank(gd, data):
 @pytest.mark.parametrize("name, k", [("K_5", 3), ("K_7", 4), ("W_8", 2)])
 def test_forest_rule_matches_brute_ranks_on_cover_prefixes(name, k):
     # every prefix node of a found cover, judged as a node of a j-part
-    # search for each j from its open parts to k: _short prunes exactly when
-    # the brute ranks of what each part can hold (its own edges and the
+    # search for each j from its open parts to k + 1: _short prunes exactly
+    # when the brute ranks of what each part can hold (its own edges and the
     # edges left that it does not block both ways), with rank(rest) for
-    # each unused part, fall short of the edges to cover.  At j = k the
-    # cover completes the node, so neither prunes.  _short reads its parts
-    # and changes none of them
+    # each unused part, fall short of the edges to cover.  At j = k and
+    # k + 1 the cover completes the node, so neither prunes.  _short reads
+    # its parts and changes none of them, and ranks no part once the sum so
+    # far reaches the edges to cover, which some node does
     g = named_graph(name)
     ctx = _Ctx(g, random_distance_function(g, 3))
     assert ctx.generic
     cover = [p[0] for p in _dfs(ctx, k, _root(ctx), [0] * 7)]
-    verdicts = []
+    ranked = []
+    ctx.rank = lambda edges, rank=ctx.rank: ranked.append(edges) or rank(edges)
+    verdicts, skipped = [], 0
     for left, (parts, rest) in _prefixes(ctx, cover):
         used = len(parts)
         held = []
@@ -434,12 +441,20 @@ def test_forest_rule_matches_brute_ranks_on_cover_prefixes(name, k):
             free = [e for e in left if b >> 2 * e & 3 != 3]
             held.append(brute_rank(g, own + free))
         before = list(parts)
-        for j in range(used, k + 1):
+        for j in range(used, k + 2):
             short = sum(held) + (j - used) * brute_rank(g, left) < g.m
+            total, passes = (j - used) * brute_rank(g, left), int(j > used)
+            for r in held:
+                if total >= g.m:
+                    break
+                total, passes = total + r, passes + 1
+            ranked.clear()
             assert _short(ctx, j, parts, rest) == short, (name, left, j)
+            assert len(ranked) == passes, (name, left, j)
+            skipped += int(j > used) + used - passes
             assert len(parts) == len(before) and all(p is q for p, q in zip(parts, before))
-            verdicts.append((j == k, short))
-    assert (True, True) not in verdicts and (False, True) in verdicts
+            verdicts.append((j >= k, short))
+    assert (True, True) not in verdicts and (False, True) in verdicts and skipped
 
 
 def test_edgeless_graph_realizes_immediately():
@@ -533,6 +548,34 @@ def test_contracted_search_matches_brute_force_on_zero_weights(gd, k):
     out = decide_realizable(g, d, k)
     assert (out.cover is not None) == brute_realizable(g, d, k)
     assert out.cover is None or out.cover.check(g, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_zero_weighted())
+def test_contraction_arcs_match_a_build_from_its_ends(gd):
+    # _contract builds tail, head, out and lift in its pass over g's edges;
+    # each must equal the table built afresh from the quotient edges it returns
+    g, d = gd
+    n, ends, w, cls, lift, tail, head, out = _contract(g, d)
+    # the classes are the components of the zero-weight edges
+    zero = Graph.build(g.vertices, [e for e, x in zip(g.edges, d.weights) if not x])
+    comp = {v: min(c, key=g.vertex_index.__getitem__) for c in zero.components() for v in c}
+    firsts = sorted({comp[v] for v in g.vertices}, key=g.vertex_index.__getitem__)
+    assert n == len(firsts)
+    assert cls == [firsts.index(comp[v]) for v in g.vertices]
+    assert tail == [x for a, b in ends for x in (a, b)]
+    assert head == [x for a, b in ends for x in (b, a)]
+    fresh = [[] for _ in range(n)]
+    for q, ((a, b), x) in enumerate(zip(ends, w)):
+        fresh[a].append((2 * q, b, x))
+        fresh[b].append((2 * q + 1, a, x))
+    assert out == fresh
+    arc = {pair: 2 * q + r for q, (a, b) in enumerate(ends)
+           for r, pair in enumerate([(a, b), (b, a)])}
+    for (u, v), x, aid in zip(g.edges, d.integers, lift):
+        i, j = g.vertex_index[u], g.vertex_index[v]
+        assert aid == (None if not x else arc[cls[i], cls[j]])
+        assert aid is None or w[aid >> 1] == x
 
 
 @settings(max_examples=25, deadline=None)
@@ -979,3 +1022,68 @@ def test_search_is_deterministic(name, k, found):
     if found:
         assert first.cover.parts == second.cover.parts
         assert first.cover.potentials == second.cover.potentials
+
+
+# (instance, k, (nodes, one prune count per rule of _RULES, expanded), the
+# first 16 hex digits of the sha256 of the cover's sorted-key JSON or None):
+# the witnesses and K7 at their last exhausted k and first cover, doubled
+# trees of order n at n - 1 and n, and random weights at one below the
+# minimum dimension and at it
+_PINNED_TRACES = [
+    ("w4_witness", 2, (32, 15, 5, 0, 4, 0, 8), None),
+    ("w4_witness", 3, (18, 9, 1, 0, 0, 0, 8), "9be8a7d91ee8b8e5"),
+    ("k4ek4_witness", 2, (152, 75, 29, 0, 10, 0, 38), None),
+    ("k4ek4_witness", 3, (24, 11, 3, 0, 0, 0, 10), "389025ef1cb37c6f"),
+    ("k7_generic", 4, (48, 35, 0, 0, 6, 0, 7), None),
+    ("k7_generic", 5, (82, 62, 0, 0, 0, 0, 20), "fea46c1f6eaffaab"),
+    ("tk4-path_4", 3, (4, 2, 0, 1, 0, 0, 1), None),
+    ("tk4-path_4", 4, (37, 22, 0, 0, 0, 0, 15), "5fcdc44bfa9da08a"),
+    ("tk4-path_6", 5, (16, 12, 0, 1, 0, 0, 3), None),
+    ("tk4-path_6", 6, (91, 66, 0, 0, 0, 0, 25), "24d0afad72655de2"),
+    ("tk4-star_4", 4, (9, 6, 0, 1, 0, 0, 2), None),
+    ("tk4-star_4", 5, (40, 20, 0, 0, 0, 0, 20), "9b50ebdafbfced43"),
+    ("random-C_12", 1, (1, 0, 0, 0, 0, 1, 0), None),
+    ("random-C_12", 2, (19, 0, 7, 0, 0, 0, 12), "04805897a7c9eebc"),
+    ("random-C_13", 1, (1, 0, 0, 0, 0, 1, 0), None),
+    ("random-C_13", 2, (20, 0, 7, 0, 0, 0, 13), "79063f2c7c638d26"),
+    ("random-C_14", 1, (1, 0, 0, 0, 0, 1, 0), None),
+    ("random-C_14", 2, (23, 0, 9, 0, 0, 0, 14), "f8d35b2952984378"),
+    ("random-C_15", 1, (1, 0, 0, 0, 0, 1, 0), None),
+    ("random-C_15", 2, (25, 0, 10, 0, 0, 0, 15), "cf74f636d2ce4441"),
+    ("random-C_16", 1, (1, 0, 0, 0, 0, 1, 0), None),
+    ("random-C_16", 2, (26, 0, 10, 0, 0, 0, 16), "6d7b48866a87ec11"),
+    ("random-C_17", 1, (1, 0, 0, 0, 0, 1, 0), None),
+    ("random-C_17", 2, (28, 0, 11, 0, 0, 0, 17), "86d9d14ec18ff98c"),
+    ("random-C_18", 1, (1, 0, 0, 0, 0, 1, 0), None),
+    ("random-C_18", 2, (30, 0, 12, 0, 0, 0, 18), "dd01a5a980519d74"),
+    ("random-K_7", 3, (1, 0, 0, 0, 0, 1, 0), None),
+    ("random-K_7", 4, (46, 33, 0, 0, 0, 0, 13), "43f944b7b05577ca"),
+    ("random-K_8", 4, (73, 52, 0, 0, 10, 0, 11), None),
+    ("random-K_8", 5, (97, 73, 0, 0, 0, 0, 24), "ade03b5dff672e18"),
+]
+
+
+def _pinned_instance(label):
+    family, _, name = label.partition("-")
+    if family == "tk4":
+        return tk4_instance(Tree.build(named_graph(name)))
+    if family == "random":
+        g = named_graph(name)
+        return g, random_distance_function(g)
+    witnesses = {"w4_witness": w4_witness, "k4ek4_witness": k4ek4_witness, "k7_generic": k7_generic}
+    return witnesses[label]()
+
+
+@pytest.mark.parametrize("label, k, trace, digest", _PINNED_TRACES,
+                         ids=[f"{label}@{k}" for label, k, _, _ in _PINNED_TRACES])
+def test_search_trace_is_pinned(label, k, trace, digest):
+    # the counts and the cover do not depend on the machine: any change to
+    # them is a change to the search, which must say so
+    g, d = _pinned_instance(label)
+    out = decide_realizable(g, d, k)
+    assert (out.nodes, *(out.prunes[rule] for rule in _RULES), out.expanded) == trace
+    got = None
+    if out.cover is not None:
+        text = json.dumps(cover_to_obj(g, out.cover), sort_keys=True)
+        got = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert got == digest

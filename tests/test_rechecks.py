@@ -1,11 +1,14 @@
 """The exact re-checks against their Fraction oracles, and the search's
 conflict table against the table over all arc pairs."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linfgraph import (
     Cover,
@@ -75,8 +78,9 @@ def _covered():
 def _part_variants(g, d, orientation, potential):
     """The part itself and mutated copies: a label shifted by a third of
     the certificate's unit, a denominator it did not have; a forced arc
-    reversed; a vertex missing; ints and Fractions mixed and shifted
-    negative, which keeps it certified."""
+    reversed; a vertex missing; a label for a point that is no vertex,
+    alone and as the string twin of an int vertex; ints and Fractions
+    mixed and shifted negative, which keeps it certified."""
     values = potential.values
     scale = _scale([*values.values(), *d.weights])
     out = [(orientation, potential)]
@@ -88,6 +92,9 @@ def _part_variants(g, d, orientation, potential):
         out.append((Orientation.of([*orientation.arcs[:i], (v, u), *orientation.arcs[i + 1:]]),
                     potential))
     out.append((orientation, Potential({x: q for x, q in values.items() if x != g.vertices[-1]})))
+    for ghost in ("ghost", str(g.vertices[0])):
+        if ghost not in values:
+            out.append((orientation, Potential({**values, ghost: values[g.vertices[0]]})))
     low = -1 - max(abs(q) for q in values.values())
     out.append((orientation, Potential({x: _mixed(q + low) for x, q in values.items()})))
     out.append((orientation, Potential({x: _mixed(q) for x, q in values.items()})))
@@ -133,8 +140,9 @@ def test_part_check_with_an_arc_off_the_graph_raises_like_the_oracle():
 
 def _point_variants(g, points):
     """The points and mutated copies: a coordinate shifted by a third of
-    the certificate's unit; a vertex missing; ints and Fractions mixed and
-    translated negative, which keeps distances."""
+    the certificate's unit; a vertex missing; a point that is no vertex,
+    alone and as the string twin of an int vertex; ints and Fractions
+    mixed and translated negative, which keeps distances."""
     scale = _scale([x for p in points.values() for x in p])
     out = [points]
     for v in g.vertices[:3]:
@@ -143,6 +151,9 @@ def _point_variants(g, points):
             p[i] += Fraction(1, 3 * scale)
             out.append({**points, v: tuple(p)})
     out.append({v: p for v, p in points.items() if v != g.vertices[0]})
+    for ghost in ("ghost", str(g.vertices[0])):
+        if ghost not in points:
+            out.append({**points, ghost: points[g.vertices[0]]})
     low = -1 - max((abs(x) for p in points.values() for x in p), default=0)
     out.append({v: tuple(_mixed(x + low) for x in p) for v, p in points.items()})
     out.append({v: tuple(_mixed(x) for x in p) for v, p in points.items()})
@@ -224,13 +235,36 @@ def _weighted():
     return out
 
 
-@pytest.mark.parametrize("g, d", _weighted())
-def test_conflict_table_matches_all_arc_pairs(g, d):
+@st.composite
+def _closed_weighted(draw):
+    """A graph on up to 7 vertices, connected or not, with the shortest-path
+    closure of positive integer weights drawn from a small range, so that
+    some tie: valid and positive."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    pool = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pool), unique=True, min_size=1, max_size=12))
+    g = Graph.build(range(n), edges)
+    raw = draw(st.lists(st.integers(min_value=1, max_value=9), min_size=g.m, max_size=g.m))
+    return g, DistanceFunction.from_values(_closure(g, raw))
+
+
+def _check_conflicts(g, d):
     conflict = _Ctx(g, d).conflict
     assert conflict == all_pairs_conflicts(g, d)
     # orphan seeding relies on it: reversing both arcs keeps a conflict
     arcs = range(2 * g.m)
     assert all(conflict[a] >> b & 1 == conflict[a ^ 1] >> (b ^ 1) & 1 for a in arcs for b in arcs)
+
+
+@pytest.mark.parametrize("g, d", _weighted())
+def test_conflict_table_matches_all_arc_pairs(g, d):
+    _check_conflicts(g, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_closed_weighted())
+def test_conflict_table_matches_all_arc_pairs_on_random_weights(gd):
+    _check_conflicts(*gd)
 
 
 # -- padding a cover to k parts -------------------------------------------------------
